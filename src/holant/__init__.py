@@ -2,7 +2,7 @@
 
 Multigraphs carry local weight systems on color-count vectors; summing the
 product of vertex weights over all edge colorings gives the central
-quantity.  The package provides brute-force engines, a certified Taylor
+quantity.  The package provides exact contraction engines, a certified Taylor
 scheme valid near the all-ones system, partition-indexed graph polynomials
 (random-cluster and chromatic included), transfer matrices for cycles, and
 a command-line front end.

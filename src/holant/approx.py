@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import BudgetExceededError, OutsideRegionError
-from .exact import DEFAULT_BUDGET, _colored_sum, _model_tables, _pack, exact_partition
+from .exact import DEFAULT_BUDGET, _colored_sum, _vertex_table, exact_partition
 from .graphs import Multigraph, connected_subsets, edges_touching
 from .models import EdgeColoringModel, RegionParams, compositions
 
@@ -147,7 +147,7 @@ def q_derivative(g: Multigraph, h: EdgeColoringModel, m: int,
     total = 0j
     for subset in combinations(range(g.n), m):
         touched = edges_touching(g, subset)
-        tables = _model_tables(g, shifted, subset)
+        tables = {v: _vertex_table(g.degree(v), k, shifted.value) for v in subset}
         inner = _colored_sum(g, k, touched, {}, tables, budget)
         total += inner * float(k) ** (-len(touched) if normalized else g.m - len(touched))
     return total * math.factorial(m)
@@ -259,15 +259,16 @@ class _ClusterEngine:
         if found is not None:
             return found
         k = self.k
-        base = d_int + 1
-        dense = [0j] * (base ** k)
         scale = float(k) ** (-b)
-        for beta in compositions(d_int, k):
+
+        def marginal(beta):
             acc = 0j
             for gamma in compositions(b, k):
                 alpha = tuple(x + y for x, y in zip(beta, gamma))
                 acc += _multinomial(b, gamma) * self.h.value(alpha)
-            dense[_pack(beta, base)] = acc * scale
+            return acc * scale
+
+        dense = _vertex_table(d_int, k, marginal)
         self._marginal_cache[key] = dense
         return dense
 
@@ -305,10 +306,7 @@ class _ClusterEngine:
             raise BudgetExceededError(
                 "connected-subset expansion exceeded the coloring budget"
             )
-        tables = {
-            v: (d_int[v] + 1, self._marginal_table(d_int[v], boundary[v]))
-            for v in piece
-        }
+        tables = {v: self._marginal_table(d_int[v], boundary[v]) for v in piece}
         value = _colored_sum(g, k, internal, {}, tables, self.budget)
         value *= float(k) ** (-len(internal))
         self._weight_cache[piece] = value

@@ -1,12 +1,8 @@
-"""Brute-force engines: edge-coloring sums, interpolation, and root finding.
+"""Exact engines: edge-coloring sums, interpolation, and root finding.
 
-The core enumerator walks every coloring of a chosen edge set and multiplies
-per-vertex weights as vertices complete.  Two interchangeable paths exist:
-a depth-first fold that adds leaf terms in lexicographic coloring order and
-prunes subtrees whose running product is exactly zero, and a chunked
-vectorized path that evaluates the same sum with a deterministic pairwise
-reduction (the two agree to floating-point reshuffling, and reruns of either
-are bit-for-bit stable).
+Every coloring sum is one contraction of the per-vertex tables, edge by
+edge, refused before any work when its ``k ** #free edges`` colorings
+exceed the budget.
 """
 
 from __future__ import annotations
@@ -14,6 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -22,9 +19,6 @@ from .graphs import Multigraph
 from .models import EdgeColoringModel, TensorAssignment, compositions
 
 DEFAULT_BUDGET = 10 ** 8
-
-_VECTOR_MIN = 2048
-_CHUNK = 1 << 19
 
 
 # ---------------------------------------------------------------------------
@@ -99,204 +93,145 @@ class RestrictedSpec:
 
 
 # ---------------------------------------------------------------------------
-# table construction
-
-def _model_tables(g: Multigraph, h: EdgeColoringModel, vertices=None):
-    """Dense per-vertex weight tables: vertex -> (base, flat list by packed index)."""
-    vertices = range(g.n) if vertices is None else vertices
-    tables = {}
-    for v in vertices:
-        d = g.degree(v)
-        base = d + 1
-        dense = [0j] * (base ** h.k)
-        for alpha in compositions(d, h.k):
-            dense[_pack(alpha, base)] = h.value(alpha)
-        tables[v] = (base, dense)
-    return tables
+# vertex tables
 
 
-def _tensor_tables(t: TensorAssignment):
-    tables = {}
-    for v in range(t.graph.n):
-        d = t.graph.degree(v)
-        base = d + 1
-        dense = [0j] * (base ** t.k)
-        for alpha in compositions(d, t.k):
-            dense[_pack(alpha, base)] = t.value(v, alpha)  # raises if the tensor is incomplete
-        tables[v] = (base, dense)
-    return tables
+def _vertex_table(d: int, k: int, value) -> list[complex]:
+    """Dense weight table of a degree-``d`` vertex, indexed by packed count vector.
 
-
-def _pack(alpha, base: int) -> int:
-    packed = 0
-    for c in reversed(alpha):
-        packed = packed * base + c
-    return packed
+    Entry ``sum(alpha[c] * (d + 1) ** c)`` holds ``value(alpha)`` for every
+    count vector ``alpha`` of norm ``d``; the other entries are never read.
+    """
+    base = d + 1
+    dense = [0j] * (base ** k)
+    for alpha in compositions(d, k):
+        packed = 0
+        for c in reversed(alpha):
+            packed = packed * base + c
+        dense[packed] = value(alpha)
+    return dense
 
 
 # ---------------------------------------------------------------------------
-# the enumerator
+# the contraction
 
 
 def _colored_sum(g: Multigraph, k: int, edge_indices, fixed: dict[int, int],
-                 tables, budget: float, method: str = "auto") -> complex:
+                 tables, budget: float) -> complex:
     """Sum over colorings of ``edge_indices`` of the product of vertex weights.
 
-    ``tables`` maps each participating vertex to its ``(base, dense)`` weight
-    table; vertices absent from ``tables`` contribute no factor.  ``fixed``
-    pins colors of individual edges.  Enumeration cost is ``k ** #free``.
+    ``tables`` maps each participating vertex to its :func:`_vertex_table`
+    over the count vectors of its incidences within ``edge_indices``;
+    vertices absent from ``tables`` contribute no factor.  ``fixed`` pins
+    colors of individual edges.  The budget is charged ``k ** #free``, the
+    size of the coloring space, before any work.
+
+    Edges are contracted one at a time.  A state maps the packed partial
+    count vectors of the open vertices, one slot each, to a summed weight;
+    when a vertex's last edge is contracted its table value is applied and
+    its slot returns to 0, so equal states merge.  Zero-weight states are
+    dropped.  The next edge is the one that opens the fewest new vertices,
+    then the one with an endpoint that has the fewest edges left, then the
+    lowest index, so reruns are bit-for-bit stable.
     """
-    if method not in ("auto", "vector", "dfs"):
-        raise ValueError(f"unknown method {method!r}; expected auto, vector, or dfs")
-    edge_indices = sorted(edge_indices)
-    free = [e for e in edge_indices if e not in fixed]
+    edges = sorted(edge_indices)
+    free = [e for e in edges if e not in fixed]
     if budget is not None and len(free) * math.log(k) > math.log(max(budget, 1.0)) + 1e-9:
         raise BudgetExceededError(
             f"{k}^{len(free)} colorings exceed the budget of {budget:g} terms"
         )
-    total = k ** len(free)
 
-    # per-vertex incidence counts within edge_indices
-    rem = {v: 0 for v in tables}
-    for e in edge_indices:
+    ends = {}
+    degree = dict.fromkeys(tables, 0)
+    left = dict.fromkeys(tables, 0)
+    for e in edges:
         u, w = g.edges[e]
-        if u in rem:
-            rem[u] += 1
-        if w in rem and w != u:
-            rem[w] += 1
+        ends[e] = [(v, mult) for v, mult in (((u, 2),) if u == w else ((u, 1), (w, 1)))
+                   if v in tables]
+        for v, mult in ends[e]:
+            degree[v] += mult
+            left[v] += 1
 
-    # constant factor from vertices never touched by these edges
-    const = 1.0 + 0j
-    packed0 = {}
-    for v, (base, dense) in tables.items():
-        packed0[v] = 0
-        if rem[v] == 0:
-            const *= dense[0]
-
-    # apply fixed colors up front
-    for e, c in fixed.items():
-        if e not in edge_indices:
-            continue
-        u, w = g.edges[e]
-        for v in ((u,) if u == w else (u, w)):
-            if v in tables:
-                base = tables[v][0]
-                packed0[v] += (2 if u == w else 1) * base ** c
-                rem[v] -= 1
-                if rem[v] == 0:
-                    const *= tables[v][1][packed0[v]]
-    if const == 0:
+    start = 1.0 + 0j
+    for v, dense in tables.items():
+        if left[v] == 0:
+            start *= dense[0]
+    if start == 0:
         return 0j
+    radix = max((len(tables[v]) for v in tables if left[v]), default=1)
 
-    if not free:
-        return const
+    def rank(e):
+        fresh = sum(v not in slot_of for v, _ in ends[e])
+        return fresh, min((left[v] for v, _ in ends[e]), default=0), e
 
-    plan = []
-    for e in free:
-        u, w = g.edges[e]
-        ends = []
-        for v, mult in (((u, 2),) if u == w else ((u, 1), (w, 1))):
-            if v in tables:
-                base = tables[v][0]
-                ends.append((v, tuple(mult * base ** c for c in range(k))))
-        plan.append(tuple(ends))
-
-    if method == "auto":
-        has_zero = any(any(val == 0 for val in dense) for _, dense in tables.values())
-        method = "vector" if (total >= _VECTOR_MIN and not has_zero) else "dfs"
-
-    if method == "vector":
-        return const * _sum_vectorized(plan, tables, packed0, k, total)
-    return const * _sum_dfs(plan, tables, packed0, rem, k)
-
-
-def _sum_dfs(plan, tables, packed0, rem0, k) -> complex:
-    ne = len(plan)
-    packed = dict(packed0)
-    rem = dict(rem0)
-    dense = {v: t[1] for v, t in tables.items()}
-    acc = 0j
-    colors = range(k)
-
-    def rec(i, prod):
-        nonlocal acc
-        if i == ne:
-            acc += prod
-            return
-        ends = plan[i]
-        for c in colors:
-            p = prod
-            for v, incs in ends:
-                packed[v] += incs[c]
-                rem[v] -= 1
-                if rem[v] == 0:
-                    p = p * dense[v][packed[v]]
-            if p != 0:
-                rec(i + 1, p)
-            for v, incs in ends:
-                packed[v] -= incs[c]
-                rem[v] += 1
-
-    rec(0, 1.0 + 0j)
-    return acc
-
-
-def _sum_vectorized(plan, tables, packed0, k, total) -> complex:
-    npos = len(plan)
-    touched = sorted({v for ends in plan for v, _ in ends})
-    inc_arrays = [[(v, np.array(incs, dtype=np.int64)) for v, incs in ends] for ends in plan]
-    dense_arrays = {v: np.array(tables[v][1], dtype=complex) for v in touched}
-    chunk_sums = []
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        packed = {v: np.full(hi - lo, packed0[v], dtype=np.int64) for v in touched}
-        for pos in range(npos):
-            div = k ** (npos - 1 - pos)
-            digit = (idx // div) % k
-            for v, incs in inc_arrays[pos]:
-                packed[v] += incs[digit]
-        prod = np.ones(hi - lo, dtype=complex)
-        for v in touched:
-            prod *= dense_arrays[v][packed[v]]
-        chunk_sums.append(complex(prod.sum()))
-    out = 0j
-    for s in chunk_sums:
-        out += s
-    return out
+    states = {0: start}
+    slot_of = {}
+    while edges:
+        e = min(edges, key=rank)
+        edges.remove(e)
+        steps = [0] * k
+        closing = []
+        for v, mult in ends[e]:
+            if v not in slot_of:
+                slot_of[v] = min(set(range(len(slot_of) + 1)).difference(slot_of.values()))
+            offset = radix ** slot_of[v]
+            base = degree[v] + 1
+            for c in range(k):
+                steps[c] += mult * base ** c * offset
+            left[v] -= 1
+            if left[v] == 0:
+                closing.append((offset, tables[v]))
+        # free closed slots only now, so that an end opening in this step
+        # cannot take the slot of an end closing in it
+        for v, _ in ends[e]:
+            if left[v] == 0:
+                del slot_of[v]
+        if e in fixed:
+            steps = [steps[fixed[e]]]
+        merged = {}
+        for state, weight in states.items():
+            for step in steps:
+                key = state + step
+                value = weight
+                for offset, dense in closing:
+                    packed = key // offset % radix
+                    value *= dense[packed]
+                    key -= packed * offset
+                if value != 0:
+                    merged[key] = merged.get(key, 0j) + value
+        states = merged
+    return states.get(0, 0j)
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
 
-def exact_partition(g: Multigraph, h: EdgeColoringModel, budget: float | None = None,
-                    method: str = "auto") -> complex:
-    """Partition function of ``h`` on ``g`` by full edge-coloring enumeration."""
+def exact_partition(g: Multigraph, h: EdgeColoringModel, budget: float | None = None) -> complex:
+    """Partition function of ``h`` on ``g``, summed exactly over every edge coloring."""
     budget = DEFAULT_BUDGET if budget is None else budget
-    tables = _model_tables(g, h)
-    return _colored_sum(g, h.k, range(g.m), {}, tables, budget, method)
+    tables = {v: _vertex_table(g.degree(v), h.k, h.value) for v in range(g.n)}
+    return _colored_sum(g, h.k, range(g.m), {}, tables, budget)
 
 
-def contract_network(g: Multigraph, t: TensorAssignment, budget: float | None = None,
-                     method: str = "auto") -> complex:
+def contract_network(g: Multigraph, t: TensorAssignment, budget: float | None = None) -> complex:
     """Contract a per-vertex tensor assignment over all edge colorings."""
     if t.graph != g:
         raise ValueError("tensor assignment was built for a different graph")
     budget = DEFAULT_BUDGET if budget is None else budget
-    tables = _tensor_tables(t)
-    return _colored_sum(g, t.k, range(g.m), {}, tables, budget, method)
+    tables = {v: _vertex_table(g.degree(v), t.k, partial(t.value, v)) for v in range(g.n)}
+    return _colored_sum(g, t.k, range(g.m), {}, tables, budget)
 
 
 def restricted_partition(g: Multigraph, t: TensorAssignment, restriction: RestrictedSpec,
-                         budget: float | None = None, method: str = "auto") -> complex:
+                         budget: float | None = None) -> complex:
     """Contraction with some edge colors pinned by ``restriction``."""
     if t.graph != g:
         raise ValueError("tensor assignment was built for a different graph")
     restriction.validate(g, t.k)
     budget = DEFAULT_BUDGET if budget is None else budget
-    tables = _tensor_tables(t)
-    return _colored_sum(g, t.k, range(g.m), restriction.as_dict(), tables, budget, method)
+    tables = {v: _vertex_table(g.degree(v), t.k, partial(t.value, v)) for v in range(g.n)}
+    return _colored_sum(g, t.k, range(g.m), restriction.as_dict(), tables, budget)
 
 
 def partition_vertex_model(g: Multigraph, a, B, budget: float | None = None) -> complex:

@@ -2,13 +2,15 @@ import cmath
 import itertools
 import math
 import random
+import time
 
 import pytest
 
 import oracles
 from holant import (BudgetExceededError, ComplexPoly, EdgeColoringModel,
-                    Multigraph, RestrictedSpec, TensorAssignment, all_ones,
-                    contract_network, exact_partition,
+                    GraphFamilySpec, Multigraph, RestrictedSpec,
+                    TensorAssignment, all_ones, contract_network,
+                    exact_partition, generate,
                     exact_poly_by_interpolation, model_from_predicate,
                     partition_vertex_model, perturbed_ones, poly_roots,
                     restricted_partition)
@@ -40,31 +42,37 @@ def test_loop_counts_twice_in_incidence():
 
 def test_exact_matches_brute_force_random():
     rng = random.Random(101)
+    zero_one = [model_from_predicate("matching"), model_from_predicate("dregular:2")]
     for trial in range(25):
         g = oracles.random_multigraph(rng, max_n=5, max_m=7)
+        if trial % 3 == 0:
+            # isolated vertices contribute h at the zero count vector
+            g = Multigraph(g.n + 2, g.edges)
         k = rng.choice([2, 3])
-        h = perturbed_ones(k, 0.8, seed=trial, max_degree=max(1, g.max_degree()))
+        top = max(1, g.max_degree())
+        h = perturbed_ones(k, 0.8, seed=trial, max_degree=top)
         fast = exact_partition(g, h)
         slow = oracles.brute_partition(g, h)
         assert cmath.isclose(fast, slow, rel_tol=1e-10, abs_tol=1e-10), trial
+        single = perturbed_ones(1, 0.8, seed=trial, max_degree=top)
+        assert cmath.isclose(exact_partition(g, single), oracles.brute_partition(g, single),
+                             rel_tol=1e-10, abs_tol=1e-10), trial
+        # 0/1 models: zero-weight states are dropped and counts stay exact
+        for h01 in zero_one:
+            assert exact_partition(g, h01) == oracles.brute_partition(g, h01), (trial, h01.name)
 
 
-def test_dfs_and_vector_methods_agree():
-    rng = random.Random(33)
-    for trial in range(10):
-        g = oracles.random_graph_bounded(rng, max_n=6, max_m=10)
-        k = rng.choice([2, 3])
-        h = perturbed_ones(k, 0.6, seed=200 + trial,
-                           max_degree=max(1, g.max_degree()))
-        a = exact_partition(g, h, method="dfs")
-        b = exact_partition(g, h, method="vector")
-        assert cmath.isclose(a, b, rel_tol=1e-10, abs_tol=1e-12), trial
+def test_cycle_matchings_lucas_number():
+    # the matchings of the n-cycle number the Lucas number L_n; a contraction
+    # along the cycle keeps a handful of states where the coloring space has 2^60
+    g = generate(GraphFamilySpec("cycle", 60))
+    start = time.perf_counter()
+    count = exact_partition(g, model_from_predicate("matching"), budget=math.inf)
+    assert count == 3461452808002
+    assert time.perf_counter() - start < 1.0
 
 
-def test_method_validation_and_budget():
-    h = all_ones(2)
-    with pytest.raises(ValueError):
-        exact_partition(TRIANGLE, h, method="quantum")
+def test_budget_refusal():
     big = Multigraph(40, tuple((i, (i + 1) % 40) for i in range(40)))
     with pytest.raises(BudgetExceededError):
         exact_partition(big, all_ones(3), budget=10**6)
@@ -97,19 +105,21 @@ def test_contract_rejects_mismatched_graph():
 
 def test_restricted_partition_sums_to_full():
     rng = random.Random(19)
-    for trial in range(6):
-        g = oracles.random_graph_bounded(rng, max_n=5, max_m=6)
-        if g.m == 0:
+    for trial in range(12):
+        g = oracles.random_multigraph(rng, max_n=5, max_m=7)
+        if g.m < 2:
             continue
-        k = 2
+        k = rng.choice([2, 3])
         h = perturbed_ones(k, 0.5, seed=trial, max_degree=max(1, g.max_degree()))
         t = TensorAssignment.from_model(g, h)
         full = exact_partition(g, h)
-        pinned_edge = rng.randrange(g.m)
+        loops = [e for e, (u, w) in enumerate(g.edges) if u == w]
+        first = loops[0] if loops else rng.randrange(g.m)
+        second = rng.choice([e for e in range(g.m) if e != first])
         total = 0j
-        for c in range(k):
+        for a, b in itertools.product(range(k), repeat=2):
             total += restricted_partition(
-                g, t, RestrictedSpec(fixed=((pinned_edge, c),)))
+                g, t, RestrictedSpec.from_dict({first: a, second: b}))
         assert cmath.isclose(total, full, rel_tol=1e-10, abs_tol=1e-10), trial
 
 
