@@ -5,9 +5,12 @@ certified from the deviation of the weights, the log of the blended sum
 q(z) = sum over colorings of prod (1 + z*(h-1)) is Taylor-expanded at 0 to
 an order chosen from the tail bound, and the series is evaluated at z = 1.
 Derivatives of ln q come either from the direct vertex-subset expansion of
-q's derivatives or, when that enumeration is too large, from an inclusion-
-exclusion over connected vertex subsets that touches only local
-neighborhoods and scales to graphs with hundreds of vertices.
+q's derivatives or, when that enumeration is too large, from the cluster
+expansion: ln q restricted to a vertex set is additive over its components,
+so every connected set C of at most n vertices contributes the log of its
+own local polynomial once, weighted by a signed binomial sum over the outer
+boundary of C.  Only local neighborhoods are touched, which scales to graphs
+with hundreds of vertices.
 """
 
 from __future__ import annotations
@@ -312,75 +315,66 @@ class _ClusterEngine:
         self._weight_cache[piece] = value
         return value
 
-    def subset_weight(self, vertices) -> complex:
-        """Multiplicative weight of an arbitrary vertex set (by components)."""
-        remaining = set(vertices)
-        out = 1.0 + 0j
-        while remaining:
-            seed_v = remaining.pop()
-            comp = {seed_v}
-            frontier = [seed_v]
-            while frontier:
-                v = frontier.pop()
-                for u in self.adj[v]:
-                    if u in remaining:
-                        remaining.discard(u)
-                        comp.add(u)
-                        frontier.append(u)
-            out *= self.weight(frozenset(comp))
-        return out
+    # -- one series log per connected set --
 
-    # -- the inclusion-exclusion over connected witnesses --
+    def log_coefficients(self, sets, order: int) -> list[complex]:
+        """Taylor coefficients of ln(q(z) / q(0)) through ``order``.
 
-    def log_coefficients(self, order: int) -> list[complex]:
-        """Taylor coefficients of ln(q(z) / q(0)) through ``order``."""
+        ``sets`` lists every connected vertex set of at most ``order``
+        vertices as a sorted tuple.  Because ln Q_S is additive over the
+        components of S, each connected set C enters exactly once:
+        [z^j] ln q = sum over C with |C| <= j of c(|dC|, j - |C|) [z^j] ln Q_C,
+        where Q_C(z) = sum over S in C of z^|S| lambda(S), lambda(S) is the
+        product of the piece weights of the components of S, and dC is the
+        outer vertex boundary of C (see :func:`_boundary_sign`).
+        """
         coeffs = [0j] * (order + 1)
-        for witness in connected_subsets(self.g, order):
-            members = tuple(sorted(witness))
-            local = self._witness_contribution(members, order)
-            for j in range(len(members), order + 1):
-                coeffs[j] += local[j]
+        for members in sets:
+            size = len(members)
+            index = {v: i for i, v in enumerate(members)}
+            local_adj = [0] * size
+            boundary = set()
+            for i, v in enumerate(members):
+                for u in self.adj[v]:
+                    j = index.get(u)
+                    if j is None:
+                        boundary.add(u)
+                    else:
+                        local_adj[i] |= 1 << j
+
+            # lambda of every subset: a connected mask is a cached piece, any
+            # other splits off the component of its lowest member
+            lam = [1.0 + 0j] * (1 << size)
+            poly = [1.0 + 0j] + [0j] * size
+            for mask in range(1, 1 << size):
+                comp = mask & -mask
+                frontier = comp
+                while frontier:
+                    i = (frontier & -frontier).bit_length() - 1
+                    frontier &= frontier - 1
+                    grown = local_adj[i] & mask & ~comp
+                    comp |= grown
+                    frontier |= grown
+                if comp == mask:
+                    lam[mask] = self.weight(
+                        frozenset(members[i] for i in range(size) if mask >> i & 1))
+                else:
+                    lam[mask] = lam[comp] * lam[mask ^ comp]
+                poly[mask.bit_count()] += lam[mask]
+
+            logs = _series_log(poly, order)
+            for j in range(size, order + 1):
+                coeffs[j] += _boundary_sign(len(boundary), j - size) * logs[j]
         return coeffs
 
-    def _witness_contribution(self, members: tuple, order: int) -> list[complex]:
-        """Alternating-signed log coefficients over subsets of one witness."""
-        size = len(members)
-        index = {v: i for i, v in enumerate(members)}
-        local_adj = [0] * size
-        for i, v in enumerate(members):
-            for u in self.adj[v]:
-                j = index.get(u)
-                if j is not None:
-                    local_adj[i] |= 1 << j
 
-        # weight of every subset, split into connected components
-        lam = [1.0 + 0j] * (1 << size)
-        for mask in range(1, 1 << size):
-            low = (mask & -mask).bit_length() - 1
-            comp = 1 << low
-            frontier = comp
-            while frontier:
-                i = (frontier & -frontier).bit_length() - 1
-                frontier &= frontier - 1
-                grown = local_adj[i] & mask & ~comp
-                comp |= grown
-                frontier |= grown
-            piece = frozenset(members[i] for i in range(size) if comp >> i & 1)
-            lam[mask] = self.weight(piece) * lam[mask ^ comp]
+def _boundary_sign(b: int, t: int) -> int:
+    """c(b, t) = sum over a <= t of (-1)^a C(b, a), in closed form.
 
-        out = [0j] * (order + 1)
-        for chosen in range(1 << size):
-            coeff = [0j] * (size + 1)
-            coeff[0] = 1.0 + 0j
-            sub = chosen
-            while sub:
-                coeff[bin(sub).count("1")] += lam[sub]
-                sub = (sub - 1) & chosen
-            logs = _series_log(coeff, order)
-            sign = -1.0 if (size - bin(chosen).count("1")) % 2 else 1.0
-            for j in range(size, order + 1):
-                out[j] += sign * logs[j]
-        return out
+    This is the signed count of the ways to add at most t of the b boundary
+    vertices to a connected set.
+    """
+    return 1 if b == 0 else (-1) ** t * math.comb(b - 1, t)
 
 
 def cluster_log_derivatives(g: Multigraph, h: EdgeColoringModel, order: int,
@@ -388,13 +382,29 @@ def cluster_log_derivatives(g: Multigraph, h: EdgeColoringModel, order: int,
     """Derivatives of ln q at 0 through ``order`` via connected subsets.
 
     Returns the same values as converting :func:`q_derivative` output, but
-    the work is local: only connected vertex sets of at most ``order``
-    vertices and the edges they touch are ever enumerated.  Entry 0 is the
-    real log of q(0), namely |E| ln k.
+    the work is local: one series log per connected vertex set of at most
+    ``order`` vertices, weighted by a signed binomial sum over its outer
+    boundary, and only the edges those sets touch are ever enumerated.
+    Entry 0 is the real log of q(0), namely |E| ln k.
+
+    Before any piece weight is computed, every connected set is counted and
+    charged 2^|C| for its subset loop; the budget refuses the request as
+    soon as that total passes it.  Each piece then also charges
+    k^|internal edges| for its colorings.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     engine = _ClusterEngine(g, h, budget)
-    coeffs = engine.log_coefficients(order)
+    sets = []
+    for members in connected_subsets(g, order):
+        engine.spent += float(1 << len(members))
+        if engine.spent > budget:
+            raise BudgetExceededError(
+                f"order-{order} cluster expansion: the subset loops of "
+                f"{len(sets) + 1} connected sets (size {len(members)} reached) "
+                f"exceed the budget of {budget:g} terms"
+            )
+        sets.append(members)
+    coeffs = engine.log_coefficients(sets, order)
     out = [complex(g.m * math.log(h.k))]
     for j in range(1, order + 1):
         out.append(coeffs[j] * math.factorial(j))

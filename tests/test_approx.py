@@ -1,19 +1,22 @@
 import cmath
 import math
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 import oracles
-from holant import (BudgetExceededError, Multigraph, OutsideRegionError,
-                    RegionParams, all_ones, approx_partition, certified_radius,
-                    cluster_log_derivatives, exact_partition,
+from holant import (BudgetExceededError, GraphFamilySpec, Multigraph,
+                    OutsideRegionError, RegionParams, all_ones,
+                    approx_partition, certified_radius,
+                    cluster_log_derivatives, exact_partition, generate,
                     log_derivatives_from_p, magnitude_lower_bound,
                     perturbed_ones, q_derivative, reconstruct_p_derivatives,
                     sample_region_model, taylor_error_bound, taylor_order,
                     verify_zero_free, zero_free_constants)
-from holant.approx import direct_cost_estimate, log_magnitude_lower_bound
+from holant.approx import (_boundary_sign, direct_cost_estimate,
+                           log_magnitude_lower_bound)
 
 TRIANGLE = Multigraph(3, ((0, 1), (1, 2), (0, 2)))
 
@@ -136,12 +139,16 @@ def test_q_derivative_matches_interpolated_poly():
 
 def test_cluster_matches_direct_log_derivatives():
     rng = random.Random(77)
-    for trial in range(8):
-        g = oracles.random_graph_bounded(rng, max_n=6, max_m=8)
-        k = rng.choice([2, 3])
+    graphs = [oracles.random_graph_bounded(rng, max_n=6, max_m=8) for _ in range(8)]
+    graphs += [oracles.random_multigraph(rng, max_n=6, max_m=8) for _ in range(16)]
+    # an isolated vertex, and two components: connected sets with no boundary
+    graphs += [Multigraph(4, ((0, 1), (1, 2), (1, 1))),
+               Multigraph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (4, 5), (5, 5)))]
+    for trial, g in enumerate(graphs):
+        k = 2 + trial // 6 % 2
         h = perturbed_ones(k, 0.4, seed=50 + trial,
                            max_degree=max(1, g.max_degree()))
-        order = min(4, g.n)
+        order = 1 + trial % 6
         p_derivs = [q_derivative(g, h, m, normalized=True)
                     for m in range(order + 1)]
         f_direct = log_derivatives_from_p(p_derivs, f0=g.m * math.log(k))
@@ -150,6 +157,21 @@ def test_cluster_matches_direct_log_derivatives():
         for m in range(order + 1):
             assert cmath.isclose(f_direct[m], f_cluster[m],
                                  rel_tol=1e-8, abs_tol=1e-8), (trial, m)
+
+
+def test_boundary_sign_matches_subset_count():
+    for b in range(7):
+        for t in range(7):
+            brute = sum((-1) ** a for a in range(t + 1)
+                        for _ in combinations(range(b), a))
+            assert _boundary_sign(b, t) == brute, (b, t)
+
+
+def test_cluster_budget_refuses_before_work():
+    g = generate(GraphFamilySpec("torus", 6, size2=6))
+    h = perturbed_ones(2, 0.02, seed=1, max_degree=4)
+    with pytest.raises(BudgetExceededError, match="order-9 .* connected sets"):
+        cluster_log_derivatives(g, h, 9)
 
 
 def test_direct_cost_estimate_monotone():

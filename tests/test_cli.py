@@ -58,6 +58,14 @@ def test_budget_exit_code(capsys):
     assert err.strip() != ""
 
 
+def test_cluster_budget_exit_code(capsys):
+    # order 9 on the 6x6 torus: refused while counting connected sets
+    code, _, err = invoke(capsys, "approx", "--family", "torus:6x6",
+                          "--model", "ones+-uniform:0.02:1", "--eps", "1e-6")
+    assert code == 2
+    assert "order-9" in err
+
+
 def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("HOLANT_BUDGET", "1000")
     code, _, _ = invoke(capsys, "exact", "--family", "cycle:64",
