@@ -25,11 +25,9 @@ from .exact import (ComplexPoly, RestrictedSpec, contract_network,
                     partition_vertex_model, poly_roots, restricted_partition)
 from .approx import (ApproxCertificate, ZeroFreeConstants, ZeroFreeReport,
                      approx_partition, certified_radius,
-                     cluster_log_derivatives, log_derivatives_from_p,
-                     magnitude_lower_bound, q_derivative,
-                     reconstruct_p_derivatives, sample_region_model,
-                     taylor_error_bound, taylor_order, verify_zero_free,
-                     zero_free_constants)
+                     cluster_log_derivatives, magnitude_lower_bound,
+                     q_derivative, sample_region_model, taylor_error_bound,
+                     taylor_order, verify_zero_free, zero_free_constants)
 from .exptype import (ExpTypeSpec, chi_k_coefficients, chi_tutte,
                       chromatic_spec, estimate_root_radius, eval_exp_type,
                       exp_type_poly, qhat_derivative, tutte_direct,
@@ -56,12 +54,11 @@ __all__ = [
     "edges_touching", "estimate_root_radius", "eval_exp_type",
     "exact_partition", "exact_poly_by_interpolation", "exp_type_poly",
     "generate", "incident_multiset", "induced_subgraph", "is_connected",
-    "isomorphic", "load_model", "log_derivatives_from_p",
-    "log_potential_check", "magnitude_lower_bound", "model_from_predicate",
-    "normalized_pf", "parse_edge_list", "partition_vertex_model",
-    "partitions_min_block", "perturbed_ones", "poly_roots", "q_derivative",
-    "random_orthogonal", "rank_one_model", "read_edge_list",
-    "reconstruct_p_derivatives", "restricted_partition", "sample_region_model",
+    "isomorphic", "load_model", "log_potential_check", "magnitude_lower_bound",
+    "model_from_predicate", "normalized_pf", "parse_edge_list",
+    "partition_vertex_model", "partitions_min_block", "perturbed_ones",
+    "poly_roots", "q_derivative", "random_orthogonal", "rank_one_model",
+    "read_edge_list", "restricted_partition", "sample_region_model",
     "save_model", "set_partitions", "set_partitions_k", "symmetric_decompose",
     "taylor_error_bound", "taylor_order", "transfer_log_growth", "tutte_direct",
     "tutte_spec", "values_in_region", "verify_zero_free", "vertex_to_edge",

@@ -4,13 +4,13 @@ The pipeline: a zero-free disk of radius M around the all-ones model is
 certified from the deviation of the weights, the log of the blended sum
 q(z) = sum over colorings of prod (1 + z*(h-1)) is Taylor-expanded at 0 to
 an order chosen from the tail bound, and the series is evaluated at z = 1.
-Derivatives of ln q come either from the direct vertex-subset expansion of
-q's derivatives or, when that enumeration is too large, from the cluster
-expansion: ln q restricted to a vertex set is additive over its components,
-so every connected set C of at most n vertices contributes the log of its
-own local polynomial once, weighted by a signed binomial sum over the outer
-boundary of C.  Only local neighborhoods are touched, which scales to graphs
-with hundreds of vertices.
+The Taylor coefficients of ln q come from the cluster expansion: ln q
+restricted to a vertex set is additive over its components, so every
+connected set C of at most n vertices contributes the log of its own local
+polynomial once, weighted by a signed binomial sum over the outer boundary
+of C.  Only local neighborhoods are touched, which scales to graphs with
+hundreds of vertices.  The direct vertex-subset formula for the derivatives
+of q stays as an independent reference (:func:`q_derivative`).
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from .errors import BudgetExceededError, OutsideRegionError
 from .exact import DEFAULT_BUDGET, _colored_sum, _vertex_table, exact_partition
 from .graphs import Multigraph, connected_subsets, edges_touching
 from .models import EdgeColoringModel, RegionParams, compositions
-
-_COST_CAP = 1e18
 
 
 # ---------------------------------------------------------------------------
@@ -122,14 +120,15 @@ def taylor_order(d: int, q0: float, eps: float, max_order: int = 10_000) -> int:
 
 
 def q_derivative(g: Multigraph, h: EdgeColoringModel, m: int,
-                 budget: float | None = None, *, normalized: bool = False) -> complex:
+                 budget: float | None = None) -> complex:
     """m-th derivative at 0 of z -> sum over colorings of prod (1 + z*(h-1)).
 
     Expands the product over vertices: each subset U of m vertices
     contributes the colorings of the edges touching U weighted by (h-1) at
     every U-vertex, while untouched edges are free and contribute a power of
-    k.  With ``normalized`` the result is divided by k^|E| (the value at 0),
-    which keeps magnitudes tame on large graphs.
+    k.  This global enumeration is the reference the cluster expansion is
+    checked against; it refuses before any work when C(n, m) subsets times
+    k^min(m * max degree, |E|) colorings exceed the budget.
     """
     if m < 0:
         raise ValueError("derivative order must be nonnegative")
@@ -138,12 +137,12 @@ def q_derivative(g: Multigraph, h: EdgeColoringModel, m: int,
     if m > g.n:
         return 0j
     if m == 0:
-        return 1.0 + 0j if normalized else complex(k) ** g.m
+        return complex(k) ** g.m
 
-    cost = _direct_cost_at(g, k, m)
-    if cost > budget:
+    terms = math.comb(g.n, m) * k ** min(m * g.max_degree(), g.m)
+    if terms > budget:
         raise BudgetExceededError(
-            f"order-{m} direct expansion needs about {cost:.3g} terms"
+            f"order-{m} direct expansion needs about 10^{math.log10(terms):.1f} terms"
         )
 
     shifted = h.shifted(-1.0)
@@ -152,64 +151,8 @@ def q_derivative(g: Multigraph, h: EdgeColoringModel, m: int,
         touched = edges_touching(g, subset)
         tables = {v: _vertex_table(g.degree(v), k, shifted.value) for v in subset}
         inner = _colored_sum(g, k, touched, {}, tables, budget)
-        total += inner * float(k) ** (-len(touched) if normalized else g.m - len(touched))
+        total += inner * float(k) ** (g.m - len(touched))
     return total * math.factorial(m)
-
-
-def _direct_cost_at(g: Multigraph, k: int, m: int) -> float:
-    count = math.comb(g.n, m)
-    if count > _COST_CAP:
-        return math.inf
-    per = float(k) ** min(m * g.max_degree(), g.m)
-    cost = count * per
-    return math.inf if cost > _COST_CAP else cost
-
-
-def direct_cost_estimate(g: Multigraph, k: int, order: int) -> float:
-    """Rough term count for the direct expansion through ``order``."""
-    total = 0.0
-    for m in range(1, min(order, g.n) + 1):
-        total += _direct_cost_at(g, k, m)
-        if total > _COST_CAP:
-            return math.inf
-    return total
-
-
-# ---------------------------------------------------------------------------
-# triangular conversion between derivatives of q and of ln q
-
-
-def log_derivatives_from_p(p_derivs, f0: complex | None = None) -> list[complex]:
-    """Derivatives of ln q at 0 from derivatives of q at 0.
-
-    Solves the triangular recurrence coming from q' = (ln q)' q.  The zeroth
-    log value is ambiguous up to branch; pass ``f0`` to pin it (default: the
-    principal log of q(0)).
-    """
-    p = [complex(x) for x in p_derivs]
-    if not p or p[0] == 0:
-        raise ValueError("q(0) must be nonzero")
-    f = [cmath.log(p[0]) if f0 is None else complex(f0)]
-    for m in range(1, len(p)):
-        acc = p[m]
-        for j in range(1, m):
-            acc -= math.comb(m - 1, j) * p[j] * f[m - j]
-        f.append(acc / p[0])
-    return f
-
-
-def reconstruct_p_derivatives(f_derivs, p0: complex | None = None) -> list[complex]:
-    """Inverse of :func:`log_derivatives_from_p`: rebuild q-derivatives."""
-    f = [complex(x) for x in f_derivs]
-    if not f:
-        return []
-    p = [cmath.exp(f[0]) if p0 is None else complex(p0)]
-    for m in range(1, len(f)):
-        acc = p[0] * f[m]
-        for j in range(1, m):
-            acc += math.comb(m - 1, j) * p[j] * f[m - j]
-        p.append(acc)
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +160,11 @@ def reconstruct_p_derivatives(f_derivs, p0: complex | None = None) -> list[compl
 
 
 def _series_log(coeffs, order: int) -> list[complex]:
-    """Coefficients of log(P) up to ``order`` for P with constant term 1."""
+    """Coefficients of log(P) up to ``order`` for P with constant term 1.
+
+    The one series-log routine of the package: the cluster expansion here
+    and ``exptype.eval_exp_type`` both call it.
+    """
     p = list(coeffs) + [0j] * (order + 1 - len(coeffs))
     if p[0] != 1:
         raise ValueError("series log needs constant term 1")
@@ -251,7 +198,8 @@ class _ClusterEngine:
         self.adj = g.adjacency()
         self.edges_at = [g.incident_edges(v) for v in range(g.n)]
         self._marginal_cache: dict[tuple[int, int], list[complex]] = {}
-        self._weight_cache: dict[frozenset, complex] = {}
+        # piece weights keyed by the bitmask of the piece's vertices in g
+        self._weight_cache: dict[int, complex] = {}
 
     # -- boundary-marginalized vertex tables --
 
@@ -284,9 +232,6 @@ class _ClusterEngine:
         of the product of (h-1) at each piece vertex.  Boundary edges are
         averaged per vertex, so only internal colorings are enumerated.
         """
-        found = self._weight_cache.get(piece)
-        if found is not None:
-            return found
         g, k = self.g, self.k
         internal = []
         d_int = {v: 0 for v in piece}
@@ -311,9 +256,7 @@ class _ClusterEngine:
             )
         tables = {v: self._marginal_table(d_int[v], boundary[v]) for v in piece}
         value = _colored_sum(g, k, internal, {}, tables, self.budget)
-        value *= float(k) ** (-len(internal))
-        self._weight_cache[piece] = value
-        return value
+        return value * float(k) ** (-len(internal))
 
     # -- one series log per connected set --
 
@@ -329,6 +272,7 @@ class _ClusterEngine:
         outer vertex boundary of C (see :func:`_boundary_sign`).
         """
         coeffs = [0j] * (order + 1)
+        cache = self._weight_cache
         for members in sets:
             size = len(members)
             index = {v: i for i, v in enumerate(members)}
@@ -342,12 +286,15 @@ class _ClusterEngine:
                     else:
                         local_adj[i] |= 1 << j
 
-            # lambda of every subset: a connected mask is a cached piece, any
-            # other splits off the component of its lowest member
+            # lambda of every subset: a connected mask is a piece, cached
+            # under its vertex bitmask in g (one OR per mask); any other mask
+            # splits off the component of its lowest member
             lam = [1.0 + 0j] * (1 << size)
+            in_g = [0] * (1 << size)
             poly = [1.0 + 0j] + [0j] * size
             for mask in range(1, 1 << size):
                 comp = mask & -mask
+                in_g[mask] = in_g[mask ^ comp] | 1 << members[comp.bit_length() - 1]
                 frontier = comp
                 while frontier:
                     i = (frontier & -frontier).bit_length() - 1
@@ -356,8 +303,11 @@ class _ClusterEngine:
                     comp |= grown
                     frontier |= grown
                 if comp == mask:
-                    lam[mask] = self.weight(
-                        frozenset(members[i] for i in range(size) if mask >> i & 1))
+                    found = cache.get(in_g[mask])
+                    if found is None:
+                        found = cache[in_g[mask]] = self.weight(
+                            frozenset(members[i] for i in range(size) if mask >> i & 1))
+                    lam[mask] = found
                 else:
                     lam[mask] = lam[comp] * lam[mask ^ comp]
                 poly[mask.bit_count()] += lam[mask]
@@ -381,11 +331,11 @@ def cluster_log_derivatives(g: Multigraph, h: EdgeColoringModel, order: int,
                             budget: float | None = None) -> list[complex]:
     """Derivatives of ln q at 0 through ``order`` via connected subsets.
 
-    Returns the same values as converting :func:`q_derivative` output, but
-    the work is local: one series log per connected vertex set of at most
-    ``order`` vertices, weighted by a signed binomial sum over its outer
-    boundary, and only the edges those sets touch are ever enumerated.
-    Entry 0 is the real log of q(0), namely |E| ln k.
+    Returns the derivatives that the series log of :func:`q_derivative`
+    output gives, but the work is local: one series log per connected
+    vertex set of at most ``order`` vertices, weighted by a signed binomial
+    sum over its outer boundary, and only the edges those sets touch are
+    ever enumerated.  Entry 0 is the real log of q(0), namely |E| ln k.
 
     Before any piece weight is computed, every connected set is counted and
     charged 2^|C| for its subset loop; the budget refuses the request as
@@ -422,7 +372,10 @@ class ApproxCertificate:
     ``log_value`` approximates the principal-branch log of the partition sum
     with additive error at most ``error_bound``; ``value`` is its exponential.
     ``radius`` is the certified zero-free radius around the all-ones model
-    and ``q0`` its reciprocal.  ``mode`` records which derivative engine ran.
+    and ``q0`` its reciprocal.  ``mode`` records how the value was obtained:
+    ``"cluster"`` for the cluster expansion, ``"exact"`` when the model is
+    all-ones (zero deviation), and ``"exp-mult"`` or ``"exp-add"`` for
+    exponential-type evaluations.
     """
 
     value: complex
@@ -450,18 +403,22 @@ class ApproxCertificate:
 
 
 def approx_partition(g: Multigraph, h: EdgeColoringModel, eps: float,
-                     budget: float | None = None, mode: str = "auto") -> ApproxCertificate:
+                     budget: float | None = None,
+                     mode: str = "cluster") -> ApproxCertificate:
     """Partition sum of ``h`` on ``g`` with a certified log-error below ``eps``.
 
     Requires the deviation r = sup |h(alpha) - 1| over count vectors up to
     the maximum degree to satisfy r < radius / (2 * (max_degree + 1)), so
     that the zero-free disk of the blend strictly contains z = 1.  Raises
     OutsideRegionError otherwise; never silently degrades.
+
+    The cluster expansion is the only engine.  ``mode`` is accepted for
+    callers that still name it: ``"cluster"`` and the former default
+    ``"auto"`` both run it, and anything else raises ValueError.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    budget = DEFAULT_BUDGET if budget is None else budget
-    if mode not in ("auto", "direct", "cluster"):
+    if mode not in ("auto", "cluster"):
         raise ValueError(f"unknown mode {mode!r}")
     k = h.k
     delta = g.max_degree()
@@ -481,22 +438,12 @@ def approx_partition(g: Multigraph, h: EdgeColoringModel, eps: float,
     order = taylor_order(g.n, q0, eps)
     bound = taylor_error_bound(g.n, q0, order)
 
-    if mode == "auto":
-        mode = "direct" if direct_cost_estimate(g, k, order) <= budget else "cluster"
-
-    if mode == "direct":
-        reach = min(order, g.n)
-        p_derivs = [q_derivative(g, h, m, budget, normalized=True) for m in range(reach + 1)]
-        p_derivs += [0j] * (order - reach)
-        f = log_derivatives_from_p(p_derivs, f0=g.m * math.log(k))
-    else:
-        f = cluster_log_derivatives(g, h, order, budget)
-
+    f = cluster_log_derivatives(g, h, order, budget)
     log_value = f[0]
     for m in range(1, order + 1):
         log_value += f[m] / math.factorial(m)
     return ApproxCertificate(cmath.exp(log_value), log_value, radius, q0,
-                             order, bound, r, mode)
+                             order, bound, r, "cluster")
 
 
 # ---------------------------------------------------------------------------

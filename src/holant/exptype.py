@@ -18,8 +18,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Callable
 
-from .approx import (ApproxCertificate, log_derivatives_from_p, taylor_error_bound,
-                     taylor_order)
+from .approx import ApproxCertificate, _series_log, taylor_error_bound, taylor_order
 from .errors import BudgetExceededError, OutsideRegionError
 from .exact import DEFAULT_BUDGET, ComplexPoly, poly_roots
 from .graphs import Multigraph, induced_subgraph
@@ -272,19 +271,36 @@ def qhat_derivative(g: Multigraph, spec: ExpTypeSpec, m: int,
         return 1.0 + 0j
     if m >= n:
         return 0j
+    return _qhat_coefficients(g, spec, [m], budget)[0] * math.factorial(m)
+
+
+def _qhat_coefficients(g: Multigraph, spec: ExpTypeSpec, orders,
+                       budget: float) -> list[complex]:
+    """[t^m] of the reversed polynomial for each m in ``orders``, 0 < m < n.
+
+    The one place that picks the engine: graphs small enough for the 3^n
+    recursion read every coefficient from a single chi_k_coefficients call,
+    larger ones enumerate the supports of each order, sharing one chi cache
+    across the orders.
+    """
+    n = g.n
     if 3 ** n <= min(budget, 3 ** _SMALL_DP_LIMIT):
         chis = chi_k_coefficients(g, spec, budget)
-        return chis[n - m - 1] * math.factorial(m)
-    return qhat_derivative_by_support(g, spec, m, budget)
+        return [chis[n - m - 1] for m in orders]
+    chi_of = _chi_cache(g, spec)
+    return [qhat_coefficient_by_support(g, spec, m, budget, chi_of) for m in orders]
 
 
-def qhat_derivative_by_support(g: Multigraph, spec: ExpTypeSpec, m: int,
-                               budget: float | None = None) -> complex:
-    """Support-set enumeration of the m-th reversed-polynomial derivative.
+def qhat_coefficient_by_support(g: Multigraph, spec: ExpTypeSpec, m: int,
+                                budget: float | None = None,
+                                chi_of=None) -> complex:
+    """Support-set enumeration of [t^m] of the reversed polynomial.
 
-    Non-singleton blocks of a partition into n - m blocks cover between
-    m+1 and 2m vertices; everything outside the support is a singleton with
-    weight chi(K_1) = 1, so only the support is partitioned.
+    That coefficient is the partition sum with exactly n - m blocks.  Its
+    non-singleton blocks cover between m+1 and 2m vertices; everything
+    outside the support is a singleton with weight chi(K_1) = 1, so only the
+    support is partitioned.  ``chi_of`` is a ``_chi_cache`` lookup to reuse
+    across calls on the same graph.
     """
     if m < 0:
         raise ValueError("derivative order must be nonnegative")
@@ -299,7 +315,7 @@ def qhat_derivative_by_support(g: Multigraph, spec: ExpTypeSpec, m: int,
         raise BudgetExceededError(
             f"support enumeration needs {cost:.3g} vertex subsets"
         )
-    chi_of = _chi_cache(g, spec)
+    chi_of = _chi_cache(g, spec) if chi_of is None else chi_of
     total = 0j
     for s in range(m + 1, 2 * m + 1):
         blocks = s - m
@@ -311,7 +327,7 @@ def qhat_derivative_by_support(g: Multigraph, spec: ExpTypeSpec, m: int,
                     if prod == 0:
                         break
                 total += prod
-    return total * math.factorial(m)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +373,11 @@ def eval_exp_type(g: Multigraph, spec: ExpTypeSpec, x: complex, eps: float,
     order = taylor_order(n, q0, eps)
     bound = taylor_error_bound(n, q0, order)
 
-    derivs = [qhat_derivative(g, spec, m, budget) for m in range(order + 1)]
-    f = log_derivatives_from_p(derivs, f0=0j)
+    orders = range(1, min(order, n - 1) + 1)
+    logs = _series_log([1.0 + 0j] + _qhat_coefficients(g, spec, orders, budget), order)
     series = 0j
     for m in range(order, 0, -1):
-        series = series * t + f[m] / math.factorial(m)
+        series = series * t + logs[m]
     series *= t
 
     log_value = n * cmath.log(x) + series

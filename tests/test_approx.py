@@ -11,14 +11,26 @@ from holant import (BudgetExceededError, GraphFamilySpec, Multigraph,
                     OutsideRegionError, RegionParams, all_ones,
                     approx_partition, certified_radius,
                     cluster_log_derivatives, exact_partition, generate,
-                    log_derivatives_from_p, magnitude_lower_bound,
-                    perturbed_ones, q_derivative, reconstruct_p_derivatives,
+                    magnitude_lower_bound, perturbed_ones, q_derivative,
                     sample_region_model, taylor_error_bound, taylor_order,
                     verify_zero_free, zero_free_constants)
-from holant.approx import (_boundary_sign, direct_cost_estimate,
-                           log_magnitude_lower_bound)
+from holant.approx import _boundary_sign, _series_log, log_magnitude_lower_bound
 
 TRIANGLE = Multigraph(3, ((0, 1), (1, 2), (0, 2)))
+
+
+def reference_log_derivatives(g, h, order):
+    """Derivatives of ln q through ``order`` from the global expansion.
+
+    Taylor coefficients of q / k^|E| come from :func:`q_derivative`, their
+    series log from ``_series_log``; entry 0 is |E| ln k.
+    """
+    scale = float(h.k) ** g.m
+    coeffs = [1.0] + [q_derivative(g, h, m) / (math.factorial(m) * scale)
+                      for m in range(1, order + 1)]
+    logs = _series_log(coeffs, order)
+    return [complex(g.m * math.log(h.k))] + [logs[m] * math.factorial(m)
+                                             for m in range(1, order + 1)]
 
 
 def test_constants_pinned_values():
@@ -71,45 +83,48 @@ def test_taylor_error_bound_formula():
 
 
 def test_log_derivatives_of_known_series():
-    # p = exp: all derivatives 1, so ln p = z
-    f = log_derivatives_from_p([1.0] * 6)
+    # p = exp: coefficients 1/m!, so ln p = z
+    f = _series_log([1.0 / math.factorial(m) for m in range(6)], 5)
     assert f[0] == 0.0
     assert f[1] == pytest.approx(1.0)
     assert all(abs(x) < 1e-12 for x in f[2:])
-    # p = 1/(1-z): p^(m) = m!, ln p has f_m = (m-1)!
-    f = log_derivatives_from_p([math.factorial(m) for m in range(6)])
+    # p = 1/(1-z): coefficients 1, ln p has [z^m] = 1/m
+    f = _series_log([1.0] * 6, 5)
     for m in range(1, 6):
-        assert f[m] == pytest.approx(math.factorial(m - 1))
-    # p = 1 + z: f_m = (-1)^(m+1) (m-1)!
-    f = log_derivatives_from_p([1.0, 1.0, 0.0, 0.0, 0.0])
-    assert [round(x.real if isinstance(x, complex) else x, 9) for x in f[1:]] \
-        == [1.0, -1.0, 2.0, -6.0]
+        assert f[m] == pytest.approx(1.0 / m)
+    # p = 1 + z: [z^m] ln p = (-1)^(m+1) / m; missing coefficients are zero
+    f = _series_log([1.0, 1.0], 4)
+    assert [round(x.real, 9) for x in f[1:]] == [1.0, -0.5, round(1 / 3, 9), -0.25]
 
 
-def test_log_derivatives_respect_f0_and_round_trip():
+def test_series_log_round_trips_through_exp():
     rng = np.random.default_rng(2)
-    derivs = [2.0 + 0j] + list(rng.normal(size=5) + 1j * rng.normal(size=5))
-    f = log_derivatives_from_p(derivs)
-    assert f[0] == pytest.approx(cmath.log(2.0))
-    f2 = log_derivatives_from_p(derivs, f0=5.0 + 1j)
-    assert f2[0] == 5.0 + 1j
-    assert f2[1:] == pytest.approx(f[1:])
-    back = reconstruct_p_derivatives(f)
-    assert np.allclose(back, derivs)
+    coeffs = [1.0 + 0j] + list(rng.normal(size=5) + 1j * rng.normal(size=5))
+    logs = _series_log(coeffs, 5)
+    # exp of the log series: j p_j = sum over i <= j of i L_i p_(j-i)
+    back = [1.0 + 0j]
+    for j in range(1, 6):
+        back.append(sum(i * logs[i] * back[j - i] for i in range(1, j + 1)) / j)
+    assert np.allclose(back, coeffs)
 
 
 def test_log_derivatives_reject_vanishing_p0():
     with pytest.raises(ValueError):
-        log_derivatives_from_p([0.0, 1.0])
+        _series_log([0.0, 1.0], 3)
+    with pytest.raises(ValueError):
+        _series_log([2.0, 1.0], 3)
 
 
 def test_q_derivative_edge_cases():
     h = perturbed_ones(2, 0.3, seed=1, max_degree=2)
     assert q_derivative(TRIANGLE, h, 0) == 2 ** 3
-    assert q_derivative(TRIANGLE, h, 0, normalized=True) == 1.0
     assert q_derivative(TRIANGLE, h, 4) == 0j
     with pytest.raises(ValueError):
         q_derivative(TRIANGLE, h, -1)
+    # 3 subsets of 2 vertices, 2^3 colorings each: refused before any work
+    with pytest.raises(BudgetExceededError, match="order-2 direct expansion"):
+        q_derivative(TRIANGLE, h, 2, budget=23)
+    assert q_derivative(TRIANGLE, h, 2, budget=24) != 0j
 
 
 def test_q_derivative_single_edge_hand_case():
@@ -149,9 +164,7 @@ def test_cluster_matches_direct_log_derivatives():
         h = perturbed_ones(k, 0.4, seed=50 + trial,
                            max_degree=max(1, g.max_degree()))
         order = 1 + trial % 6
-        p_derivs = [q_derivative(g, h, m, normalized=True)
-                    for m in range(order + 1)]
-        f_direct = log_derivatives_from_p(p_derivs, f0=g.m * math.log(k))
+        f_direct = reference_log_derivatives(g, h, order)
         f_cluster = cluster_log_derivatives(g, h, order)
         assert len(f_cluster) == order + 1
         for m in range(order + 1):
@@ -174,16 +187,11 @@ def test_cluster_budget_refuses_before_work():
         cluster_log_derivatives(g, h, 9)
 
 
-def test_direct_cost_estimate_monotone():
-    g = Multigraph(6, tuple((i, i + 1) for i in range(5)))
-    assert direct_cost_estimate(g, 2, 1) < direct_cost_estimate(g, 2, 3)
-    assert direct_cost_estimate(g, 2, 2) < direct_cost_estimate(g, 3, 2)
-
-
 def test_approx_certificate_on_small_graph():
     h = perturbed_ones(2, 0.05, seed=9, max_degree=2)
     cert = approx_partition(TRIANGLE, h, eps=1e-3)
     exact = exact_partition(TRIANGLE, h)
+    assert cert.mode == "cluster"
     assert cert.q0 < 1.0
     assert cert.error_bound <= 1e-3
     realized = abs(cmath.log(cert.value / exact))
@@ -196,13 +204,22 @@ def test_approx_modes_agree():
     rng = random.Random(13)
     g = oracles.random_graph_bounded(rng, max_n=7, max_m=9)
     h = perturbed_ones(2, 0.04, seed=4, max_degree=max(1, g.max_degree()))
-    direct = approx_partition(g, h, eps=1e-4, mode="direct")
-    cluster = approx_partition(g, h, eps=1e-4, mode="cluster")
-    assert direct.mode == "direct" and cluster.mode == "cluster"
-    assert cmath.isclose(direct.value, cluster.value, rel_tol=1e-6)
+    cert = approx_partition(g, h, eps=1e-4)
+    assert cert.mode == "cluster"
+    f = reference_log_derivatives(g, h, cert.order)
+    reference = cmath.exp(sum(f[m] / math.factorial(m) for m in range(cert.order + 1)))
+    assert cmath.isclose(reference, cert.value, rel_tol=1e-6)
     exact = exact_partition(g, h)
-    for cert in (direct, cluster):
-        assert abs(cmath.log(cert.value / exact)) <= cert.error_bound + 1e-12
+    assert abs(cmath.log(cert.value / exact)) <= cert.error_bound + 1e-12
+
+
+def test_approx_mode_argument_only_names_the_cluster_engine():
+    h = perturbed_ones(2, 0.05, seed=9, max_degree=2)
+    default = approx_partition(TRIANGLE, h, 1e-3)
+    for mode in ("cluster", "auto"):
+        assert approx_partition(TRIANGLE, h, 1e-3, None, mode) == default
+    with pytest.raises(ValueError):
+        approx_partition(TRIANGLE, h, 1e-3, mode="direct")
 
 
 def test_approx_zero_deviation_shortcut():

@@ -4,12 +4,13 @@ import random
 
 import pytest
 
+import holant.exptype as exptype
 import oracles
 from holant import (ExpTypeSpec, Multigraph, OutsideRegionError, chi_tutte,
                     chi_k_coefficients, chromatic_spec, estimate_root_radius,
-                    eval_exp_type, exp_type_poly, qhat_derivative,
-                    tutte_direct, tutte_spec)
-from holant.exptype import (EXP_ROOT_SCALE, qhat_derivative_by_support,
+                    eval_exp_type, exp_type_poly, induced_subgraph, poly_roots,
+                    qhat_derivative, tutte_direct, tutte_spec)
+from holant.exptype import (EXP_ROOT_SCALE, qhat_coefficient_by_support,
                             random_cluster_profile, tutte_from_profile)
 
 K1 = Multigraph(1, ())
@@ -144,7 +145,7 @@ def test_qhat_derivative_support_path_agrees():
         spec = tutte_spec(v)
         for m in range(0, min(3, g.n) + 1):
             a = qhat_derivative(g, spec, m)
-            b = qhat_derivative_by_support(g, spec, m)
+            b = qhat_coefficient_by_support(g, spec, m) * math.factorial(m)
             assert cmath.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9), (trial, m)
 
 
@@ -157,6 +158,45 @@ def test_eval_exp_type_matches_direct():
     assert abs(cmath.log(cert.value / expected)) <= cert.error_bound + 1e-12
     assert cert.mode == "exp-mult"
     assert not cert.heuristic
+
+
+def test_eval_exp_type_runs_one_coefficient_dp(monkeypatch):
+    calls = []
+
+    def counted(g, spec, budget=None):
+        calls.append(g.n)
+        return chi_k_coefficients(g, spec, budget)
+
+    g = oracles.random_graph_bounded(random.Random(5), max_n=7, max_m=10)
+    spec = tutte_spec(1.0)
+    radius = 1.01 * max(abs(r) for r in poly_roots(exp_type_poly(g, spec)))
+    x = 4.0 * radius
+    monkeypatch.setattr(exptype, "chi_k_coefficients", counted)
+    cert = eval_exp_type(g, spec.with_root_radius(radius, heuristic=False), x, eps=1e-6)
+    assert cert.order >= 3
+    assert calls == [g.n]
+    expected = tutte_direct(g, x, 1.0)
+    assert abs(cmath.log(cert.value / expected)) <= cert.error_bound + 1e-12
+
+
+def test_eval_exp_type_support_path_evaluates_each_block_once(monkeypatch):
+    blocks = []
+
+    def counted(g, key):
+        blocks.append(frozenset(key))
+        return induced_subgraph(g, key)
+
+    g = oracles.random_graph_bounded(random.Random(5), max_n=7, max_m=10)
+    spec = tutte_spec(1.0)
+    radius = 1.01 * max(abs(r) for r in poly_roots(exp_type_poly(g, spec)))
+    x = 4.0 * radius
+    monkeypatch.setattr(exptype, "_SMALL_DP_LIMIT", 0)
+    monkeypatch.setattr(exptype, "induced_subgraph", counted)
+    cert = eval_exp_type(g, spec.with_root_radius(radius, heuristic=False), x, eps=1e-6)
+    assert cert.order >= 3
+    assert blocks and len(blocks) == len(set(blocks))
+    expected = tutte_direct(g, x, 1.0)
+    assert abs(cmath.log(cert.value / expected)) <= cert.error_bound + 1e-12
 
 
 def test_eval_exp_type_k2_hand_case():
