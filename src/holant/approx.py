@@ -8,7 +8,10 @@ The Taylor coefficients of ln q come from the cluster expansion: ln q
 restricted to a vertex set is additive over its components, so every
 connected set C of at most n vertices contributes the log of its own local
 polynomial once, weighted by a signed binomial sum over the outer boundary
-of C.  Only local neighborhoods are touched, which scales to graphs with
+of C.  The model is the same at every vertex, so that polynomial depends
+only on the labelled shape of C (its internal multigraph and the number of
+edges leaving each vertex), and its series log is computed once per shape.
+Only local neighborhoods are touched, which scales to graphs with
 hundreds of vertices.  The direct vertex-subset formula for the derivatives
 of q stays as an independent reference (:func:`q_derivative`).
 """
@@ -195,11 +198,26 @@ class _ClusterEngine:
         self.k = h.k
         self.budget = budget
         self.spent = 0.0
-        self.adj = g.adjacency()
-        self.edges_at = [g.incident_edges(v) for v in range(g.n)]
+        # one pass over the edges: incident edge indices (loops listed once),
+        # loop counts, and the distinct other neighbors with multiplicities
+        self.edges_at = [[] for _ in range(g.n)]
+        self.loops = [0] * g.n
+        mult = [{} for _ in range(g.n)]
+        for e, (u, w) in enumerate(g.edges):
+            self.edges_at[u].append(e)
+            if u == w:
+                self.loops[u] += 1
+            else:
+                self.edges_at[w].append(e)
+                mult[u][w] = mult[u].get(w, 0) + 1
+                mult[w][u] = mult[w].get(u, 0) + 1
+        self.neighbors = [sorted(m.items()) for m in mult]
         self._marginal_cache: dict[tuple[int, int], list[complex]] = {}
         # piece weights keyed by the bitmask of the piece's vertices in g
         self._weight_cache: dict[int, complex] = {}
+        # layout -> shape id; shapes[id] = (size, piece weight, series log)
+        self._shape_of: dict[tuple, int] = {}
+        self.shapes: list[tuple[int, complex, list[complex]]] = []
 
     # -- boundary-marginalized vertex tables --
 
@@ -225,7 +243,7 @@ class _ClusterEngine:
 
     # -- connected-piece weight --
 
-    def weight(self, piece: frozenset) -> complex:
+    def weight(self, members) -> complex:
         """Normalized weight of one connected vertex set.
 
         Equals k^-|touched edges| times the sum over colorings of those edges
@@ -233,6 +251,7 @@ class _ClusterEngine:
         averaged per vertex, so only internal colorings are enumerated.
         """
         g, k = self.g, self.k
+        piece = set(members)
         internal = []
         d_int = {v: 0 for v in piece}
         boundary = {v: 0 for v in piece}
@@ -252,13 +271,115 @@ class _ClusterEngine:
         self.spent += float(k) ** len(internal)
         if self.spent > self.budget:
             raise BudgetExceededError(
-                "connected-subset expansion exceeded the coloring budget"
+                f"connected-subset expansion exceeded the coloring budget: "
+                f"{self.spent:g} terms spent against a budget of "
+                f"{self.budget:g}, after {len(self.shapes)} shapes, at a set "
+                f"of size {len(piece)}"
             )
         tables = {v: self._marginal_table(d_int[v], boundary[v]) for v in piece}
         value = _colored_sum(g, k, internal, {}, tables, self.budget)
         return value * float(k) ** (-len(internal))
 
-    # -- one series log per connected set --
+    # -- labelled shapes --
+
+    def _layout(self, members):
+        """Exact description of a connected set, vertices in ``members`` order.
+
+        Returns ``((labels, edges), bitmask in g, |outer boundary|)``.
+        ``labels[i]`` is (edges leaving the set at members[i], loops there)
+        and ``edges`` the internal non-loop edges as (i, j, multiplicity)
+        with i < j, sorted when ``members`` is.  Equal layouts are
+        isomorphic labelled shapes: position i maps to position i.
+        """
+        index = {v: i for i, v in enumerate(members)}
+        labels = []
+        edges = []
+        outside = set()
+        in_g = 0
+        for i, v in enumerate(members):
+            in_g |= 1 << v
+            leaving = 0
+            for u, mult in self.neighbors[v]:
+                j = index.get(u)
+                if j is None:
+                    outside.add(u)
+                    leaving += mult
+                elif j > i:
+                    edges.append((i, j, mult))
+            labels.append((leaving, self.loops[v]))
+        return (tuple(labels), tuple(edges)), in_g, len(outside)
+
+    def _shape_id(self, members, layout, order: int) -> int:
+        """Id of the shape of a set whose layout has not been seen yet.
+
+        The layout is rewritten in a vertex order that isomorphic sets
+        mostly share: (leaving edges, loops, internal degree) refined twice
+        by the sorted colors of the neighbors, ties broken by position.  If
+        that layout is new too, the shape is computed.  A tie that the
+        refinement leaves open costs one more shape, never a wrong one.
+        """
+        labels, edges = layout
+        size = len(labels)
+        adj = [[] for _ in range(size)]
+        for i, j, mult in edges:
+            adj[i].append((j, mult))
+            adj[j].append((i, mult))
+        color = [(b, loops, sum(m for _, m in adj[i]))
+                 for i, (b, loops) in enumerate(labels)]
+        for _ in range(2):
+            sig = [(color[i], tuple(sorted((color[j], m) for j, m in adj[i])))
+                   for i in range(size)]
+            rank = {s: r for r, s in enumerate(sorted(set(sig)))}
+            color = [rank[s] for s in sig]
+        perm = sorted(range(size), key=lambda i: (color[i], i))
+        pos = {i: p for p, i in enumerate(perm)}
+        canonical = (tuple(labels[i] for i in perm),
+                     tuple(sorted((min(pos[i], pos[j]), max(pos[i], pos[j]), m)
+                                  for i, j, m in edges)))
+        sid = self._shape_of.get(canonical)
+        if sid is None:
+            sid = self._shape_of[canonical] = len(self.shapes)
+            self.shapes.append(self._shape(members, edges, order))
+        self._shape_of[layout] = sid
+        return sid
+
+    def _shape(self, members, edges, order: int):
+        """(size, lambda(C), series log of Q_C) from the subset loop of C.
+
+        A proper connected subset is a piece whose weight is already stored
+        under its vertex bitmask in g; any other mask splits off the
+        component of its lowest member.  Only C itself is a new piece.
+        """
+        size = len(members)
+        local_adj = [0] * size
+        for i, j, _ in edges:
+            local_adj[i] |= 1 << j
+            local_adj[j] |= 1 << i
+        full = (1 << size) - 1
+        weights = self._weight_cache
+        lam = [1.0 + 0j] * (full + 1)
+        in_g = [0] * (full + 1)
+        poly = [1.0 + 0j] + [0j] * size
+        for mask in range(1, full + 1):
+            comp = mask & -mask
+            in_g[mask] = in_g[mask ^ comp] | 1 << members[comp.bit_length() - 1]
+            frontier = comp
+            while frontier:
+                i = (frontier & -frontier).bit_length() - 1
+                frontier &= frontier - 1
+                grown = local_adj[i] & mask & ~comp
+                comp |= grown
+                frontier |= grown
+            if comp != mask:
+                lam[mask] = lam[comp] * lam[mask ^ comp]
+            elif mask != full:
+                lam[mask] = weights[in_g[mask]]
+            else:
+                lam[mask] = self.weight(members)
+            poly[mask.bit_count()] += lam[mask]
+        return size, lam[full], _series_log(poly, order)
+
+    # -- one series log per shape --
 
     def log_coefficients(self, sets, order: int) -> list[complex]:
         """Taylor coefficients of ln(q(z) / q(0)) through ``order``.
@@ -270,51 +391,32 @@ class _ClusterEngine:
         where Q_C(z) = sum over S in C of z^|S| lambda(S), lambda(S) is the
         product of the piece weights of the components of S, and dC is the
         outer vertex boundary of C (see :func:`_boundary_sign`).
+
+        The model h is the same at every vertex, so Q_C and lambda(C) depend
+        only on the labelled shape of C: its internal multigraph, loops and
+        parallel edges included, and the number of edges leaving C at each
+        vertex.  The subset loop, the piece weight and the series log
+        therefore run once per shape; any other set of that shape computes
+        its layout (:meth:`_layout`) and its boundary size, and a refined
+        layout only when its own is new.  Sets are walked smallest first and
+        each stores lambda(C) under its vertex bitmask in g, so the subset
+        loop of a new shape finds its sub-pieces' weights there.
         """
+        weights = self._weight_cache
+        tally: dict[tuple[int, int], int] = {}
+        for members in sorted(sets, key=len):
+            layout, in_g, boundary = self._layout(members)
+            sid = self._shape_of.get(layout)
+            if sid is None:
+                sid = self._shape_id(members, layout, order)
+            weights[in_g] = self.shapes[sid][1]
+            tally[sid, boundary] = tally.get((sid, boundary), 0) + 1
+
         coeffs = [0j] * (order + 1)
-        cache = self._weight_cache
-        for members in sets:
-            size = len(members)
-            index = {v: i for i, v in enumerate(members)}
-            local_adj = [0] * size
-            boundary = set()
-            for i, v in enumerate(members):
-                for u in self.adj[v]:
-                    j = index.get(u)
-                    if j is None:
-                        boundary.add(u)
-                    else:
-                        local_adj[i] |= 1 << j
-
-            # lambda of every subset: a connected mask is a piece, cached
-            # under its vertex bitmask in g (one OR per mask); any other mask
-            # splits off the component of its lowest member
-            lam = [1.0 + 0j] * (1 << size)
-            in_g = [0] * (1 << size)
-            poly = [1.0 + 0j] + [0j] * size
-            for mask in range(1, 1 << size):
-                comp = mask & -mask
-                in_g[mask] = in_g[mask ^ comp] | 1 << members[comp.bit_length() - 1]
-                frontier = comp
-                while frontier:
-                    i = (frontier & -frontier).bit_length() - 1
-                    frontier &= frontier - 1
-                    grown = local_adj[i] & mask & ~comp
-                    comp |= grown
-                    frontier |= grown
-                if comp == mask:
-                    found = cache.get(in_g[mask])
-                    if found is None:
-                        found = cache[in_g[mask]] = self.weight(
-                            frozenset(members[i] for i in range(size) if mask >> i & 1))
-                    lam[mask] = found
-                else:
-                    lam[mask] = lam[comp] * lam[mask ^ comp]
-                poly[mask.bit_count()] += lam[mask]
-
-            logs = _series_log(poly, order)
+        for (sid, boundary), count in tally.items():
+            size, _, logs = self.shapes[sid]
             for j in range(size, order + 1):
-                coeffs[j] += _boundary_sign(len(boundary), j - size) * logs[j]
+                coeffs[j] += count * _boundary_sign(boundary, j - size) * logs[j]
         return coeffs
 
 
@@ -339,8 +441,8 @@ def cluster_log_derivatives(g: Multigraph, h: EdgeColoringModel, order: int,
 
     Before any piece weight is computed, every connected set is counted and
     charged 2^|C| for its subset loop; the budget refuses the request as
-    soon as that total passes it.  Each piece then also charges
-    k^|internal edges| for its colorings.
+    soon as that total passes it.  The piece weight of each distinct
+    shape then also charges k^|internal edges| for its colorings.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     engine = _ClusterEngine(g, h, budget)

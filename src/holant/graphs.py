@@ -78,10 +78,6 @@ class Multigraph:
             adj[w].add(u)
         return adj
 
-    def incident_edges(self, v: int) -> list[int]:
-        """Indices of edges incident to ``v`` (loops listed once)."""
-        return [i for i, (u, w) in enumerate(self.edges) if u == v or w == v]
-
     def is_simple(self) -> bool:
         seen = set()
         for u, w in self.edges:

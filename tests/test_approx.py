@@ -14,7 +14,9 @@ from holant import (BudgetExceededError, GraphFamilySpec, Multigraph,
                     magnitude_lower_bound, perturbed_ones, q_derivative,
                     sample_region_model, taylor_error_bound, taylor_order,
                     verify_zero_free, zero_free_constants)
+import holant.approx as approx_module
 from holant.approx import _boundary_sign, _series_log, log_magnitude_lower_bound
+from holant.graphs import connected_subsets
 
 TRIANGLE = Multigraph(3, ((0, 1), (1, 2), (0, 2)))
 
@@ -172,6 +174,56 @@ def test_cluster_matches_direct_log_derivatives():
                                  rel_tol=1e-8, abs_tol=1e-8), (trial, m)
 
 
+def test_cluster_separates_near_identical_shapes():
+    # path 0-...-7 with a loop at 1 and the edge 4-5 doubled: {0, 1} and
+    # {6, 7} differ only in the loop, {2, 3} and {4, 5} only in a parallel
+    # edge, {0, 1} and {1, 2} only in one boundary-edge count
+    g = Multigraph(8, tuple((i, i + 1) for i in range(7)) + ((1, 1), (4, 5)))
+    for k, order in ((2, 5), (3, 4)):
+        h = perturbed_ones(k, 0.4, seed=k, max_degree=g.max_degree())
+        f_direct = reference_log_derivatives(g, h, order)
+        f_cluster = cluster_log_derivatives(g, h, order)
+        for m in range(order + 1):
+            assert cmath.isclose(f_direct[m], f_cluster[m],
+                                 rel_tol=1e-8, abs_tol=1e-8), (k, m)
+
+
+def test_cluster_invariant_under_relabelling():
+    loopy = Multigraph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 0),
+                           (2, 2), (2, 2), (1, 4), (1, 4), (3, 5)))
+    rng = random.Random(31)
+    for g in (generate(GraphFamilySpec("torus", 4, size2=4)), loopy):
+        h = perturbed_ones(2, 0.05, seed=8, max_degree=g.max_degree())
+        base = cluster_log_derivatives(g, h, 5)
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            edges = [(perm[u], perm[w]) for u, w in g.edges]
+            rng.shuffle(edges)
+            moved = cluster_log_derivatives(Multigraph(g.n, tuple(edges)), h, 5)
+            for a, b in zip(base, moved):
+                assert cmath.isclose(a, b, rel_tol=1e-12), (g, a, b)
+
+
+def test_cluster_weighs_each_shape_once(monkeypatch):
+    g = generate(GraphFamilySpec("torus", 6, size2=6))
+    h = perturbed_ones(2, 0.02, seed=1, max_degree=4)
+    calls = []
+    real = approx_module._colored_sum
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(approx_module, "_colored_sum", counting)
+    engine = approx_module._ClusterEngine(g, h, 1e8)
+    sets = list(connected_subsets(g, 4))
+    engine.log_coefficients(sets, 4)
+    # 1,008 connected sets; 6 isomorphism classes of labelled shapes
+    assert len(sets) == 1008
+    assert 6 <= len(calls) == len(engine.shapes) <= 50
+
+
 def test_boundary_sign_matches_subset_count():
     for b in range(7):
         for t in range(7):
@@ -185,6 +237,18 @@ def test_cluster_budget_refuses_before_work():
     h = perturbed_ones(2, 0.02, seed=1, max_degree=4)
     with pytest.raises(BudgetExceededError, match="order-9 .* connected sets"):
         cluster_log_derivatives(g, h, 9)
+
+
+def test_cluster_piece_charge_names_its_cost():
+    # the sets {0}, {1}, {0, 1} charge 2 + 2 + 4 up front, under the budget;
+    # their pieces then charge 2^0, 2^4 (four loops) and 2^5 colorings
+    g = Multigraph(2, ((0, 1),) + ((1, 1),) * 4)
+    h = perturbed_ones(2, 0.3, seed=1, max_degree=g.max_degree())
+    with pytest.raises(BudgetExceededError,
+                       match="57 terms spent against a budget of 40, after 2 "
+                             "shapes, at a set of size 2"):
+        cluster_log_derivatives(g, h, 2, budget=40)
+    assert len(cluster_log_derivatives(g, h, 2, budget=57)) == 3
 
 
 def test_approx_certificate_on_small_graph():

@@ -1,0 +1,20 @@
+"""The benchmark's own self-test, run as part of this suite.
+
+``perfbench/test_spans.py`` calls the library's public functions, so an API
+change that breaks the benchmark shows here.  It runs in its own process:
+``tests/oracles.py`` and ``perfbench/oracles.py`` share a module name and
+cannot be collected in one session.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_benchmark_self_test_passes():
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "perfbench/test_spans.py"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
