@@ -35,7 +35,7 @@ from .exptype import (ExpTypeSpec, chi_k_coefficients, chi_tutte,
 from .limits import (ConvergenceReport, convergence_run, cycle_transfer_matrix,
                      cycle_transfer_pf, log_potential_check, normalized_pf,
                      transfer_log_growth)
-from .partitions import bell_number, partitions_min_block, set_partitions, set_partitions_k
+from .partitions import bell_number, set_partitions, set_partitions_k
 
 __version__ = "0.1.0"
 
@@ -56,7 +56,7 @@ __all__ = [
     "generate", "incident_multiset", "induced_subgraph", "is_connected",
     "isomorphic", "load_model", "log_potential_check", "magnitude_lower_bound",
     "model_from_predicate", "normalized_pf", "parse_edge_list",
-    "partition_vertex_model", "partitions_min_block", "perturbed_ones",
+    "partition_vertex_model", "perturbed_ones",
     "poly_roots", "q_derivative", "random_orthogonal", "rank_one_model",
     "read_edge_list", "restricted_partition", "sample_region_model",
     "save_model", "set_partitions", "set_partitions_k", "symmetric_decompose",

@@ -12,8 +12,10 @@ of C.  The model is the same at every vertex, so that polynomial depends
 only on the labelled shape of C (its internal multigraph and the number of
 edges leaving each vertex), and its series log is computed once per shape.
 Only local neighborhoods are touched, which scales to graphs with
-hundreds of vertices.  The direct vertex-subset formula for the derivatives
-of q stays as an independent reference (:func:`q_derivative`).
+hundreds of vertices.  With another per-shape oracle the same engine
+expands the exponential-type polynomials of :mod:`holant.exptype`.  The
+direct vertex-subset formula for the derivatives of q stays as an
+independent reference (:func:`q_derivative`).
 """
 
 from __future__ import annotations
@@ -190,12 +192,17 @@ def _multinomial(total: int, parts) -> int:
 
 
 class _ClusterEngine:
-    """Shared caches for the connected-subset expansion of one (g, h) pair."""
+    """Connected-set expansion of one graph, shared by both expansions.
 
-    def __init__(self, g: Multigraph, h: EdgeColoringModel, budget: float):
+    The oracle maps a set of a new shape to the shape's value and the series
+    log of its local polynomial (:class:`_EdgeOracle`, ``exptype._exp_shape``);
+    the reach is 0 for edge models and 1 for exponential-type polynomials.
+    """
+
+    def __init__(self, g: Multigraph, oracle, reach: int, budget: float):
         self.g = g
-        self.h = h.shifted(-1.0)
-        self.k = h.k
+        self.oracle = oracle
+        self.reach = reach
         self.budget = budget
         self.spent = 0.0
         # one pass over the edges: incident edge indices (loops listed once),
@@ -212,73 +219,22 @@ class _ClusterEngine:
                 mult[u][w] = mult[u].get(w, 0) + 1
                 mult[w][u] = mult[w].get(u, 0) + 1
         self.neighbors = [sorted(m.items()) for m in mult]
-        self._marginal_cache: dict[tuple[int, int], list[complex]] = {}
-        # piece weights keyed by the bitmask of the piece's vertices in g
-        self._weight_cache: dict[int, complex] = {}
-        # layout -> shape id; shapes[id] = (size, piece weight, series log)
+        # shape values keyed by the bitmask in g of every set walked so far
+        self.store: dict[int, object] = {}
+        # layout -> shape id; shapes[id] = (size, value, series log)
         self._shape_of: dict[tuple, int] = {}
-        self.shapes: list[tuple[int, complex, list[complex]]] = []
+        self.shapes: list[tuple[int, object, list[complex]]] = []
 
-    # -- boundary-marginalized vertex tables --
-
-    def _marginal_table(self, d_int: int, b: int) -> list[complex]:
-        """Weights over internal count vectors with boundary colors averaged out."""
-        key = (d_int, b)
-        found = self._marginal_cache.get(key)
-        if found is not None:
-            return found
-        k = self.k
-        scale = float(k) ** (-b)
-
-        def marginal(beta):
-            acc = 0j
-            for gamma in compositions(b, k):
-                alpha = tuple(x + y for x, y in zip(beta, gamma))
-                acc += _multinomial(b, gamma) * self.h.value(alpha)
-            return acc * scale
-
-        dense = _vertex_table(d_int, k, marginal)
-        self._marginal_cache[key] = dense
-        return dense
-
-    # -- connected-piece weight --
-
-    def weight(self, members) -> complex:
-        """Normalized weight of one connected vertex set.
-
-        Equals k^-|touched edges| times the sum over colorings of those edges
-        of the product of (h-1) at each piece vertex.  Boundary edges are
-        averaged per vertex, so only internal colorings are enumerated.
-        """
-        g, k = self.g, self.k
-        piece = set(members)
-        internal = []
-        d_int = {v: 0 for v in piece}
-        boundary = {v: 0 for v in piece}
-        for v in piece:
-            for e in self.edges_at[v]:
-                u, w = g.edges[e]
-                if u == w:
-                    d_int[v] += 2
-                    if v == u:
-                        internal.append(e)
-                elif u in piece and w in piece:
-                    d_int[v] += 1
-                    if v == min(u, w):
-                        internal.append(e)
-                else:
-                    boundary[v] += 1
-        self.spent += float(k) ** len(internal)
+    def charge(self, terms: float, size: int) -> None:
+        """Spend ``terms`` on a new shape of a set of ``size``; refuse past the budget."""
+        self.spent += terms
         if self.spent > self.budget:
             raise BudgetExceededError(
-                f"connected-subset expansion exceeded the coloring budget: "
+                f"connected-subset expansion exceeded the budget: "
                 f"{self.spent:g} terms spent against a budget of "
                 f"{self.budget:g}, after {len(self.shapes)} shapes, at a set "
-                f"of size {len(piece)}"
+                f"of size {size}"
             )
-        tables = {v: self._marginal_table(d_int[v], boundary[v]) for v in piece}
-        value = _colored_sum(g, k, internal, {}, tables, self.budget)
-        return value * float(k) ** (-len(internal))
 
     # -- labelled shapes --
 
@@ -315,8 +271,8 @@ class _ClusterEngine:
         The layout is rewritten in a vertex order that isomorphic sets
         mostly share: (leaving edges, loops, internal degree) refined twice
         by the sorted colors of the neighbors, ties broken by position.  If
-        that layout is new too, the shape is computed.  A tie that the
-        refinement leaves open costs one more shape, never a wrong one.
+        that layout is new too, the oracle computes the shape.  A tie that
+        the refinement leaves open costs one more shape, never a wrong one.
         """
         labels, edges = layout
         size = len(labels)
@@ -339,16 +295,16 @@ class _ClusterEngine:
         sid = self._shape_of.get(canonical)
         if sid is None:
             sid = self._shape_of[canonical] = len(self.shapes)
-            self.shapes.append(self._shape(members, edges, order))
+            self.shapes.append((size, *self.oracle(self, members, layout, order)))
         self._shape_of[layout] = sid
         return sid
 
-    def _shape(self, members, edges, order: int):
-        """(size, lambda(C), series log of Q_C) from the subset loop of C.
+    def subsets(self, members, edges):
+        """Yield (mask, comp, stored) for the nonempty masks of a new shape's set C.
 
-        A proper connected subset is a piece whose weight is already stored
-        under its vertex bitmask in g; any other mask splits off the
-        component of its lowest member.  Only C itself is a new piece.
+        ``comp`` is the component of the mask's lowest member; ``stored`` is
+        the store's value for a proper connected mask (smaller than C, so
+        walked before it), None for a disconnected mask and for C itself.
         """
         size = len(members)
         local_adj = [0] * size
@@ -356,10 +312,8 @@ class _ClusterEngine:
             local_adj[i] |= 1 << j
             local_adj[j] |= 1 << i
         full = (1 << size) - 1
-        weights = self._weight_cache
-        lam = [1.0 + 0j] * (full + 1)
+        store = self.store
         in_g = [0] * (full + 1)
-        poly = [1.0 + 0j] + [0j] * size
         for mask in range(1, full + 1):
             comp = mask & -mask
             in_g[mask] = in_g[mask ^ comp] | 1 << members[comp.bit_length() - 1]
@@ -370,54 +324,133 @@ class _ClusterEngine:
                 grown = local_adj[i] & mask & ~comp
                 comp |= grown
                 frontier |= grown
-            if comp != mask:
-                lam[mask] = lam[comp] * lam[mask ^ comp]
-            elif mask != full:
-                lam[mask] = weights[in_g[mask]]
-            else:
-                lam[mask] = self.weight(members)
-            poly[mask.bit_count()] += lam[mask]
-        return size, lam[full], _series_log(poly, order)
+            yield mask, comp, store[in_g[mask]] if comp == mask != full else None
 
     # -- one series log per shape --
 
-    def log_coefficients(self, sets, order: int) -> list[complex]:
-        """Taylor coefficients of ln(q(z) / q(0)) through ``order``.
+    def log_coefficients(self, order: int) -> list[complex]:
+        """Taylor coefficients of ln q through ``order`` from the local series.
 
-        ``sets`` lists every connected vertex set of at most ``order``
-        vertices as a sorted tuple.  Because ln Q_S is additive over the
-        components of S, each connected set C enters exactly once:
-        [z^j] ln q = sum over C with |C| <= j of c(|dC|, j - |C|) [z^j] ln Q_C,
-        where Q_C(z) = sum over S in C of z^|S| lambda(S), lambda(S) is the
-        product of the piece weights of the components of S, and dC is the
-        outer vertex boundary of C (see :func:`_boundary_sign`).
-
-        The model h is the same at every vertex, so Q_C and lambda(C) depend
-        only on the labelled shape of C: its internal multigraph, loops and
-        parallel edges included, and the number of edges leaving C at each
-        vertex.  The subset loop, the piece weight and the series log
-        therefore run once per shape; any other set of that shape computes
-        its layout (:meth:`_layout`) and its boundary size, and a refined
-        layout only when its own is new.  Sets are walked smallest first and
-        each stores lambda(C) under its vertex bitmask in g, so the subset
-        loop of a new shape finds its sub-pieces' weights there.
+        With R the reach, each connected set C of at most order + R vertices
+        enters once (Moebius inversion, as ln Q_S is additive over the
+        components of S):
+        [z^j] ln q = sum over C with |C| <= j + R of c(|dC|, j + R - |C|) [z^j] ln Q_C,
+        where dC is the outer vertex boundary of C (:func:`_boundary_sign`).
+        Q_C depends only on the labelled shape of C (internal multigraph and
+        edges leaving each vertex), so the oracle runs once per shape; other
+        sets compute their layout and boundary size, and a refined layout
+        only when theirs is new.  Sets are walked smallest first, each
+        storing its shape's value under its bitmask in g for larger shapes.
+        Every set is first counted and charged 2^|C|, refusing before any
+        shape is computed once the total passes the budget.
         """
-        weights = self._weight_cache
+        reach = self.reach
+        sets = []
+        for members in connected_subsets(self.g, order + reach):
+            self.spent += float(1 << len(members))
+            if self.spent > self.budget:
+                raise BudgetExceededError(
+                    f"order-{order} cluster expansion: the subset loops of "
+                    f"{len(sets) + 1} connected sets (size {len(members)} reached) "
+                    f"exceed the budget of {self.budget:g} terms"
+                )
+            sets.append(members)
+
+        store = self.store
         tally: dict[tuple[int, int], int] = {}
         for members in sorted(sets, key=len):
             layout, in_g, boundary = self._layout(members)
             sid = self._shape_of.get(layout)
             if sid is None:
                 sid = self._shape_id(members, layout, order)
-            weights[in_g] = self.shapes[sid][1]
+            store[in_g] = self.shapes[sid][1]
             tally[sid, boundary] = tally.get((sid, boundary), 0) + 1
 
         coeffs = [0j] * (order + 1)
         for (sid, boundary), count in tally.items():
             size, _, logs = self.shapes[sid]
-            for j in range(size, order + 1):
-                coeffs[j] += count * _boundary_sign(boundary, j - size) * logs[j]
+            for j in range(size - reach, order + 1):
+                coeffs[j] += count * _boundary_sign(boundary, j + reach - size) * logs[j]
         return coeffs
+
+
+class _EdgeOracle:
+    """Per-shape oracle of an edge-coloring model for the cluster engine.
+
+    A shape's value is the piece weight lambda(C); its local polynomial is
+    Q_C(z) = sum over S in C of z^|S| lambda(S), where lambda(S) is the
+    product of the piece weights of the components of S.
+    """
+
+    def __init__(self, h: EdgeColoringModel):
+        self.h = h.shifted(-1.0)
+        self.k = h.k
+        self._marginal_cache: dict[tuple[int, int], list[complex]] = {}
+
+    def _marginal_table(self, d_int: int, b: int) -> list[complex]:
+        """Weights over internal count vectors with boundary colors averaged out."""
+        key = (d_int, b)
+        found = self._marginal_cache.get(key)
+        if found is not None:
+            return found
+        k = self.k
+        scale = float(k) ** (-b)
+
+        def marginal(beta):
+            acc = 0j
+            for gamma in compositions(b, k):
+                alpha = tuple(x + y for x, y in zip(beta, gamma))
+                acc += _multinomial(b, gamma) * self.h.value(alpha)
+            return acc * scale
+
+        dense = _vertex_table(d_int, k, marginal)
+        self._marginal_cache[key] = dense
+        return dense
+
+    def weight(self, engine: _ClusterEngine, members) -> complex:
+        """Normalized weight of one connected vertex set.
+
+        Equals k^-|touched edges| times the sum over colorings of those edges
+        of the product of (h-1) at each piece vertex.  Boundary edges are
+        averaged per vertex, so only internal colorings are enumerated.
+        """
+        g, k = engine.g, self.k
+        piece = set(members)
+        internal = []
+        d_int = {v: 0 for v in piece}
+        boundary = {v: 0 for v in piece}
+        for v in piece:
+            for e in engine.edges_at[v]:
+                u, w = g.edges[e]
+                if u == w:
+                    d_int[v] += 2
+                    if v == u:
+                        internal.append(e)
+                elif u in piece and w in piece:
+                    d_int[v] += 1
+                    if v == min(u, w):
+                        internal.append(e)
+                else:
+                    boundary[v] += 1
+        engine.charge(float(k) ** len(internal), len(piece))
+        tables = {v: self._marginal_table(d_int[v], boundary[v]) for v in piece}
+        value = _colored_sum(g, k, internal, {}, tables, engine.budget)
+        return value * float(k) ** (-len(internal))
+
+    def __call__(self, engine: _ClusterEngine, members, layout, order: int):
+        """(lambda(C), series log of Q_C); only C itself is a new piece."""
+        size = len(members)
+        lam = [1.0 + 0j] * (1 << size)
+        poly = [1.0 + 0j] + [0j] * size
+        for mask, comp, stored in engine.subsets(members, layout[1]):
+            if comp != mask:
+                lam[mask] = lam[comp] * lam[mask ^ comp]
+            elif stored is not None:
+                lam[mask] = stored
+            else:
+                lam[mask] = self.weight(engine, members)
+            poly[mask.bit_count()] += lam[mask]
+        return lam[-1], _series_log(poly, order)
 
 
 def _boundary_sign(b: int, t: int) -> int:
@@ -433,30 +466,13 @@ def cluster_log_derivatives(g: Multigraph, h: EdgeColoringModel, order: int,
                             budget: float | None = None) -> list[complex]:
     """Derivatives of ln q at 0 through ``order`` via connected subsets.
 
-    Returns the derivatives that the series log of :func:`q_derivative`
-    output gives, but the work is local: one series log per connected
-    vertex set of at most ``order`` vertices, weighted by a signed binomial
-    sum over its outer boundary, and only the edges those sets touch are
-    ever enumerated.  Entry 0 is the real log of q(0), namely |E| ln k.
-
-    Before any piece weight is computed, every connected set is counted and
-    charged 2^|C| for its subset loop; the budget refuses the request as
-    soon as that total passes it.  The piece weight of each distinct
-    shape then also charges k^|internal edges| for its colorings.
+    The derivatives that the series log of :func:`q_derivative` gives, from
+    the local work of the cluster engine: one series log per shape of
+    connected set of at most ``order`` vertices.  Entry 0 is |E| ln k.
+    Each new shape charges k^|internal edges| on top of the engine's 2^|C|.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
-    engine = _ClusterEngine(g, h, budget)
-    sets = []
-    for members in connected_subsets(g, order):
-        engine.spent += float(1 << len(members))
-        if engine.spent > budget:
-            raise BudgetExceededError(
-                f"order-{order} cluster expansion: the subset loops of "
-                f"{len(sets) + 1} connected sets (size {len(members)} reached) "
-                f"exceed the budget of {budget:g} terms"
-            )
-        sets.append(members)
-    coeffs = engine.log_coefficients(sets, order)
+    coeffs = _ClusterEngine(g, _EdgeOracle(h), 0, budget).log_coefficients(order)
     out = [complex(g.m * math.log(h.k))]
     for j in range(1, order + 1):
         out.append(coeffs[j] * math.factorial(j))
@@ -504,6 +520,21 @@ class ApproxCertificate:
         }
 
 
+def _exp_or_inf(log_value: complex) -> complex:
+    """exp(log_value), overflowing to infinite parts of the same signs.
+
+    A certificate's error bound is on ``log_value``; its ``value`` leaves
+    the float range once the real part of the log passes about 709.78 (a
+    modulus near 1e308), and is then infinite rather than an error.
+    """
+    try:
+        return cmath.exp(log_value)
+    except OverflowError:
+        phase = cmath.exp(1j * log_value.imag)
+        return complex(math.copysign(math.inf, phase.real) if phase.real else 0.0,
+                       math.copysign(math.inf, phase.imag) if phase.imag else 0.0)
+
+
 def approx_partition(g: Multigraph, h: EdgeColoringModel, eps: float,
                      budget: float | None = None,
                      mode: str = "cluster") -> ApproxCertificate:
@@ -528,7 +559,7 @@ def approx_partition(g: Multigraph, h: EdgeColoringModel, eps: float,
 
     if r == 0:
         log_value = complex(g.m * math.log(k))
-        return ApproxCertificate(cmath.exp(log_value), log_value, math.inf, 0.0,
+        return ApproxCertificate(_exp_or_inf(log_value), log_value, math.inf, 0.0,
                                  0, 0.0, 0.0, "exact")
 
     radius = certified_radius(delta + 1) / (2.0 * (delta + 1) * r)
@@ -544,7 +575,7 @@ def approx_partition(g: Multigraph, h: EdgeColoringModel, eps: float,
     log_value = f[0]
     for m in range(1, order + 1):
         log_value += f[m] / math.factorial(m)
-    return ApproxCertificate(cmath.exp(log_value), log_value, radius, q0,
+    return ApproxCertificate(_exp_or_inf(log_value), log_value, radius, q0,
                              order, bound, r, "cluster")
 
 

@@ -7,7 +7,11 @@ polynomial sum chi_k z^k is monic of degree |V|.  The random-cluster sum
 Z(G)(q, v) arises from the connected-spanning-subgraph weight; v = -1 is
 the chromatic polynomial.  For evaluation points beyond the root radius,
 the reversed polynomial is log-expanded at the origin exactly like the
-edge-model blend, yielding certified multiplicative results.
+edge-model blend, yielding certified multiplicative results.  Its
+coefficients come from the 3^n partition recursion when the whole graph
+fits in one cluster, and otherwise from the connected-set engine that the
+edge models use (:class:`holant.approx._ClusterEngine`), which computes
+one local reversed polynomial per labelled shape of connected set.
 """
 
 from __future__ import annotations
@@ -15,14 +19,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations
+from functools import partial
 from typing import Callable
 
-from .approx import ApproxCertificate, _series_log, taylor_error_bound, taylor_order
+from .approx import (ApproxCertificate, _ClusterEngine, _exp_or_inf, _series_log,
+                     taylor_error_bound, taylor_order)
 from .errors import BudgetExceededError, OutsideRegionError
 from .exact import DEFAULT_BUDGET, ComplexPoly, poly_roots
 from .graphs import Multigraph, induced_subgraph
-from .partitions import partitions_min_block
 
 # Universal scale relating a family's growth constant to a disk containing
 # every root of its polynomials on bounded-degree graphs.  Kept as reference
@@ -41,6 +45,10 @@ class ExpTypeSpec:
     constant of a bounded family, convertible to a radius via
     EXP_ROOT_SCALE.  ``root_radius_heuristic`` marks radii that were
     estimated rather than proven, and is propagated to certificates.
+
+    ``chi`` must be 1 on K_1 and vanish on disconnected graphs, as the
+    random-cluster weight does; the polynomial then factors over
+    components, which the cluster path of :func:`eval_exp_type` needs.
     """
 
     chi: Callable[[Multigraph], complex]
@@ -193,20 +201,6 @@ def tutte_direct(g: Multigraph, q: complex, v: complex,
 # partition coefficients
 
 
-def _chi_cache(g: Multigraph, spec: ExpTypeSpec):
-    cache: dict[frozenset, complex] = {}
-
-    def lookup(block) -> complex:
-        key = frozenset(block)
-        found = cache.get(key)
-        if found is None:
-            found = complex(spec.chi(induced_subgraph(g, key)))
-            cache[key] = found
-        return found
-
-    return lookup
-
-
 def chi_k_coefficients(g: Multigraph, spec: ExpTypeSpec,
                        budget: float | None = None) -> list[complex]:
     """[chi_1, ..., chi_n]: partition sums with exactly k induced blocks.
@@ -221,7 +215,7 @@ def chi_k_coefficients(g: Multigraph, spec: ExpTypeSpec,
         return []
     if 3 ** n > budget:
         raise BudgetExceededError(f"3^{n} anchored blocks exceed the budget")
-    chi_of = _chi_cache(g, spec)
+    chi_of: dict[int, complex] = {}
     memo: dict[int, dict[int, complex]] = {0: {0: 1.0 + 0j}}
 
     def solve(mask: int) -> dict[int, complex]:
@@ -233,8 +227,10 @@ def chi_k_coefficients(g: Multigraph, spec: ExpTypeSpec,
         sub = mask
         while sub:
             if sub & anchor:
-                verts = [i for i in range(n) if sub >> i & 1]
-                w = chi_of(verts)
+                w = chi_of.get(sub)
+                if w is None:
+                    block = [i for i in range(n) if sub >> i & 1]
+                    w = chi_of[sub] = complex(spec.chi(induced_subgraph(g, block)))
                 if w != 0:
                     for blocks, val in solve(mask ^ sub).items():
                         key = blocks + 1
@@ -258,80 +254,76 @@ def qhat_derivative(g: Multigraph, spec: ExpTypeSpec, m: int,
                     budget: float | None = None) -> complex:
     """m-th derivative at 0 of the reversed polynomial z^n p(1/z).
 
-    Equals m! times the partition sum with exactly n - m blocks.  Small
-    graphs reuse the full coefficient recursion; otherwise only supports of
-    non-singleton blocks are enumerated: between m+1 and 2m vertices get
-    partitioned into blocks of size at least 2 and singletons fill the rest.
+    Equals m! times the partition sum with exactly n - m blocks, read from
+    one :func:`chi_k_coefficients` call: a reference for the cluster
+    expansion that :func:`eval_exp_type` runs on larger graphs.
     """
     if m < 0:
         raise ValueError("derivative order must be nonnegative")
-    budget = DEFAULT_BUDGET if budget is None else budget
     n = g.n
-    if m == 0:
-        return 1.0 + 0j
     if m >= n:
-        return 0j
-    return _qhat_coefficients(g, spec, [m], budget)[0] * math.factorial(m)
-
-
-def _qhat_coefficients(g: Multigraph, spec: ExpTypeSpec, orders,
-                       budget: float) -> list[complex]:
-    """[t^m] of the reversed polynomial for each m in ``orders``, 0 < m < n.
-
-    The one place that picks the engine: graphs small enough for the 3^n
-    recursion read every coefficient from a single chi_k_coefficients call,
-    larger ones enumerate the supports of each order, sharing one chi cache
-    across the orders.
-    """
-    n = g.n
-    if 3 ** n <= min(budget, 3 ** _SMALL_DP_LIMIT):
-        chis = chi_k_coefficients(g, spec, budget)
-        return [chis[n - m - 1] for m in orders]
-    chi_of = _chi_cache(g, spec)
-    return [qhat_coefficient_by_support(g, spec, m, budget, chi_of) for m in orders]
-
-
-def qhat_coefficient_by_support(g: Multigraph, spec: ExpTypeSpec, m: int,
-                                budget: float | None = None,
-                                chi_of=None) -> complex:
-    """Support-set enumeration of [t^m] of the reversed polynomial.
-
-    That coefficient is the partition sum with exactly n - m blocks.  Its
-    non-singleton blocks cover between m+1 and 2m vertices; everything
-    outside the support is a singleton with weight chi(K_1) = 1, so only the
-    support is partitioned.  ``chi_of`` is a ``_chi_cache`` lookup to reuse
-    across calls on the same graph.
-    """
-    if m < 0:
-        raise ValueError("derivative order must be nonnegative")
-    budget = DEFAULT_BUDGET if budget is None else budget
-    n = g.n
-    if m == 0:
-        return 1.0 + 0j
-    if m >= n:
-        return 0j
-    cost = sum(math.comb(n, s) for s in range(m + 1, 2 * m + 1))
-    if cost > budget:
-        raise BudgetExceededError(
-            f"support enumeration needs {cost:.3g} vertex subsets"
-        )
-    chi_of = _chi_cache(g, spec) if chi_of is None else chi_of
-    total = 0j
-    for s in range(m + 1, 2 * m + 1):
-        blocks = s - m
-        for support in combinations(range(n), s):
-            for part in partitions_min_block(support, blocks, 2):
-                prod = 1.0 + 0j
-                for block in part:
-                    prod *= chi_of(block)
-                    if prod == 0:
-                        break
-                total += prod
-    return total
+        return 1.0 + 0j if m == n == 0 else 0j
+    return chi_k_coefficients(g, spec, budget)[n - m - 1] * math.factorial(m)
 
 
 # ---------------------------------------------------------------------------
 # certified evaluation outside the root disk
+
+
+def _normalized_log(qhat, order: int) -> list[complex]:
+    """Series log of qhat / qhat(0) through ``order``, entry 0 set to ln qhat(0).
+
+    qhat(0) is the product of chi over single vertices, 1 without loops.
+    """
+    lead = qhat[0]
+    if lead == 0:
+        raise OutsideRegionError(
+            "chi vanishes on a single vertex (a loop under chromatic), so the "
+            "reversed polynomial is 0 at the origin and has no log expansion there"
+        )
+    logs = _series_log([1.0 + 0j] + [a / lead for a in qhat[1:]], order)
+    logs[0] = cmath.log(lead)
+    return logs
+
+
+def _poly_mul(a, b) -> list[complex]:
+    out = [0j] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _exp_shape(spec: ExpTypeSpec, engine, members, layout, order: int):
+    """Cluster-engine oracle of an exponential-type polynomial.
+
+    A shape's value is (chi(C), qhat(C)), qhat(C) the reversed polynomial of
+    the multigraph on C: the sum over connected blocks B holding the lowest
+    member of C of chi(B) t^(|B|-1) qhat(C minus B), where qhat factors over
+    the components of C minus B.  Both come from the engine's store, so chi
+    runs once per shape, on the shape itself.
+    """
+    labels, edges = layout
+    size = len(members)
+    engine.charge(3.0 ** size, size)
+    shape = [(i, i) for i, (_, loops) in enumerate(labels) for _ in range(loops)]
+    shape += [(i, j) for i, j, mult in edges for _ in range(mult)]
+    chi = complex(spec.chi(Multigraph(size, tuple(shape))))
+    full = (1 << size) - 1
+    qhat = [[1.0 + 0j]] + [None] * full
+    poly = [0j] * size
+    anchored = []
+    for mask, comp, stored in engine.subsets(members, edges):
+        if comp != mask:
+            qhat[mask] = _poly_mul(qhat[comp], qhat[mask ^ comp])
+            continue
+        chi_b, qhat[mask] = (chi, None) if stored is None else stored
+        if mask & 1:
+            anchored.append((mask, chi_b))
+    for mask, chi_b in anchored:
+        for i, a in enumerate(qhat[full ^ mask], mask.bit_count() - 1):
+            poly[i] += chi_b * a
+    return (chi, poly), _normalized_log(poly, order)
 
 
 def eval_exp_type(g: Multigraph, spec: ExpTypeSpec, x: complex, eps: float,
@@ -339,10 +331,14 @@ def eval_exp_type(g: Multigraph, spec: ExpTypeSpec, x: complex, eps: float,
     """Evaluate the partition polynomial at ``x`` with certified log error.
 
     Requires |x| strictly beyond the spec's root radius c.  The reversed
-    polynomial has no roots inside the disk of radius 1/c, so its log is
-    Taylor-expanded there and evaluated at t = 1/x; the result is returned
-    as x^n times the exponential.  Certificates inherit the heuristic flag
-    when c was estimated rather than supplied.
+    polynomial qhat(t) = t^n p(1/t) has no roots inside the disk of radius
+    1/c, so ln(qhat / qhat(0)) is Taylor-expanded there and evaluated at
+    t = 1/x; the log of the result adds n ln x + ln qhat(0).  When
+    n <= order + 1 the whole graph is one cluster and one
+    :func:`chi_k_coefficients` call gives the coefficients; otherwise the
+    cluster engine of :mod:`holant.approx` runs with reach 1, which needs
+    chi to vanish on disconnected graphs (ValueError if it does not).
+    Certificates inherit the heuristic flag when c was estimated.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -360,29 +356,28 @@ def eval_exp_type(g: Multigraph, spec: ExpTypeSpec, x: complex, eps: float,
             f"|x| = {abs(x):.6g} does not exceed the root radius {c:.6g}"
         )
     n = g.n
-
-    if c == 0:
-        # every root sits at the origin, so the reversed polynomial is 1
-        log_value = n * cmath.log(x)
-        return ApproxCertificate(x ** n, log_value, math.inf, 0.0, 0, 0.0, 0.0,
-                                 f"exp-{mode}", spec.root_radius_heuristic)
-
-    t = 1.0 / x
-    radius = 1.0 / c
     q0 = c / abs(x)
     order = taylor_order(n, q0, eps)
     bound = taylor_error_bound(n, q0, order)
 
-    orders = range(1, min(order, n - 1) + 1)
-    logs = _series_log([1.0 + 0j] + _qhat_coefficients(g, spec, orders, budget), order)
+    if n <= order + 1:
+        qhat = chi_k_coefficients(g, spec, budget)[::-1] or [1.0 + 0j]
+        logs = _normalized_log(qhat, order)
+    else:
+        if spec.chi(Multigraph(2, ())) != 0:
+            raise ValueError(
+                f"chi of {spec.name} is nonzero on two isolated vertices; the "
+                "cluster expansion needs it to vanish on disconnected graphs"
+            )
+        logs = _ClusterEngine(g, partial(_exp_shape, spec), 1, budget).log_coefficients(order)
+
+    t = 1.0 / x
     series = 0j
     for m in range(order, 0, -1):
         series = series * t + logs[m]
-    series *= t
-
-    log_value = n * cmath.log(x) + series
-    value = x ** n * cmath.exp(series)
-    return ApproxCertificate(value, log_value, radius, q0, order, bound, 0.0,
+    log_value = n * cmath.log(x) + logs[0] + series * t
+    return ApproxCertificate(_exp_or_inf(log_value), log_value,
+                             math.inf if c == 0 else 1.0 / c, q0, order, bound, 0.0,
                              f"exp-{mode}", spec.root_radius_heuristic)
 
 

@@ -1,13 +1,12 @@
-"""Set-partition generators used by the graph-polynomial module.
+"""Set-partition generators and Bell numbers.
 
 The full enumeration walks restricted-growth strings; the fixed-block-count
-and minimum-block-size variants exist so that high-order coefficients can be
-assembled without touching the full Bell-number-sized space.
+variant filters it.  They are exported for callers; the library's own
+exponential-type coefficients come from a recursion over vertex bitmasks
+(``exptype.chi_k_coefficients``) and from the cluster engine instead.
 """
 
 from __future__ import annotations
-
-import itertools
 
 
 def set_partitions(items):
@@ -53,35 +52,6 @@ def set_partitions_k(items, k: int):
     for part in set_partitions(items):
         if len(part) == k:
             yield part
-
-
-def partitions_min_block(items, blocks: int, min_size: int):
-    """Partitions of ``items`` into exactly ``blocks`` blocks of size >= min_size.
-
-    Recursive first-element anchoring: the smallest remaining item picks its
-    block mates, which keeps every partition unique.
-    """
-    items = sorted(items)
-
-    def rec(remaining, blocks_left):
-        if not remaining:
-            if blocks_left == 0:
-                yield ()
-            return
-        if blocks_left == 0:
-            return
-        if len(remaining) < blocks_left * min_size:
-            return
-        head, rest = remaining[0], remaining[1:]
-        max_extra = len(rest) - (blocks_left - 1) * min_size
-        for s in range(min_size - 1, max_extra + 1):
-            for mates in itertools.combinations(rest, s):
-                block = (head,) + mates
-                left = [x for x in rest if x not in set(mates)]
-                for tail in rec(left, blocks_left - 1):
-                    yield (block,) + tail
-
-    yield from rec(items, blocks)
 
 
 def bell_number(n: int) -> int:

@@ -216,9 +216,9 @@ def test_cluster_weighs_each_shape_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(approx_module, "_colored_sum", counting)
-    engine = approx_module._ClusterEngine(g, h, 1e8)
+    engine = approx_module._ClusterEngine(g, approx_module._EdgeOracle(h), 0, 1e8)
     sets = list(connected_subsets(g, 4))
-    engine.log_coefficients(sets, 4)
+    engine.log_coefficients(4)
     # 1,008 connected sets; 6 isomorphism classes of labelled shapes
     assert len(sets) == 1008
     assert 6 <= len(calls) == len(engine.shapes) <= 50
@@ -249,6 +249,17 @@ def test_cluster_piece_charge_names_its_cost():
                              "shapes, at a set of size 2"):
         cluster_log_derivatives(g, h, 2, budget=40)
     assert len(cluster_log_derivatives(g, h, 2, budget=57)) == 3
+
+
+def test_approx_value_overflows_to_inf():
+    # |E| ln 2 = 1200 ln 2 is past the float range of exp
+    g = generate(GraphFamilySpec("regular", 600, degree=4, seed=0))
+    cert = approx_partition(g, perturbed_ones(2, 1e-4, seed=7, max_degree=4), eps=1e-3)
+    assert cert.mode == "cluster"
+    assert abs(cert.log_value.real - g.m * math.log(2)) < 1.0
+    assert math.isinf(cert.value.real) and math.isinf(cert.value.imag)
+    ones = approx_partition(g, perturbed_ones(2, 0.0, seed=7, max_degree=4), eps=1e-3)
+    assert ones.mode == "exact" and ones.value == complex(math.inf, 0.0)
 
 
 def test_approx_certificate_on_small_graph():

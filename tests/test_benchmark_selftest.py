@@ -18,3 +18,19 @@ def test_benchmark_self_test_passes():
         [sys.executable, "-m", "pytest", "-q", "perfbench/test_spans.py"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
+
+
+def test_benchmark_trace_targets_exist():
+    # the traced benchmark wraps these names; a deleted one fails here first
+    code = (
+        "import sys; from functools import reduce\n"
+        "sys.path[:0] = ['src', 'perfbench']\n"
+        "import holant.cli, run\n"
+        "for module, name, _ in run._trace_targets():\n"
+        "    reduce(getattr, name.split('.'), module)\n"
+        "print(len(run._trace_targets()))\n"
+    )
+    check = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                           capture_output=True, text=True, timeout=120)
+    assert check.returncode == 0, check.stderr[-3000:]
+    assert int(check.stdout) > 0

@@ -99,6 +99,19 @@ def test_approx_outside_region_exit_code(capsys):
     assert err.strip() != ""
 
 
+def test_values_past_float_range_print_inf(capsys):
+    code, out, _ = invoke(capsys, "approx", "--family", "cycle:1100",
+                          "--model", "ones+-uniform:0.0001:7", "--eps", "1e-3")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["value"]["re"] == "inf" and 762 < obj["log_value"]["re"] < 763
+    code, out, _ = invoke(capsys, "exptype", "--family", "regular:200,3",
+                          "--chi", "tutte:v=1", "--x", "60", "--radius", "10")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["value"]["re"] == "inf" and math.isfinite(obj["log_value"]["re"])
+
+
 def test_tutte_value(capsys, tmp_path):
     graph = write_triangle(tmp_path)
     code, out, _ = invoke(capsys, "tutte", "--graph", graph,

@@ -1,17 +1,18 @@
 import cmath
 import math
 import random
+from functools import partial
 
 import pytest
 
+import holant.approx as approx
 import holant.exptype as exptype
 import oracles
-from holant import (ExpTypeSpec, Multigraph, OutsideRegionError, chi_tutte,
-                    chi_k_coefficients, chromatic_spec, estimate_root_radius,
-                    eval_exp_type, exp_type_poly, induced_subgraph, poly_roots,
-                    qhat_derivative, tutte_direct, tutte_spec)
-from holant.exptype import (EXP_ROOT_SCALE, qhat_coefficient_by_support,
-                            random_cluster_profile, tutte_from_profile)
+from holant import (ExpTypeSpec, GraphFamilySpec, Multigraph, OutsideRegionError,
+                    chi_tutte, chi_k_coefficients, chromatic_spec, connected_subsets,
+                    estimate_root_radius, eval_exp_type, exp_type_poly, generate,
+                    poly_roots, qhat_derivative, tutte_direct, tutte_spec)
+from holant.exptype import EXP_ROOT_SCALE, random_cluster_profile, tutte_from_profile
 
 K1 = Multigraph(1, ())
 K2 = Multigraph(2, ((0, 1),))
@@ -137,18 +138,6 @@ def test_qhat_derivative_values():
     assert qhat_derivative(g, spec, g.n + 3) == 0j
 
 
-def test_qhat_derivative_support_path_agrees():
-    rng = random.Random(71)
-    for trial in range(6):
-        g = oracles.random_graph_bounded(rng, max_n=7, max_m=10)
-        v = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        spec = tutte_spec(v)
-        for m in range(0, min(3, g.n) + 1):
-            a = qhat_derivative(g, spec, m)
-            b = qhat_coefficient_by_support(g, spec, m) * math.factorial(m)
-            assert cmath.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9), (trial, m)
-
-
 def test_eval_exp_type_matches_direct():
     spec = tutte_spec(1.0, root_radius=2.0)
     g = TRIANGLE
@@ -179,24 +168,98 @@ def test_eval_exp_type_runs_one_coefficient_dp(monkeypatch):
     assert abs(cmath.log(cert.value / expected)) <= cert.error_bound + 1e-12
 
 
-def test_eval_exp_type_support_path_evaluates_each_block_once(monkeypatch):
-    blocks = []
+def _log_series(p, order):
+    # coefficients of ln(p / p[0]) through order, entry 0 replaced by ln p[0]
+    p = [a / p[0] for a in p] + [0j] * (order + 1)
+    out = [0j] * (order + 1)
+    for j in range(1, order + 1):
+        out[j] = p[j] - sum(i * out[i] * p[j - i] for i in range(1, j)) / j
+    return out
 
-    def counted(g, key):
-        blocks.append(frozenset(key))
-        return induced_subgraph(g, key)
 
-    g = oracles.random_graph_bounded(random.Random(5), max_n=7, max_m=10)
+def test_cluster_engine_matches_coefficient_dp():
+    rng = random.Random(83)
+    loopy = []
+    while len(loopy) < 12:
+        g = oracles.random_multigraph(rng, max_n=7, max_m=10)
+        if g.n >= 3 and len(set(g.edges)) < g.m and any(u == w for u, w in g.edges):
+            loopy.append(g)
+    specs = (tutte_spec(1.0), tutte_spec(-0.5), chromatic_spec())
+    checked = 0
+    for g in oracles.graphs_up_to(6) + loopy:
+        for spec in specs:
+            qhat = chi_k_coefficients(g, spec)[::-1]
+            for order in range(1, g.n - 1):
+                engine = approx._ClusterEngine(g, partial(exptype._exp_shape, spec), 1, 1e8)
+                if qhat[0] == 0:
+                    with pytest.raises(OutsideRegionError):
+                        engine.log_coefficients(order)
+                    continue
+                got = engine.log_coefficients(order)
+                want = _log_series(qhat, order)
+                want[0] = cmath.log(qhat[0])
+                for j in range(order + 1):
+                    assert cmath.isclose(got[j], want[j], rel_tol=1e-9, abs_tol=1e-9), \
+                        (g, spec.name, order, j)
+                checked += 1
+    assert checked > 1500
+
+
+def test_eval_exp_type_computes_chi_once_per_shape(monkeypatch):
+    g = generate(GraphFamilySpec("regular", 10, degree=3, seed=4))
+    calls = []
+    counted = ExpTypeSpec(lambda h: calls.append(h) or chi_tutte(h, 1.0), "counted",
+                          root_radius=10.0)
+    calls.clear()
+    engines = []
+    real_init = approx._ClusterEngine.__init__
+
+    def record(self, *args):
+        engines.append(self)
+        real_init(self, *args)
+
+    monkeypatch.setattr(approx._ClusterEngine, "__init__", record)
+    cert = eval_exp_type(g, counted, 60.0, eps=1e-3)
+    assert cert.order + 1 < g.n and len(engines) == 1
+    # the first call is the disconnected-graph probe, then one per shape
+    assert calls[0] == Multigraph(2, ())
+    sets = list(connected_subsets(g, cert.order + 1))
+    assert len(calls) - 1 == len(engines[0].shapes) < len(sets)
+
+
+def test_eval_exp_type_refuses_non_multiplicative_chi():
+    const = ExpTypeSpec(chi=lambda g: 1.0, name="const-one", root_radius=10.0)
+    g = generate(GraphFamilySpec("path", 8))
+    with pytest.raises(ValueError, match="disconnected"):
+        eval_exp_type(g, const, 60.0, eps=1e-3)
+
+
+@pytest.mark.parametrize("g, eps", [
+    (Multigraph(3, ((0, 1), (1, 2), (0, 0))), 1e-6),
+    (Multigraph(8, tuple((i, i + 1) for i in range(7)) + ((2, 2), (5, 5), (5, 5))), 1e-2),
+])
+def test_eval_exp_type_with_loops(g, eps):
     spec = tutte_spec(1.0)
     radius = 1.01 * max(abs(r) for r in poly_roots(exp_type_poly(g, spec)))
     x = 4.0 * radius
-    monkeypatch.setattr(exptype, "_SMALL_DP_LIMIT", 0)
-    monkeypatch.setattr(exptype, "induced_subgraph", counted)
-    cert = eval_exp_type(g, spec.with_root_radius(radius, heuristic=False), x, eps=1e-6)
-    assert cert.order >= 3
-    assert blocks and len(blocks) == len(set(blocks))
+    cert = eval_exp_type(g, spec.with_root_radius(radius, heuristic=False), x, eps=eps)
+    # the cubic runs on the whole graph, the 8-vertex path on the cluster engine
+    assert (cert.order + 1 >= g.n) == (g.n == 3)
     expected = tutte_direct(g, x, 1.0)
     assert abs(cmath.log(cert.value / expected)) <= cert.error_bound + 1e-12
+    # a loop has no proper coloring: qhat(0) = 0 has no log
+    with pytest.raises(OutsideRegionError, match="single vertex"):
+        eval_exp_type(g, chromatic_spec(root_radius=radius), 12.0 * radius, eps=eps)
+
+
+def test_eval_exp_type_overflows_to_inf():
+    # p(q) = q (q + 1)^199 on a 200-vertex path: about 10^357 at q = 60
+    g = generate(GraphFamilySpec("path", 200))
+    cert = eval_exp_type(g, tutte_spec(1.0, root_radius=10.0), 60.0, eps=1e-3)
+    assert cert.order + 1 < g.n
+    assert cert.value == complex(math.inf, 0.0)
+    exact = math.log(60.0) + 199 * math.log(61.0)
+    assert abs(cert.log_value - exact) <= cert.error_bound + 1e-9
 
 
 def test_eval_exp_type_k2_hand_case():

@@ -2,8 +2,7 @@
 
 import math
 
-from holant import (bell_number, partitions_min_block, set_partitions,
-                    set_partitions_k)
+from holant import bell_number, set_partitions, set_partitions_k
 
 
 def _stirling2(n, k):
@@ -44,43 +43,6 @@ def test_set_partitions_k_out_of_range():
     assert list(set_partitions_k((0, 1), 3)) == []
     assert list(set_partitions_k((0, 1), 0)) == []
     assert list(set_partitions_k((), 0)) == [()]
-
-
-def test_partitions_min_block_small_cases():
-    # 4 items into 2 blocks of size >= 2: 3 pairings plus 4 choices of 1+3? no:
-    # blocks of sizes (2,2) -> 3 ways, (1,3) excluded by min_size=2.
-    parts = list(partitions_min_block((0, 1, 2, 3), 2, 2))
-    assert len(parts) == 3
-    for p in parts:
-        assert all(len(b) >= 2 for b in p)
-
-    # 5 items, 2 blocks, min 2: sizes (2,3) -> C(5,2) = 10.
-    assert len(list(partitions_min_block(tuple(range(5)), 2, 2))) == 10
-
-    # impossible: 3 items into 2 blocks of >= 2.
-    assert list(partitions_min_block((0, 1, 2), 2, 2)) == []
-
-
-def test_partitions_min_block_consistency_with_k():
-    # min_size=1 must agree with the plain k-block generator.
-    for n in range(1, 7):
-        for k in range(1, n + 1):
-            a = {tuple(sorted(tuple(sorted(b)) for b in p))
-                 for p in partitions_min_block(tuple(range(n)), k, 1)}
-            b = {tuple(sorted(tuple(sorted(b)) for b in p))
-                 for p in set_partitions_k(tuple(range(n)), k)}
-            assert a == b, (n, k)
-
-
-def test_partitions_min_block_filter_equivalence():
-    for n in range(2, 8):
-        for k in range(1, n // 2 + 1):
-            fast = {tuple(sorted(tuple(sorted(b)) for b in p))
-                    for p in partitions_min_block(tuple(range(n)), k, 2)}
-            slow = {tuple(sorted(tuple(sorted(b)) for b in p))
-                    for p in set_partitions_k(tuple(range(n)), k)
-                    if all(len(b) >= 2 for b in p)}
-            assert fast == slow, (n, k)
 
 
 def test_bell_numbers():
