@@ -243,7 +243,7 @@ def test_eval_exp_type_with_loops(g, eps):
     radius = 1.01 * max(abs(r) for r in poly_roots(exp_type_poly(g, spec)))
     x = 4.0 * radius
     cert = eval_exp_type(g, spec.with_root_radius(radius, heuristic=False), x, eps=eps)
-    # the cubic runs on the whole graph, the 8-vertex path on the cluster engine
+    # three vertices run on the whole graph, the 8-vertex path on the cluster engine
     assert (cert.order + 1 >= g.n) == (g.n == 3)
     expected = tutte_direct(g, x, 1.0)
     assert abs(cmath.log(cert.value / expected)) <= cert.error_bound + 1e-12
