@@ -21,8 +21,8 @@ from .models import (DEFAULT_MAX_DEGREE, EdgeColoringModel, RegionParams,
                      random_orthogonal, rank_one_model, save_model,
                      symmetric_decompose, values_in_region, vertex_to_edge)
 from .exact import (ComplexPoly, RestrictedSpec, contract_network,
-                    exact_partition, exact_poly_by_interpolation,
-                    partition_vertex_model, poly_roots, restricted_partition)
+                    exact_partition, exact_poly_by_interpolation, poly_roots,
+                    restricted_partition)
 from .approx import (ApproxCertificate, ZeroFreeConstants, ZeroFreeReport,
                      approx_partition, certified_radius,
                      cluster_log_derivatives, magnitude_lower_bound,
@@ -56,9 +56,8 @@ __all__ = [
     "generate", "incident_multiset", "induced_subgraph", "is_connected",
     "isomorphic", "load_model", "log_potential_check", "magnitude_lower_bound",
     "model_from_predicate", "normalized_pf", "parse_edge_list",
-    "partition_vertex_model", "perturbed_ones",
-    "poly_roots", "q_derivative", "random_orthogonal", "rank_one_model",
-    "read_edge_list", "restricted_partition", "sample_region_model",
+    "perturbed_ones", "poly_roots", "q_derivative", "random_orthogonal",
+    "rank_one_model", "read_edge_list", "restricted_partition", "sample_region_model",
     "save_model", "set_partitions", "set_partitions_k", "symmetric_decompose",
     "taylor_error_bound", "taylor_order", "transfer_log_growth", "tutte_direct",
     "tutte_spec", "values_in_region", "verify_zero_free", "vertex_to_edge",

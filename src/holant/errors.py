@@ -22,9 +22,10 @@ class DecompositionError(HolantError):
 
 
 class RootFindingError(HolantError):
-    """Raised when the simultaneous root iteration fails to converge.
+    """Raised when candidate roots fail the residual check.
 
-    Carries the best available iterate in ``partial_roots``.
+    The candidates come from one eigenvalue solve; nothing is iterated.
+    They are carried in ``partial_roots``.
     """
 
     def __init__(self, message, partial_roots=()):

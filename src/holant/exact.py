@@ -2,7 +2,8 @@
 
 Every coloring sum is one contraction of the per-vertex tables, edge by
 edge, refused before any work when its ``k ** #free edges`` colorings
-exceed the budget.
+exceed the budget.  Polynomial roots are the eigenvalues of the companion
+matrix (``np.roots``), each validated against a residual bound.
 """
 
 from __future__ import annotations
@@ -234,40 +235,6 @@ def restricted_partition(g: Multigraph, t: TensorAssignment, restriction: Restri
     return _colored_sum(g, t.k, range(g.m), restriction.as_dict(), tables, budget)
 
 
-def partition_vertex_model(g: Multigraph, a, B, budget: float | None = None) -> complex:
-    """Vertex-coloring partition sum: states per vertex, pair weights per edge."""
-    a = np.asarray(a, dtype=complex).reshape(-1)
-    B = np.asarray(B, dtype=complex)
-    n_states = a.shape[0]
-    if B.shape != (n_states, n_states):
-        raise ValueError("B must be square with side len(a)")
-    budget = DEFAULT_BUDGET if budget is None else budget
-    if g.n * math.log(max(n_states, 1)) > math.log(max(budget, 1.0)) + 1e-9:
-        raise BudgetExceededError(f"{n_states}^{g.n} states exceed the budget")
-    edges_at = [[] for _ in range(g.n)]
-    for u, x in g.edges:
-        edges_at[max(u, x)].append((u, x))
-
-    total = 0j
-
-    def walk(v, weight, states):
-        nonlocal total
-        if v == g.n:
-            total += weight
-            return
-        for s in range(n_states):
-            w = weight * a[s]
-            for u, x in edges_at[v]:
-                w *= B[states[u] if u != v else s, states[x] if x != v else s]
-                if w == 0:
-                    break
-            if w != 0:
-                walk(v + 1, w, states + (s,))
-
-    walk(0, 1.0 + 0j, ())
-    return total
-
-
 def exact_poly_by_interpolation(g: Multigraph, h: EdgeColoringModel,
                                 budget: float | None = None) -> ComplexPoly:
     """Coefficients of z -> partition sum of the blend 1 + z*(h - 1).
@@ -298,90 +265,29 @@ def exact_poly_by_interpolation(g: Multigraph, h: EdgeColoringModel,
 
 
 # ---------------------------------------------------------------------------
-# simultaneous root iteration
+# roots
 
 
-def poly_roots(p: ComplexPoly, max_iterations: int = 800, step_tol: float = 1e-13) -> tuple[complex, ...]:
-    """All roots of ``p`` (with multiplicity) by Durand-Kerner iteration.
+def poly_roots(p: ComplexPoly) -> tuple[complex, ...]:
+    """All roots of ``p`` (with multiplicity): companion-matrix eigenvalues.
 
-    Starts from a deterministic circle of perturbed initial guesses, iterates
-    the simultaneous correction, and validates every root against the
-    residual bound |p(root)| <= 1e-9 * max|coeff| * max(1, |root|)^degree.
-    Roots are ordered by modulus, then by argument.
+    ``np.roots`` supplies the candidates, roots at the origin included.
+    Each must pass the residual bound
+    |p(root)| <= 1e-9 * max|coeff| * max(1, |root|)^degree, or
+    :class:`RootFindingError` is raised carrying all of them.  Roots are
+    ordered by modulus, then by argument.
     """
+    if not all(cmath.isfinite(c) for c in p.coeffs):
+        raise ValueError("polynomial coefficients must be finite")
     if p.is_zero():
         raise ValueError("the zero polynomial has no well-defined root set")
-    coeffs = list(p.coeffs)
-    d = len(coeffs) - 1
+    d = p.degree
     if d < 1:
         raise ValueError("constant polynomials have no roots")
-    scale = max(abs(c) for c in coeffs)
-
-    lead = coeffs[-1]
-    monic = [c / lead for c in coeffs]
-
-    # peel off exact roots at the origin
-    origin = 0
-    while monic[0] == 0:
-        origin += 1
-        monic = monic[1:]
-    deg = len(monic) - 1
-
-    roots = [0j] * origin
-    if deg >= 1:
-        cauchy = 1.0 + max(abs(c) for c in monic[:-1])
-        geo = abs(monic[0]) ** (1.0 / deg) if monic[0] != 0 else 1.0
-        found = None
-        for attempt in range(4):
-            radius = min(cauchy, max(geo, 1e-3) * (1.6 + 0.9 * attempt))
-            if attempt == 3:
-                radius = cauchy
-            offset = 0.40 + 0.31 * attempt
-            zs = [radius * cmath.exp(2j * math.pi * (i + offset) / deg) for i in range(deg)]
-            if _durand_kerner(monic, zs, max_iterations, step_tol):
-                if _roots_ok(coeffs, zs, scale, d):
-                    found = zs
-                    break
-        if found is None:
-            raise RootFindingError("root iteration failed to converge", tuple(roots + zs))
-        roots.extend(found)
-
+    scale = max(abs(c) for c in p.coeffs)
+    roots = [complex(z) for z in np.roots(p.coeffs[::-1])]
+    if any(abs(p(z)) > 1e-9 * scale * max(1.0, abs(z)) ** d for z in roots):
+        raise RootFindingError("companion-matrix roots fail the residual check",
+                               tuple(roots))
     roots.sort(key=lambda z: (abs(z), cmath.phase(z)))
     return tuple(roots)
-
-
-def _horner(coeffs, z):
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
-
-
-def _durand_kerner(monic, zs, max_iterations, step_tol) -> bool:
-    deg = len(zs)
-    for _ in range(max_iterations):
-        worst = 0.0
-        for i in range(deg):
-            zi = zs[i]
-            num = _horner(monic, zi)
-            den = 1.0 + 0j
-            for j in range(deg):
-                if j != i:
-                    den *= zi - zs[j]
-            if den == 0:
-                den = step_tol + 0j
-            step = num / den
-            zs[i] = zi - step
-            rel = abs(step) / (1.0 + abs(zs[i]))
-            worst = max(worst, rel)
-        if worst < step_tol:
-            return True
-    return True  # let the residual check decide (clusters converge slowly)
-
-
-def _roots_ok(coeffs, roots, scale, d) -> bool:
-    for z in roots:
-        bound = 1e-9 * scale * max(1.0, abs(z)) ** d
-        if abs(_horner(coeffs, z)) > bound:
-            return False
-    return True

@@ -26,7 +26,7 @@ from .approx import (ApproxCertificate, _ClusterEngine, _exp_or_inf, _series_log
                      taylor_error_bound, taylor_order)
 from .errors import BudgetExceededError, OutsideRegionError
 from .exact import DEFAULT_BUDGET, ComplexPoly, poly_roots
-from .graphs import Multigraph, induced_subgraph
+from .graphs import Multigraph, component_count, induced_subgraph
 
 # Universal scale relating a family's growth constant to a disk containing
 # every root of its polynomials on bounded-degree graphs.  Kept as reference
@@ -94,7 +94,7 @@ def chi_tutte(g: Multigraph, v: complex) -> complex:
     total = 0j
     for bits in range(1 << g.m):
         chosen = [g.edges[i] for i in range(g.m) if bits >> i & 1]
-        if _spans_connected(g.n, chosen):
+        if component_count(g.n, chosen) == 1:
             total += v ** len(chosen)
     return total
 
@@ -117,26 +117,6 @@ def _chi_tutte_sieve(g: Multigraph, v: complex) -> complex:
             sub = (sub - 1) & mask
         conn[mask] = acc
     return conn[(1 << n) - 1]
-
-
-def _spans_connected(n: int, edges) -> bool:
-    if n == 1:
-        return True
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    merges = 0
-    for u, w in edges:
-        ru, rw = find(u), find(w)
-        if ru != rw:
-            parent[ru] = rw
-            merges += 1
-    return merges == n - 1
 
 
 def tutte_spec(v: complex, root_radius: float | None = None,
@@ -165,24 +145,8 @@ def random_cluster_profile(g: Multigraph, budget: float | None = None) -> dict:
         raise BudgetExceededError(f"2^{g.m} edge subsets exceed the budget")
     profile: dict[tuple[int, int], int] = {}
     for bits in range(1 << g.m):
-        parent = list(range(g.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        comps = g.n
-        count = 0
-        for i in range(g.m):
-            if bits >> i & 1:
-                count += 1
-                ru, rw = find(g.edges[i][0]), find(g.edges[i][1])
-                if ru != rw:
-                    parent[ru] = rw
-                    comps -= 1
-        key = (comps, count)
+        chosen = [g.edges[i] for i in range(g.m) if bits >> i & 1]
+        key = (component_count(g.n, chosen), len(chosen))
         profile[key] = profile.get(key, 0) + 1
     return profile
 
@@ -245,9 +209,12 @@ def chi_k_coefficients(g: Multigraph, spec: ExpTypeSpec,
 
 def exp_type_poly(g: Multigraph, spec: ExpTypeSpec,
                   budget: float | None = None) -> ComplexPoly:
-    """The monic degree-|V| polynomial with the chi_k as coefficients."""
+    """The monic degree-|V| polynomial with the chi_k as coefficients.
+
+    The empty graph gives the constant 1, as the random-cluster sum does.
+    """
     chis = chi_k_coefficients(g, spec, budget)
-    return ComplexPoly((0j,) + tuple(chis))
+    return ComplexPoly((0j,) + tuple(chis) if chis else (1.0,))
 
 
 def qhat_derivative(g: Multigraph, spec: ExpTypeSpec, m: int,

@@ -61,16 +61,6 @@ class Multigraph:
     def max_degree(self) -> int:
         return max(self._degrees, default=0)
 
-    def neighbors(self, v: int) -> set[int]:
-        """Distinct neighbors of ``v`` (a loop makes ``v`` its own neighbor)."""
-        out = set()
-        for u, w in self.edges:
-            if u == v:
-                out.add(w)
-            elif w == v:
-                out.add(u)
-        return out
-
     def adjacency(self) -> list[set[int]]:
         adj = [set() for _ in range(self.n)]
         for u, w in self.edges:
@@ -87,17 +77,12 @@ class Multigraph:
         return True
 
 
-def degree(g: Multigraph, v: int) -> int:
-    """Degree of ``v`` with loops counted twice."""
-    return g.degree(v)
-
-
 def incident_multiset(g: Multigraph, v: int, coloring, k: int) -> tuple[int, ...]:
     """Color-count vector at ``v`` under an edge coloring.
 
     ``coloring`` maps edge index to a color in ``range(k)``.  The result is a
     length-``k`` tuple whose ``c``-th entry counts incidences of color ``c``
-    at ``v``; its total equals ``degree(g, v)``.
+    at ``v``; its total equals ``g.degree(v)``.
     """
     alpha = [0] * k
     for i, (u, w) in enumerate(g.edges):
@@ -250,14 +235,6 @@ class GraphFamilySpec:
     size2: int | None = None
     degree: int | None = None
     seed: int | None = None
-
-    def label(self) -> str:
-        parts = [self.family, str(self.size)]
-        if self.size2 is not None:
-            parts.append(str(self.size2))
-        if self.degree is not None:
-            parts.append(f"d{self.degree}")
-        return ":".join(parts)
 
 
 def _cycle(n: int) -> Multigraph:

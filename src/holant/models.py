@@ -70,6 +70,8 @@ class EdgeColoringModel:
             cleaned[alpha] = complex(val)
         self.entries = cleaned
         self.default = complex(self.default)
+        if not all(cmath.isfinite(v) for v in (*cleaned.values(), self.default)):
+            raise ValueError("model weights must be finite")
 
     def value(self, alpha) -> complex:
         alpha = tuple(alpha)

@@ -179,6 +179,16 @@ def test_roots_output(capsys, tmp_path):
         assert abs(val) < 1e-6 * max(abs(c) for c in coeffs)
 
 
+@pytest.mark.parametrize("command", ["exact", "roots"])
+def test_non_finite_model_file_exit_code(capsys, tmp_path, command):
+    graph = write_triangle(tmp_path)
+    model = tmp_path / "nan.json"
+    model.write_text('{"k": 2, "default": {"re": NaN, "im": 0}, "entries": []}')
+    code, out, err = invoke(capsys, command, "--graph", graph, "--model", str(model))
+    assert code == 3
+    assert out == "" and "finite" in err
+
+
 def test_region_check_model_report(capsys):
     code, out, _ = invoke(capsys, "region-check",
                           "--model", "ones+-uniform:0.02:3",

@@ -6,13 +6,14 @@ import time
 
 import pytest
 
+import holant.exact
 import oracles
 from holant import (BudgetExceededError, ComplexPoly, EdgeColoringModel,
                     GraphFamilySpec, Multigraph, RestrictedSpec,
-                    TensorAssignment, all_ones, contract_network,
-                    exact_partition, generate,
-                    exact_poly_by_interpolation, model_from_predicate,
-                    partition_vertex_model, perturbed_ones, poly_roots,
+                    RootFindingError, TensorAssignment, all_ones,
+                    chromatic_spec, contract_network, exact_partition,
+                    exp_type_poly, generate, exact_poly_by_interpolation,
+                    model_from_predicate, perturbed_ones, poly_roots,
                     restricted_partition)
 
 TRIANGLE = Multigraph(3, ((0, 1), (1, 2), (0, 2)))
@@ -136,29 +137,6 @@ def test_restricted_spec_validation():
     assert round_trip == spec
 
 
-def test_vertex_model_matches_brute():
-    import numpy as np
-    rng = np.random.default_rng(5)
-    pyrng = random.Random(5)
-    for trial in range(10):
-        g = oracles.random_multigraph(pyrng, max_n=5, max_m=6)
-        s = int(rng.integers(1, 4))
-        a = rng.normal(size=s) + 1j * rng.normal(size=s)
-        B = rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s))
-        fast = partition_vertex_model(g, a, B)
-        slow = oracles.brute_vertex_partition(g, a, B)
-        assert cmath.isclose(fast, slow, rel_tol=1e-9, abs_tol=1e-9), trial
-
-
-def test_vertex_model_hand_case():
-    # single edge, two states: sum_{i,j} a_i a_j B_ij
-    import numpy as np
-    g = Multigraph(2, ((0, 1),))
-    a = np.array([1.0, 2.0])
-    B = np.array([[1.0, 3.0], [3.0, -1.0]])
-    assert partition_vertex_model(g, a, B) == pytest.approx(1 + 6 + 6 - 4)
-
-
 def test_interpolation_poly_endpoints():
     rng = random.Random(91)
     for trial in range(8):
@@ -238,6 +216,9 @@ def test_poly_roots_sorted_and_edge_cases():
         poly_roots(ComplexPoly((5.0,)))  # nonzero constant: no root set
     with pytest.raises(ValueError):
         poly_roots(ComplexPoly((0j,)))
+    for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+        with pytest.raises(ValueError):
+            poly_roots(ComplexPoly((1.0, bad, 1.0)))
 
 
 def test_poly_roots_wide_magnitude_spread():
@@ -249,3 +230,38 @@ def test_poly_roots_wide_magnitude_spread():
     roots = poly_roots(ComplexPoly(tuple(p)))
     for r in spread:
         assert min(abs(z - r) / max(abs(r), 1e-12) for z in roots) < 1e-6
+
+
+def test_poly_roots_repeated_chromatic_roots():
+    # the 6-vertex path has chromatic polynomial x (x - 1)^5
+    poly = exp_type_poly(generate(GraphFamilySpec("path", 6)), chromatic_spec())
+    expected = [0j, 1.0 + 0j]
+    for _ in range(5):
+        expected = _mul_linear(expected, 1.0)
+    assert poly.coeffs == pytest.approx(tuple(expected))
+    roots = poly_roots(poly)
+    assert len(roots) == 6 and abs(roots[0]) < 1e-12
+    assert all(abs(z - 1.0) < 5e-3 for z in roots[1:])
+
+
+def test_poly_roots_rejects_candidates_failing_the_residual(monkeypatch):
+    poly = ComplexPoly((-6.0, 11.0, -6.0, 1.0))
+    candidates = [1.0 + 1e-3j, 2.0, 3.0 - 1e-3]
+    monkeypatch.setattr(holant.exact.np, "roots", lambda coeffs: list(candidates))
+    with pytest.raises(RootFindingError) as info:
+        poly_roots(poly)
+    assert info.value.partial_roots == tuple(candidates)
+
+
+def test_poly_roots_rebuild_random_polynomials():
+    rng = random.Random(2024)
+    for trial in range(40):
+        degree = rng.randint(1, 12)
+        coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(degree + 1)]
+        roots = poly_roots(ComplexPoly(tuple(coeffs)))
+        assert len(roots) == degree
+        rebuilt = [coeffs[-1]]
+        for r in roots:
+            rebuilt = _mul_linear(rebuilt, r)
+        scale = max(abs(c) for c in coeffs)
+        assert max(abs(a - b) for a, b in zip(rebuilt, coeffs)) <= 1e-9 * scale, trial

@@ -19,6 +19,13 @@ K2 = Multigraph(2, ((0, 1),))
 TRIANGLE = Multigraph(3, ((0, 1), (1, 2), (0, 2)))
 
 
+def test_exp_type_poly_of_empty_graph_is_one():
+    empty = Multigraph(0, ())
+    for spec in (tutte_spec(1.0), chromatic_spec()):
+        assert exp_type_poly(empty, spec).coeffs == (1.0,)
+    assert exp_type_poly(empty, tutte_spec(1.0))(3.0) == tutte_direct(empty, 3.0, 1.0) == 1.0
+
+
 def test_chi_tutte_hand_cases():
     v = 1.7 - 0.3j
     assert chi_tutte(K1, v) == 1.0

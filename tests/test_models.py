@@ -9,10 +9,9 @@ import oracles
 from holant import (DecompositionError, EdgeColoringModel, Multigraph,
                     RegionParams, TensorAssignment, VertexModel, all_ones,
                     apply_orthogonal, exact_partition, load_model,
-                    model_from_predicate, partition_vertex_model,
-                    perturbed_ones, random_orthogonal, rank_one_model,
-                    save_model, symmetric_decompose, values_in_region,
-                    vertex_to_edge)
+                    model_from_predicate, perturbed_ones, random_orthogonal,
+                    rank_one_model, save_model, symmetric_decompose,
+                    values_in_region, vertex_to_edge)
 from holant.models import (assignment_in_region, compositions,
                            model_from_json_dict, model_to_json_dict,
                            vectors_up_to)
@@ -32,6 +31,14 @@ def test_value_rejects_wrong_arity_and_negatives():
         h.value((1, 2, 3))
     with pytest.raises(ValueError):
         h.value((-1, 0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf)])
+def test_non_finite_weights_are_refused(bad):
+    with pytest.raises(ValueError):
+        EdgeColoringModel(2, {(1, 1): bad}, default=1.0)
+    with pytest.raises(ValueError):
+        EdgeColoringModel(2, {(1, 1): 2.0}, default=bad)
 
 
 def test_shifted_and_deviation():
@@ -175,7 +182,7 @@ def test_vertex_to_edge_matches_vertex_partition():
         A = rng.normal(size=(n_states, n_states)) + 1j * rng.normal(size=(n_states, n_states))
         B = A + A.T
         vm = VertexModel(a, B)
-        direct = partition_vertex_model(g, vm.a, vm.B)
+        direct = oracles.brute_vertex_partition(g, vm.a, vm.B)
         h = vertex_to_edge(vm, max_degree=max(1, g.max_degree()))
         via_edges = exact_partition(g, h)
         scale = max(1.0, abs(direct))
