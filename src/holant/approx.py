@@ -11,8 +11,12 @@ polynomial once, weighted by a signed binomial sum over the outer boundary
 of C.  The model is the same at every vertex, so that polynomial depends
 only on the labelled shape of C (its internal multigraph and the number of
 edges leaving each vertex), and its series log is computed once per shape.
-Only local neighborhoods are touched, which scales to graphs with
-hundreds of vertices.  With another per-shape oracle the same engine
+The sets are streamed as they grow, and each carries a layout id derived
+from its parent's id and its last vertex, so recognising a set's shape
+costs one table lookup; only a new id is refined to its shape.  The
+budget is charged 1 per set plus each new shape's work.  Only local
+neighborhoods are touched, which scales to graphs with hundreds of
+vertices.  With another per-shape oracle the same engine
 expands the exponential-type polynomials of :mod:`holant.exptype`.  The
 direct vertex-subset formula for the derivatives of q stays as an
 independent reference (:func:`q_derivative`).
@@ -191,12 +195,30 @@ def _multinomial(total: int, parts) -> int:
     return value
 
 
+def _layout_graph(layout) -> Multigraph:
+    """The internal multigraph of a layout, position i as vertex i."""
+    labels, edges = layout
+    loops = tuple((i, i) for i, (_, count) in enumerate(labels) for _ in range(count))
+    return Multigraph(len(labels), loops + tuple((i, j) for i, j, m in edges
+                                                 for _ in range(m)))
+
+
 class _ClusterEngine:
     """Connected-set expansion of one graph, shared by both expansions.
 
-    The oracle maps a set of a new shape to the shape's value and the series
-    log of its local polynomial (:class:`_EdgeOracle`, ``exptype._exp_shape``);
-    the reach is 0 for edge models and 1 for exponential-type polynomials.
+    The oracle maps the layout of a new shape to the shape's value and the
+    series log of its local polynomial (:class:`_EdgeOracle`,
+    ``exptype._exp_shape``); the reach is 0 for edge models and 1 for
+    exponential-type polynomials.
+
+    A layout describes a connected set exactly, its vertices in growth order
+    (each adjacent to an earlier one): ``labels[i]`` is (edges leaving the
+    set at position i, loops there) and ``edges`` the internal non-loop
+    edges as (i, j, multiplicity) with i < j.  Equal layouts are isomorphic
+    labelled shapes, position i mapping to position i.  Layouts get ids
+    while sets grow: the id of C + u is ``intern[(id(C), row(u))]``, where
+    the row is u's loops, its degree and its edges into C by position, so
+    an id fixes its layout.  Id 0 is the empty set.
     """
 
     def __init__(self, g: Multigraph, oracle, reach: int, budget: float):
@@ -204,69 +226,82 @@ class _ClusterEngine:
         self.oracle = oracle
         self.reach = reach
         self.budget = budget
-        self.spent = 0.0
-        # one pass over the edges: incident edge indices (loops listed once),
-        # loop counts, and the distinct other neighbors with multiplicities
-        self.edges_at = [[] for _ in range(g.n)]
+        self.streamed = 0
+        self.shape_terms = 0.0
+        # loop counts and the distinct other neighbors with multiplicities
         self.loops = [0] * g.n
         mult = [{} for _ in range(g.n)]
-        for e, (u, w) in enumerate(g.edges):
-            self.edges_at[u].append(e)
+        for u, w in g.edges:
             if u == w:
                 self.loops[u] += 1
             else:
-                self.edges_at[w].append(e)
                 mult[u][w] = mult[u].get(w, 0) + 1
                 mult[w][u] = mult[w].get(u, 0) + 1
         self.neighbors = [sorted(m.items()) for m in mult]
-        # shape values keyed by the bitmask in g of every set walked so far
-        self.store: dict[int, object] = {}
+        # a row is packed into one int: the index of (loops, degree) plus
+        # len(kinds) * sum of multiplicity * radix^position, radix above
+        # every multiplicity, so equal codes are equal rows
+        kinds = sorted({(self.loops[v], g.degree(v)) for v in range(g.n)})
+        self._kind = {kind: i for i, kind in enumerate(kinds)}
+        radix = 1 + max((m for nb in self.neighbors for _, m in nb), default=0)
+        self._place = [len(kinds) * radix ** p for p in range(g.n)]
+        self._intern: dict[tuple[int, int], int] = {}
+        self._layouts: list[tuple] = [((), ())]
+        self._id_shape: list[int | None] = [None]
         # layout -> shape id; shapes[id] = (size, value, series log)
         self._shape_of: dict[tuple, int] = {}
         self.shapes: list[tuple[int, object, list[complex]]] = []
 
     def charge(self, terms: float, size: int) -> None:
-        """Spend ``terms`` on a new shape of a set of ``size``; refuse past the budget."""
-        self.spent += terms
-        if self.spent > self.budget:
+        """Spend ``terms`` at a set of ``size``; refuse once past the budget.
+
+        The total spent is 1 per streamed set plus the shape charges.
+        """
+        self.shape_terms += terms
+        spent = self.streamed + self.shape_terms
+        if spent > self.budget:
             raise BudgetExceededError(
-                f"connected-subset expansion exceeded the budget: "
-                f"{self.spent:g} terms spent against a budget of "
-                f"{self.budget:g}, after {len(self.shapes)} shapes, at a set "
-                f"of size {size}"
+                f"connected-set expansion exceeded the budget: "
+                f"{spent:g} terms spent against a budget of {self.budget:g}, "
+                f"after {self.streamed} sets streamed and {len(self.shapes)} "
+                f"shapes computed, at a set of size {size}"
             )
 
-    # -- labelled shapes --
+    # -- layout ids --
 
-    def _layout(self, members):
-        """Exact description of a connected set, vertices in ``members`` order.
+    def _new_id(self, parent: int, code: int, loops: int, degree: int, pairs) -> int:
+        """Intern the parent's set plus a vertex whose row packs to ``code``.
 
-        Returns ``((labels, edges), bitmask in g, |outer boundary|)``.
-        ``labels[i]`` is (edges leaving the set at members[i], loops there)
-        and ``edges`` the internal non-loop edges as (i, j, multiplicity)
-        with i < j, sorted when ``members`` is.  Equal layouts are
-        isomorphic labelled shapes: position i maps to position i.
+        Called for a (parent, code) pair not interned yet.  ``pairs`` lists
+        the (position, multiplicity) of the vertex's edges into the parent's
+        set; the new layout follows from the parent's.
         """
-        index = {v: i for i, v in enumerate(members)}
-        labels = []
-        edges = []
-        outside = set()
-        in_g = 0
-        for i, v in enumerate(members):
-            in_g |= 1 << v
-            leaving = 0
-            for u, mult in self.neighbors[v]:
-                j = index.get(u)
-                if j is None:
-                    outside.add(u)
-                    leaving += mult
-                elif j > i:
-                    edges.append((i, j, mult))
-            labels.append((leaving, self.loops[v]))
-        return (tuple(labels), tuple(edges)), in_g, len(outside)
+        labels, edges = self._layouts[parent]
+        labels = list(labels)
+        size = len(labels)
+        for p, m in pairs:
+            leaving, at = labels[p]
+            labels[p] = (leaving - m, at)
+        labels.append((degree - 2 * loops - sum(m for _, m in pairs), loops))
+        edges += tuple((p, size, m) for p, m in sorted(pairs))
+        cid = self._intern[parent, code] = len(self._layouts)
+        self._layouts.append((tuple(labels), edges))
+        self._id_shape.append(None)
+        return cid
 
-    def _shape_id(self, members, layout, order: int) -> int:
-        """Id of the shape of a set whose layout has not been seen yet.
+    def _resolve(self, cid: int, order: int) -> int:
+        """Shape id of the layout with id ``cid``, computing a new shape."""
+        sid = self._id_shape[cid]
+        if sid is None:
+            layout = self._layouts[cid]
+            sid = self._shape_of.get(layout)
+            if sid is None:
+                sid = self._shape_id(layout, order)
+            self._id_shape[cid] = sid
+        return sid
+
+    def _shape_id(self, layout, order: int) -> int:
+        """Id of the shape of a layout that has not been seen yet.
 
         The layout is rewritten in a vertex order that isomorphic sets
         mostly share: (leaving edges, loops, internal degree) refined twice
@@ -282,11 +317,19 @@ class _ClusterEngine:
             adj[j].append((i, mult))
         color = [(b, loops, sum(m for _, m in adj[i]))
                  for i, (b, loops) in enumerate(labels)]
+        classes = len(set(color))
+        # a round that splits no class, or classes that are all single, would
+        # leave the order of the next round unchanged
         for _ in range(2):
+            if classes == size:
+                break
             sig = [(color[i], tuple(sorted((color[j], m) for j, m in adj[i])))
                    for i in range(size)]
             rank = {s: r for r, s in enumerate(sorted(set(sig)))}
             color = [rank[s] for s in sig]
+            if len(rank) == classes:
+                break
+            classes = len(rank)
         perm = sorted(range(size), key=lambda i: (color[i], i))
         pos = {i: p for p, i in enumerate(perm)}
         canonical = (tuple(labels[i] for i in perm),
@@ -294,37 +337,85 @@ class _ClusterEngine:
                                   for i, j, m in edges)))
         sid = self._shape_of.get(canonical)
         if sid is None:
+            # the oracle resolves smaller shapes first, so append after it
+            value, logs = self.oracle(self, layout, order)
             sid = self._shape_of[canonical] = len(self.shapes)
-            self.shapes.append((size, *self.oracle(self, members, layout, order)))
+            self.shapes.append((size, value, logs))
         self._shape_of[layout] = sid
         return sid
 
-    def subsets(self, members, edges):
-        """Yield (mask, comp, stored) for the nonempty masks of a new shape's set C.
+    def subsets(self, layout, order: int):
+        """Yield (mask, comp, value) for the nonempty masks of a new shape.
 
-        ``comp`` is the component of the mask's lowest member; ``stored`` is
-        the store's value for a proper connected mask (smaller than C, so
-        walked before it), None for a disconnected mask and for C itself.
+        Masks are over the layout's positions, in increasing order.
+        ``comp`` is the component of the mask's lowest position, grown from
+        that of the mask minus its highest position v; ``value`` is the
+        shape value of a proper connected mask, None for a disconnected mask
+        and for the whole set.  A connected mask's vertex order is the order
+        of the mask minus its highest position that leaves it connected,
+        then that position, so its id is folded from the smaller mask's id
+        through the intern table.  A prefix of the layout keeps its own
+        order, and with it its id.
         """
-        size = len(members)
-        local_adj = [0] * size
-        for i, j, _ in edges:
-            local_adj[i] |= 1 << j
-            local_adj[j] |= 1 << i
+        labels, edges = layout
+        size = len(labels)
+        adj = [0] * size
+        links = [[] for _ in range(size)]
+        degree = [leaving + 2 * loops for leaving, loops in labels]
+        for i, j, m in edges:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+            links[i].append((j, m))
+            links[j].append((i, m))
+            degree[i] += m
+            degree[j] += m
+        kind = [self._kind[loops, degree[i]] for i, (_, loops) in enumerate(labels)]
+        place, intern, id_shape, shapes = (self._place, self._intern,
+                                           self._id_shape, self.shapes)
         full = (1 << size) - 1
-        store = self.store
-        in_g = [0] * (full + 1)
+        comp_of = [0] * (full + 1)
+        # per connected proper mask: its layout id and its vertex order
+        fold_id = [0] * full
+        fold_seq = [()] * full
         for mask in range(1, full + 1):
-            comp = mask & -mask
-            in_g[mask] = in_g[mask ^ comp] | 1 << members[comp.bit_length() - 1]
-            frontier = comp
-            while frontier:
-                i = (frontier & -frontier).bit_length() - 1
-                frontier &= frontier - 1
-                grown = local_adj[i] & mask & ~comp
-                comp |= grown
-                frontier |= grown
-            yield mask, comp, store[in_g[mask]] if comp == mask != full else None
+            v = mask.bit_length() - 1
+            rest = mask ^ 1 << v
+            comp = comp_of[rest]
+            if not rest or adj[v] & comp and comp == rest:
+                comp = mask
+            elif adj[v] & comp:
+                # v joins the lowest component to others of the rest
+                comp |= 1 << v
+                frontier = 1 << v
+                while frontier:
+                    i = (frontier & -frontier).bit_length() - 1
+                    frontier &= frontier - 1
+                    grown = adj[i] & mask & ~comp
+                    comp |= grown
+                    frontier |= grown
+            comp_of[mask] = comp
+            if comp != mask or mask == full:
+                yield mask, comp, None
+                continue
+            while comp_of[rest] != rest:
+                # the next lower position of the mask
+                v = (mask & (1 << v) - 1).bit_length() - 1
+                rest = mask ^ 1 << v
+            seq = fold_seq[rest]
+            code = kind[v]
+            for w, m in links[v]:
+                if rest >> w & 1:
+                    code += m * place[seq.index(w)]
+            cid = intern.get((fold_id[rest], code))
+            if cid is None:
+                pairs = [(seq.index(w), m) for w, m in links[v] if rest >> w & 1]
+                cid = self._new_id(fold_id[rest], code, labels[v][1], degree[v], pairs)
+            fold_id[mask] = cid
+            fold_seq[mask] = seq + (v,)
+            sid = id_shape[cid]
+            if sid is None:
+                sid = self._resolve(cid, order)
+            yield mask, comp, shapes[sid][1]
 
     # -- one series log per shape --
 
@@ -337,34 +428,56 @@ class _ClusterEngine:
         [z^j] ln q = sum over C with |C| <= j + R of c(|dC|, j + R - |C|) [z^j] ln Q_C,
         where dC is the outer vertex boundary of C (:func:`_boundary_sign`).
         Q_C depends only on the labelled shape of C (internal multigraph and
-        edges leaving each vertex), so the oracle runs once per shape; other
-        sets compute their layout and boundary size, and a refined layout
-        only when theirs is new.  Sets are walked smallest first, each
-        storing its shape's value under its bitmask in g for larger shapes.
-        Every set is first counted and charged 2^|C|, refusing before any
-        shape is computed once the total passes the budget.
+        edges leaving each vertex), so the oracle runs once per shape.  The
+        sets are streamed in growth order: per depth the engine keeps the
+        prefix's layout id, bitmask and neighborhood, so each set costs its
+        last vertex's row, one intern lookup and its boundary size; only an
+        id seen for the first time builds a layout and looks up its shape.
+        Each streamed set is charged 1 and each new shape its oracle's
+        charge, refusing once the total passes the budget.
         """
         reach = self.reach
-        sets = []
-        for members in connected_subsets(self.g, order + reach):
-            self.spent += float(1 << len(members))
-            if self.spent > self.budget:
-                raise BudgetExceededError(
-                    f"order-{order} cluster expansion: the subset loops of "
-                    f"{len(sets) + 1} connected sets (size {len(members)} reached) "
-                    f"exceed the budget of {self.budget:g} terms"
-                )
-            sets.append(members)
-
-        store = self.store
+        g = self.g
+        neighbors, place, intern, id_shape = (self.neighbors, self._place,
+                                              self._intern, self._id_shape)
+        kind = [self._kind[self.loops[v], g.degree(v)] for v in range(g.n)]
+        near = [sum(1 << w for w, _ in nb) for nb in neighbors]
+        pos = [0] * g.n
+        # stack[s] = (layout id, bitmask, neighborhood bitmask) of the
+        # current prefix of size s
+        stack = [(0, 0, 0)] * (order + reach + 1)
         tally: dict[tuple[int, int], int] = {}
-        for members in sorted(sets, key=len):
-            layout, in_g, boundary = self._layout(members)
-            sid = self._shape_of.get(layout)
+        streamed = self.streamed
+        room = self.budget - self.shape_terms
+        for members in connected_subsets(g, order + reach):
+            size = len(members)
+            streamed += 1
+            if streamed > room:
+                # this set's 1 passes the budget: charge() refuses
+                self.streamed = streamed
+                self.charge(0.0, size)
+            u = members[-1]
+            pid, pmask, pnear = stack[size - 1]
+            pos[u] = size - 1
+            code = kind[u]
+            for w, m in neighbors[u]:
+                if pmask >> w & 1:
+                    code += m * place[pos[w]]
+            cid = intern.get((pid, code))
+            if cid is None:
+                pairs = [(pos[w], m) for w, m in neighbors[u] if pmask >> w & 1]
+                cid = self._new_id(pid, code, self.loops[u], g.degree(u), pairs)
+            mask = pmask | 1 << u
+            grown = pnear | near[u]
+            stack[size] = (cid, mask, grown)
+            sid = id_shape[cid]
             if sid is None:
-                sid = self._shape_id(members, layout, order)
-            store[in_g] = self.shapes[sid][1]
-            tally[sid, boundary] = tally.get((sid, boundary), 0) + 1
+                self.streamed = streamed
+                sid = self._resolve(cid, order)
+                room = self.budget - self.shape_terms
+            key = (sid, (grown & ~mask).bit_count())
+            tally[key] = tally.get(key, 0) + 1
+        self.streamed = streamed
 
         coeffs = [0j] * (order + 1)
         for (sid, boundary), count in tally.items():
@@ -407,48 +520,38 @@ class _EdgeOracle:
         self._marginal_cache[key] = dense
         return dense
 
-    def weight(self, engine: _ClusterEngine, members) -> complex:
-        """Normalized weight of one connected vertex set.
+    def weight(self, piece: Multigraph, leaving, budget: float) -> complex:
+        """Normalized weight of a connected set with internal multigraph ``piece``.
 
         Equals k^-|touched edges| times the sum over colorings of those edges
-        of the product of (h-1) at each piece vertex.  Boundary edges are
-        averaged per vertex, so only internal colorings are enumerated.
+        of the product of (h-1) at each piece vertex, where ``leaving[i]``
+        edges leave vertex i.  Boundary edges are averaged per vertex, so
+        only internal colorings are enumerated.
         """
-        g, k = engine.g, self.k
-        piece = set(members)
-        internal = []
-        d_int = {v: 0 for v in piece}
-        boundary = {v: 0 for v in piece}
-        for v in piece:
-            for e in engine.edges_at[v]:
-                u, w = g.edges[e]
-                if u == w:
-                    d_int[v] += 2
-                    if v == u:
-                        internal.append(e)
-                elif u in piece and w in piece:
-                    d_int[v] += 1
-                    if v == min(u, w):
-                        internal.append(e)
-                else:
-                    boundary[v] += 1
-        engine.charge(float(k) ** len(internal), len(piece))
-        tables = {v: self._marginal_table(d_int[v], boundary[v]) for v in piece}
-        value = _colored_sum(g, k, internal, {}, tables, engine.budget)
-        return value * float(k) ** (-len(internal))
+        k = self.k
+        tables = {i: self._marginal_table(piece.degree(i), b)
+                  for i, b in enumerate(leaving)}
+        value = _colored_sum(piece, k, range(piece.m), {}, tables, budget)
+        return value * float(k) ** (-piece.m)
 
-    def __call__(self, engine: _ClusterEngine, members, layout, order: int):
-        """(lambda(C), series log of Q_C); only C itself is a new piece."""
-        size = len(members)
+    def __call__(self, engine: _ClusterEngine, layout, order: int):
+        """(lambda(C), series log of Q_C); only C itself is a new piece.
+
+        Charges 2^|C| for the subset loop plus k^|internal edges| for the
+        piece's colorings before either runs.
+        """
+        piece = _layout_graph(layout)
+        size = piece.n
+        engine.charge(2.0 ** size + float(self.k) ** piece.m, size)
         lam = [1.0 + 0j] * (1 << size)
         poly = [1.0 + 0j] + [0j] * size
-        for mask, comp, stored in engine.subsets(members, layout[1]):
+        for mask, comp, value in engine.subsets(layout, order):
             if comp != mask:
                 lam[mask] = lam[comp] * lam[mask ^ comp]
-            elif stored is not None:
-                lam[mask] = stored
+            elif value is not None:
+                lam[mask] = value
             else:
-                lam[mask] = self.weight(engine, members)
+                lam[mask] = self.weight(piece, [b for b, _ in layout[0]], engine.budget)
             poly[mask.bit_count()] += lam[mask]
         return lam[-1], _series_log(poly, order)
 
@@ -469,7 +572,7 @@ def cluster_log_derivatives(g: Multigraph, h: EdgeColoringModel, order: int,
     The derivatives that the series log of :func:`q_derivative` gives, from
     the local work of the cluster engine: one series log per shape of
     connected set of at most ``order`` vertices.  Entry 0 is |E| ln k.
-    Each new shape charges k^|internal edges| on top of the engine's 2^|C|.
+    Each streamed set charges 1 and each new shape 2^|C| + k^|internal edges|.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     coeffs = _ClusterEngine(g, _EdgeOracle(h), 0, budget).log_coefficients(order)

@@ -275,7 +275,9 @@ def poly_roots(p: ComplexPoly) -> tuple[complex, ...]:
     Each must pass the residual bound
     |p(root)| <= 1e-9 * max|coeff| * max(1, |root|)^degree, or
     :class:`RootFindingError` is raised carrying all of them.  Roots are
-    ordered by modulus, then by argument.
+    ordered by modulus, then by argument.  A polynomial whose monic form
+    leaves the float range (max|coeff| / |leading coeff| overflows) is
+    refused with ValueError before any root finding.
     """
     if not all(cmath.isfinite(c) for c in p.coeffs):
         raise ValueError("polynomial coefficients must be finite")
@@ -285,6 +287,12 @@ def poly_roots(p: ComplexPoly) -> tuple[complex, ...]:
     if d < 1:
         raise ValueError("constant polynomials have no roots")
     scale = max(abs(c) for c in p.coeffs)
+    lead = abs(p.coeffs[-1])
+    if not math.isfinite(scale / lead):
+        raise ValueError(
+            f"the monic form leaves the float range: max|coeff| = {scale:g} over "
+            f"|leading coeff| = {lead:g} overflows"
+        )
     roots = [complex(z) for z in np.roots(p.coeffs[::-1])]
     if any(abs(p(z)) > 1e-9 * scale * max(1.0, abs(z)) ** d for z in roots):
         raise RootFindingError("companion-matrix roots fail the residual check",

@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
-from .approx import (ApproxCertificate, _ClusterEngine, _exp_or_inf, _series_log,
-                     taylor_error_bound, taylor_order)
+from .approx import (ApproxCertificate, _ClusterEngine, _exp_or_inf, _layout_graph,
+                     _series_log, taylor_error_bound, taylor_order)
 from .errors import BudgetExceededError, OutsideRegionError
 from .exact import DEFAULT_BUDGET, ComplexPoly, poly_roots
 from .graphs import Multigraph, component_count, induced_subgraph
@@ -261,30 +261,27 @@ def _poly_mul(a, b) -> list[complex]:
     return out
 
 
-def _exp_shape(spec: ExpTypeSpec, engine, members, layout, order: int):
+def _exp_shape(spec: ExpTypeSpec, engine, layout, order: int):
     """Cluster-engine oracle of an exponential-type polynomial.
 
     A shape's value is (chi(C), qhat(C)), qhat(C) the reversed polynomial of
-    the multigraph on C: the sum over connected blocks B holding the lowest
-    member of C of chi(B) t^(|B|-1) qhat(C minus B), where qhat factors over
-    the components of C minus B.  Both come from the engine's store, so chi
-    runs once per shape, on the shape itself.
+    the multigraph on C: the sum over connected blocks B holding position 0
+    of chi(B) t^(|B|-1) qhat(C minus B), where qhat factors over the
+    components of C minus B.  Both come from the engine's shapes, so chi
+    runs once per shape, on the shape itself.  Charges 3^|C| first.
     """
-    labels, edges = layout
-    size = len(members)
+    size = len(layout[0])
     engine.charge(3.0 ** size, size)
-    shape = [(i, i) for i, (_, loops) in enumerate(labels) for _ in range(loops)]
-    shape += [(i, j) for i, j, mult in edges for _ in range(mult)]
-    chi = complex(spec.chi(Multigraph(size, tuple(shape))))
+    chi = complex(spec.chi(_layout_graph(layout)))
     full = (1 << size) - 1
     qhat = [[1.0 + 0j]] + [None] * full
     poly = [0j] * size
     anchored = []
-    for mask, comp, stored in engine.subsets(members, edges):
+    for mask, comp, value in engine.subsets(layout, order):
         if comp != mask:
             qhat[mask] = _poly_mul(qhat[comp], qhat[mask ^ comp])
             continue
-        chi_b, qhat[mask] = (chi, None) if stored is None else stored
+        chi_b, qhat[mask] = (chi, None) if value is None else value
         if mask & 1:
             anchored.append((mask, chi_b))
     for mask, chi_b in anchored:

@@ -197,29 +197,49 @@ def disjoint_union(a: Multigraph, b: Multigraph) -> Multigraph:
 def connected_subsets(g: Multigraph, max_size: int):
     """Yield every connected vertex subset of size 1..max_size exactly once.
 
-    Subsets come out as sorted tuples, grouped by their minimum vertex.  The
-    enumeration is the usual rooted expansion: each subset is generated from
-    the component of its smallest vertex, extending only through vertices
-    larger than the root that have not been offered before on the current
-    search path.
+    Subsets come out in growth order, grouped by their minimum vertex: a
+    tuple starts at that root, and each later vertex is adjacent to an
+    earlier one.  The enumeration is the usual rooted expansion, walked
+    depth first in preorder: each subset is generated from the component of
+    its smallest vertex, extending only through vertices larger than the
+    root that have not been offered before on the current search path.  So
+    a tuple of size s > 1 is the last tuple of size s - 1 yielded before it
+    plus one vertex, and a consumer can keep per-depth state for prefixes.
     """
     adj = [sorted(s) for s in g.adjacency()]
-
-    def expand(current, frontier, seen):
-        yield tuple(sorted(current))
-        if len(current) == max_size:
-            return
-        for idx, u in enumerate(frontier):
-            fresh = [w for w in adj[u] if w > root and w not in seen]
-            seen.update(fresh)
-            current.append(u)
-            yield from expand(current, frontier[idx + 1:] + fresh, seen)
-            current.pop()
-            seen.difference_update(fresh)
-
     for root in range(g.n):
+        yield (root,)
+        if max_size == 1:
+            continue
         start = [w for w in adj[root] if w > root]
-        yield from expand([root], start, set(start))
+        current = [root]
+        seen = set(start)
+        # one frame per depth below the current set: [frontier, next index,
+        # the vertices offered by the frontier vertex last added]; an
+        # explicit stack, as a chain of nested generators costs its depth
+        # on every yield
+        frames = [[start, 0, None]]
+        while frames:
+            frame = frames[-1]
+            frontier, idx, fresh = frame
+            if fresh is not None:
+                current.pop()
+                seen.difference_update(fresh)
+            if idx == len(frontier):
+                frames.pop()
+                continue
+            u = frontier[idx]
+            current.append(u)
+            frame[1] = idx + 1
+            if len(current) == max_size:
+                # a full set is never extended, so it offers nothing
+                frame[2] = ()
+                yield tuple(current)
+                continue
+            fresh = frame[2] = [w for w in adj[u] if w > root and w not in seen]
+            seen.update(fresh)
+            yield tuple(current)
+            frames.append([frontier[idx + 1:] + fresh, 0, None])
 
 
 # ---------------------------------------------------------------------------

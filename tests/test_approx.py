@@ -1,10 +1,12 @@
 import cmath
 import math
 import random
+import warnings
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from holant import (BudgetExceededError, GraphFamilySpec, Multigraph,
@@ -19,6 +21,16 @@ from holant.approx import _boundary_sign, _series_log, log_magnitude_lower_bound
 from holant.graphs import connected_subsets
 
 TRIANGLE = Multigraph(3, ((0, 1), (1, 2), (0, 2)))
+
+# hypothesis reports a falsifying example through libcst, whose first import
+# warns (a DeprecationWarning from mypy_extensions); under filterwarnings =
+# error that would end the session instead of showing the example
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import libcst.metadata  # noqa: F401
+    except ImportError:
+        pass
 
 
 def reference_log_derivatives(g, h, order):
@@ -232,23 +244,78 @@ def test_boundary_sign_matches_subset_count():
             assert _boundary_sign(b, t) == brute, (b, t)
 
 
-def test_cluster_budget_refuses_before_work():
-    g = generate(GraphFamilySpec("torus", 6, size2=6))
+def test_cluster_budget_charges_sets_and_shapes():
+    # the 4x4 torus at order 6 streams 3,160 sets of 21 shapes: 1 per set
+    # plus 2^|C| + 2^|internal edges| per shape is 4,805 terms, far below
+    # the 155,424 that a 2^|C| charge per set would take
+    g = generate(GraphFamilySpec("torus", 4, size2=4))
     h = perturbed_ones(2, 0.02, seed=1, max_degree=4)
-    with pytest.raises(BudgetExceededError, match="order-9 .* connected sets"):
-        cluster_log_derivatives(g, h, 9)
+    per_set = sum(2 ** len(c) for c in connected_subsets(g, 6))
+    assert per_set > 1e4
+    free = cluster_log_derivatives(g, h, 6, budget=math.inf)
+    assert cluster_log_derivatives(g, h, 6, budget=1e4) == free
+    assert cluster_log_derivatives(g, h, 6, budget=4805) == free
+    with pytest.raises(BudgetExceededError,
+                       match=r"4805 terms spent against a budget of 4804, after "
+                             r"3160 sets streamed and 21 shapes computed"):
+        cluster_log_derivatives(g, h, 6, budget=4805 - 1)
 
 
-def test_cluster_piece_charge_names_its_cost():
-    # the sets {0}, {1}, {0, 1} charge 2 + 2 + 4 up front, under the budget;
-    # their pieces then charge 2^0, 2^4 (four loops) and 2^5 colorings
+def test_cluster_shape_charge_names_its_cost():
+    # stream (0,), (0, 1), (1,): 1 per set; shape {0} charges 2^1 + 2^0,
+    # shape {0, 1} 2^2 + 2^5 before its subset loop, whose sub-mask {1} is
+    # a new shape charging 2^1 + 2^4 (four loops); (1,) then reuses it
     g = Multigraph(2, ((0, 1),) + ((1, 1),) * 4)
     h = perturbed_ones(2, 0.3, seed=1, max_degree=g.max_degree())
     with pytest.raises(BudgetExceededError,
-                       match="57 terms spent against a budget of 40, after 2 "
-                             "shapes, at a set of size 2"):
+                       match="41 terms spent against a budget of 40, after 2 "
+                             "sets streamed and 1 shapes computed, at a set of size 2"):
         cluster_log_derivatives(g, h, 2, budget=40)
-    assert len(cluster_log_derivatives(g, h, 2, budget=57)) == 3
+    with pytest.raises(BudgetExceededError,
+                       match="60 terms spent against a budget of 59, after 3 "
+                             "sets streamed and 3 shapes computed, at a set of size 1"):
+        cluster_log_derivatives(g, h, 2, budget=59)
+    assert len(cluster_log_derivatives(g, h, 2, budget=60)) == 3
+
+
+def test_cluster_refines_few_layouts(monkeypatch):
+    # layout ids follow the growth of each set, so on the 6x6 torus at
+    # order 6 few of the streamed sets bring a layout to the refinement
+    g = generate(GraphFamilySpec("torus", 6, size2=6))
+    h = perturbed_ones(2, 0.02, seed=1, max_degree=4)
+    refined = []
+    real = approx_module._ClusterEngine._shape_id
+
+    def counting(self, layout, order):
+        refined.append(layout)
+        return real(self, layout, order)
+
+    monkeypatch.setattr(approx_module._ClusterEngine, "_shape_id", counting)
+    engine = approx_module._ClusterEngine(g, approx_module._EdgeOracle(h), 0, 1e8)
+    engine.log_coefficients(6)
+    assert engine.streamed == sum(1 for _ in connected_subsets(g, 6))
+    assert 20 * len(refined) <= engine.streamed
+
+
+@st.composite
+def loopy_multigraphs(draw):
+    """Multigraphs of 1-6 vertices with loops, parallel edges and isolated vertices."""
+    n = draw(st.integers(1, 6))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=8))
+    return Multigraph(n, tuple(edges))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(g=loopy_multigraphs(), k=st.sampled_from((2, 3)), order=st.integers(1, 5),
+       seed=st.integers(0, 10 ** 6))
+def test_cluster_matches_reference_on_random_multigraphs(g, k, order, seed):
+    h = perturbed_ones(k, 0.4, seed=seed, max_degree=max(1, g.max_degree()))
+    want = reference_log_derivatives(g, h, order)
+    got = cluster_log_derivatives(g, h, order)
+    assert len(got) == order + 1
+    for m in range(order + 1):
+        assert cmath.isclose(want[m], got[m], rel_tol=1e-8, abs_tol=1e-8), m
 
 
 def test_approx_value_overflows_to_inf():

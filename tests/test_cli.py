@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -59,11 +60,14 @@ def test_budget_exit_code(capsys):
 
 
 def test_cluster_budget_exit_code(capsys):
-    # order 9 on the 6x6 torus: refused while counting connected sets
+    # order 9 on the 6x6 torus: 1 per streamed set plus each new shape's
+    # subset loop and colorings pass 1e5 terms early in the stream
     code, _, err = invoke(capsys, "approx", "--family", "torus:6x6",
-                          "--model", "ones+-uniform:0.02:1", "--eps", "1e-6")
+                          "--model", "ones+-uniform:0.02:1", "--eps", "1e-6",
+                          "--budget", "1e5")
     assert code == 2
-    assert "order-9" in err
+    assert re.search(r"terms spent against a budget of 100000, after \d+ sets "
+                     r"streamed and \d+ shapes computed, at a set of size \d", err)
 
 
 def test_budget_env_override(capsys, monkeypatch):

@@ -221,6 +221,18 @@ def test_poly_roots_sorted_and_edge_cases():
             poly_roots(ComplexPoly((1.0, bad, 1.0)))
 
 
+def test_poly_roots_refuses_an_overflowing_monic_form():
+    # roots of modulus 1e120: dividing by the leading 1e-60 overflows, so
+    # the polynomial is refused before np.roots could warn (warnings are
+    # errors in this suite)
+    with pytest.raises(ValueError, match=r"max\|coeff\| = 1e\+300 over "
+                                         r"\|leading coeff\| = 1e-60 overflows"):
+        poly_roots(ComplexPoly((1e300, 0, 0, 1e-60)))
+    # the same spread inside the float range still has its roots found
+    roots = poly_roots(ComplexPoly((1e200, 0, 0, 1e-60)))
+    assert all(abs(abs(z) / 1e260 ** (1 / 3) - 1) < 1e-9 for z in roots)
+
+
 def test_poly_roots_wide_magnitude_spread():
     poly = ComplexPoly((1.0,))
     spread = [1e-3, 1.0, 1e3]

@@ -88,7 +88,7 @@ def test_connected_subsets_against_brute_force():
         n = rng.randint(2, 9)
         g = oracles.random_simple_graph(n, rng.uniform(0.15, 0.7), rng)
         for max_size in (1, 2, n):
-            fast = set(connected_subsets(g, max_size))
+            fast = {tuple(sorted(s)) for s in connected_subsets(g, max_size)}
             slow = oracles.brute_connected_subsets(g, max_size)
             assert fast == slow, (trial, n, max_size)
 
@@ -96,8 +96,28 @@ def test_connected_subsets_against_brute_force():
 def test_connected_subsets_no_duplicates_on_multigraph():
     g = Multigraph(4, ((0, 1), (0, 1), (1, 1), (1, 2), (2, 3)))
     subs = list(connected_subsets(g, 4))
-    assert len(subs) == len(set(subs))
-    assert set(connected_subsets(g, 4)) == oracles.brute_connected_subsets(g, 4)
+    assert len(subs) == len({tuple(sorted(s)) for s in subs})
+    assert {tuple(sorted(s)) for s in connected_subsets(g, 4)} == \
+        oracles.brute_connected_subsets(g, 4)
+
+
+def test_connected_subsets_grow_from_the_last_smaller_set():
+    # the cluster engine keeps per-depth state for prefixes: a set of size
+    # s > 1 is the last set of size s - 1 plus one vertex adjacent to it
+    rng = random.Random(19)
+    checked = 0
+    while checked < 30:
+        g = oracles.random_multigraph(rng, max_n=8, max_m=12)
+        if len(set(g.edges)) == g.m or all(u != w for u, w in g.edges):
+            continue  # want loops and parallel edges
+        adj = g.adjacency()
+        last = {}
+        for s in connected_subsets(g, rng.randint(1, g.n)):
+            if len(s) > 1:
+                assert s[:-1] == last[len(s) - 1], (g, s)
+                assert s[-1] not in s[:-1] and adj[s[-1]] & set(s[:-1]), (g, s)
+            last[len(s)] = s
+        checked += 1
 
 
 def test_generate_families():
