@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from functools import lru_cache
 
 from . import approx, exact, exptype, graphs, limits, models
 from .errors import (BudgetExceededError, GraphFormatError, HolantError,
@@ -453,7 +454,9 @@ def _cmd_selftest(args) -> int:
 # argument wiring
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process and reused by every run."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--budget", type=float, default=None,

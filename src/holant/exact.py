@@ -2,16 +2,23 @@
 
 Every coloring sum is one contraction of the per-vertex tables, edge by
 edge, refused before any work when its ``k ** #free edges`` colorings
-exceed the budget.  Polynomial roots are the eigenvalues of the companion
-matrix (``np.roots``), each validated against a residual bound.
+exceed the budget.  A contraction is planned from the structure alone
+(:func:`_plan`: edge order, slot offsets, per-color step vectors and the
+vertices that close at each step) and then run over the weight tables
+(:func:`_run`), so callers that evaluate many weight systems on one graph,
+the interpolation nodes and the sampled region models, plan once and run
+the plan per system.  Polynomial roots are the eigenvalues of the
+companion matrix (``np.roots``), each validated against a residual bound.
 """
 
 from __future__ import annotations
 
 import cmath
+import heapq
 import math
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,81 +121,122 @@ def _vertex_table(d: int, k: int, value) -> list[complex]:
 
 
 # ---------------------------------------------------------------------------
-# the contraction
+# the contraction: a plan from the structure, run once per set of tables
 
 
-def _colored_sum(g: Multigraph, k: int, edge_indices, fixed: dict[int, int],
-                 tables, budget: float) -> complex:
-    """Sum over colorings of ``edge_indices`` of the product of vertex weights.
+class _Plan(NamedTuple):
+    """Contraction order of one edge set, independent of the weights.
 
-    ``tables`` maps each participating vertex to its :func:`_vertex_table`
-    over the count vectors of its incidences within ``edge_indices``;
-    vertices absent from ``tables`` contribute no factor.  ``fixed`` pins
-    colors of individual edges.  The budget is charged ``k ** #free``, the
-    size of the coloring space, before any work.
-
-    Edges are contracted one at a time.  A state maps the packed partial
-    count vectors of the open vertices, one slot each, to a summed weight;
-    when a vertex's last edge is contracted its table value is applied and
-    its slot returns to 0, so equal states merge.  Zero-weight states are
-    dropped.  The next edge is the one that opens the fewest new vertices,
-    then the one with an endpoint that has the fewest edges left, then the
-    lowest index, so reruns are bit-for-bit stable.
+    ``idle`` lists the participating vertices with no edge in the set, whose
+    tables contribute their zero entry.  ``steps`` holds, in contraction
+    order, each edge with its packed per-color step vector and the
+    ``(slot offset, vertex)`` of every end that closes at that edge.
+    ``radix`` is the width of one slot in a packed state.
     """
-    edges = sorted(edge_indices)
-    free = [e for e in edges if e not in fixed]
-    if budget is not None and len(free) * math.log(k) > math.log(max(budget, 1.0)) + 1e-9:
+
+    radix: int
+    idle: tuple[int, ...]
+    steps: tuple[tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]], ...]
+
+
+def _charge(k: int, free: int, budget: float | None) -> None:
+    """Refuse ``k ** free`` colorings over ``budget`` before any work."""
+    if budget is not None and free * math.log(k) > math.log(max(budget, 1.0)) + 1e-9:
         raise BudgetExceededError(
-            f"{k}^{len(free)} colorings exceed the budget of {budget:g} terms"
+            f"{k}^{free} colorings exceed the budget of {budget:g} terms"
         )
 
+
+def _plan(g: Multigraph, k: int, edge_indices, vertices) -> _Plan:
+    """Order the contraction of ``edge_indices`` over the tables of ``vertices``.
+
+    Only the structure enters: which vertices have tables (ends at other
+    vertices contribute no factor), their degrees within the edge set, and
+    hence the table sizes ``(degree + 1) ** k`` that fix the slot radix.
+    The next edge is the one that opens the fewest new vertices, then the
+    one with an endpoint that has the fewest edges left, then the lowest
+    index, so reruns are bit-for-bit stable.  Ranks are kept per edge, and
+    after each step only the edges at its ends are ranked again.  Each
+    opening vertex takes the lowest free slot; a closing vertex frees its
+    slot only after the step, so an end opening in a step cannot take the
+    slot of an end closing in it.
+    """
+    vertices = tuple(vertices)
     ends = {}
-    degree = dict.fromkeys(tables, 0)
-    left = dict.fromkeys(tables, 0)
-    for e in edges:
+    degree = dict.fromkeys(vertices, 0)
+    incident = {v: [] for v in vertices}
+    for e in sorted(edge_indices):
         u, w = g.edges[e]
         ends[e] = [(v, mult) for v, mult in (((u, 2),) if u == w else ((u, 1), (w, 1)))
-                   if v in tables]
+                   if v in degree]
         for v, mult in ends[e]:
             degree[v] += mult
-            left[v] += 1
+            incident[v].append(e)
+    left = {v: len(incident[v]) for v in vertices}
+    radix = max(((degree[v] + 1) ** k for v in vertices if left[v]), default=1)
 
-    start = 1.0 + 0j
-    for v, dense in tables.items():
-        if left[v] == 0:
-            start *= dense[0]
-    if start == 0:
-        return 0j
-    radix = max((len(tables[v]) for v in tables if left[v]), default=1)
+    slot_of = {}
+    freed = []
 
     def rank(e):
-        fresh = sum(v not in slot_of for v, _ in ends[e])
-        return fresh, min((left[v] for v, _ in ends[e]), default=0), e
+        # the ends of an edge not yet contracted have edges left, so a
+        # low of 0 means none seen (an edge with no ends ranks (0, 0, e))
+        fresh = low = 0
+        for v, _ in ends[e]:
+            if v not in slot_of:
+                fresh += 1
+            if not low or left[v] < low:
+                low = left[v]
+        return fresh, low, e
 
-    states = {0: start}
-    slot_of = {}
-    while edges:
-        e = min(edges, key=rank)
-        edges.remove(e)
-        steps = [0] * k
+    current = {e: rank(e) for e in ends}
+    steps = []
+    while current:
+        e = min(current.values())[2]
+        del current[e]
+        step = [0] * k
         closing = []
         for v, mult in ends[e]:
             if v not in slot_of:
-                slot_of[v] = min(set(range(len(slot_of) + 1)).difference(slot_of.values()))
+                slot_of[v] = heapq.heappop(freed) if freed else len(slot_of)
             offset = radix ** slot_of[v]
             base = degree[v] + 1
             for c in range(k):
-                steps[c] += mult * base ** c * offset
+                step[c] += mult * base ** c * offset
             left[v] -= 1
             if left[v] == 0:
-                closing.append((offset, tables[v]))
-        # free closed slots only now, so that an end opening in this step
-        # cannot take the slot of an end closing in it
+                closing.append((offset, v))
         for v, _ in ends[e]:
             if left[v] == 0:
-                del slot_of[v]
+                heapq.heappush(freed, slot_of.pop(v))
+            for f in incident[v]:
+                if f in current:
+                    current[f] = rank(f)
+        steps.append((e, tuple(step), tuple(closing)))
+    idle = tuple(v for v in vertices if not incident[v])
+    return _Plan(radix, idle, tuple(steps))
+
+
+def _run(plan: _Plan, tables, fixed: dict[int, int]) -> complex:
+    """Run ``plan`` over ``tables`` with the colors of ``fixed`` edges pinned.
+
+    A state maps the packed partial count vectors of the open vertices, one
+    slot each, to a summed weight.  A free edge adds each of its ``k`` step
+    vectors, a pinned edge only the step of its color.  When a vertex's
+    last edge is contracted its table value is applied and its slot returns
+    to 0, so equal states merge.  Zero-weight states are dropped.
+    """
+    start = 1.0 + 0j
+    for v in plan.idle:
+        start *= tables[v][0]
+    if start == 0:
+        return 0j
+    radix = plan.radix
+    states = {0: start}
+    for e, steps, closing in plan.steps:
         if e in fixed:
-            steps = [steps[fixed[e]]]
+            steps = (steps[fixed[e]],)
+        closing = [(offset, tables[v]) for offset, v in closing]
         merged = {}
         for state, weight in states.items():
             for step in steps:
@@ -204,6 +252,29 @@ def _colored_sum(g: Multigraph, k: int, edge_indices, fixed: dict[int, int],
     return states.get(0, 0j)
 
 
+def _colored_sum(g: Multigraph, k: int, edge_indices, fixed: dict[int, int],
+                 tables, budget: float) -> complex:
+    """Sum over colorings of ``edge_indices`` of the product of vertex weights.
+
+    ``tables`` maps each participating vertex to its :func:`_vertex_table`
+    over the count vectors of its incidences within ``edge_indices``;
+    vertices absent from ``tables`` contribute no factor.  ``fixed`` pins
+    colors of individual edges.  The budget is charged ``k ** #free``, the
+    size of the coloring space, before any work; then the contraction is
+    planned (:func:`_plan`) and run once (:func:`_run`).  Callers that sum
+    many weight systems over one edge set charge and plan once themselves.
+    """
+    edges = sorted(edge_indices)
+    _charge(k, sum(e not in fixed for e in edges), budget)
+    return _run(_plan(g, k, edges, tables), tables, fixed)
+
+
+def _degree_tables(g: Multigraph, k: int, value) -> dict[int, list[complex]]:
+    """Tables of a vertex-independent weight for every vertex, one per degree."""
+    by_degree = {d: _vertex_table(d, k, value) for d in set(g.degrees())}
+    return {v: by_degree[g.degree(v)] for v in range(g.n)}
+
+
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -211,8 +282,7 @@ def _colored_sum(g: Multigraph, k: int, edge_indices, fixed: dict[int, int],
 def exact_partition(g: Multigraph, h: EdgeColoringModel, budget: float | None = None) -> complex:
     """Partition function of ``h`` on ``g``, summed exactly over every edge coloring."""
     budget = DEFAULT_BUDGET if budget is None else budget
-    tables = {v: _vertex_table(g.degree(v), h.k, h.value) for v in range(g.n)}
-    return _colored_sum(g, h.k, range(g.m), {}, tables, budget)
+    return _colored_sum(g, h.k, range(g.m), {}, _degree_tables(g, h.k, h.value), budget)
 
 
 def contract_network(g: Multigraph, t: TensorAssignment, budget: float | None = None) -> complex:
@@ -240,20 +310,21 @@ def exact_poly_by_interpolation(g: Multigraph, h: EdgeColoringModel,
     """Coefficients of z -> partition sum of the blend 1 + z*(h - 1).
 
     Evaluates the blend exactly at the integer nodes 0..|V| and solves the
-    Vandermonde system; the polynomial has degree at most |V|.  Raises if the
-    solve leaves a relative residual above 1e-8 at any node.
+    Vandermonde system; the polynomial has degree at most |V|.  The budget
+    is charged and the contraction planned once; each node runs that plan
+    over the tables of ``h`` blended entry by entry.  Raises if the solve
+    leaves a relative residual above 1e-8 at any node.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     n = g.n
+    _charge(h.k, g.m, budget)
+    plan = _plan(g, h.k, range(g.m), range(n))
+    base = _degree_tables(g, h.k, h.value)
     nodes = np.arange(n + 1, dtype=float)
     values = []
-    for z in nodes:
-        blended = EdgeColoringModel(
-            h.k,
-            {a: 1.0 + z * (val - 1.0) for a, val in h.entries.items()},
-            1.0 + z * (h.default - 1.0),
-        )
-        values.append(exact_partition(g, blended, budget))
+    for z in nodes.tolist():
+        values.append(_run(plan, {v: [1.0 + z * (x - 1.0) for x in t]
+                                  for v, t in base.items()}, {}))
     values = np.array(values, dtype=complex)
     V = np.vander(nodes, n + 1, increasing=True).astype(complex)
     coeffs = np.linalg.solve(V, values)

@@ -206,6 +206,8 @@ def connected_subsets(g: Multigraph, max_size: int):
     a tuple of size s > 1 is the last tuple of size s - 1 yielded before it
     plus one vertex, and a consumer can keep per-depth state for prefixes.
     """
+    if max_size < 1:
+        return
     adj = [sorted(s) for s in g.adjacency()]
     for root in range(g.n):
         yield (root,)

@@ -1,7 +1,6 @@
 import cmath
 import math
 import random
-import warnings
 from itertools import combinations
 
 import numpy as np
@@ -21,16 +20,6 @@ from holant.approx import _boundary_sign, _series_log, log_magnitude_lower_bound
 from holant.graphs import connected_subsets
 
 TRIANGLE = Multigraph(3, ((0, 1), (1, 2), (0, 2)))
-
-# hypothesis reports a falsifying example through libcst, whose first import
-# warns (a DeprecationWarning from mypy_extensions); under filterwarnings =
-# error that would end the session instead of showing the example
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", DeprecationWarning)
-    try:
-        import libcst.metadata  # noqa: F401
-    except ImportError:
-        pass
 
 
 def reference_log_derivatives(g, h, order):

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+import holant.cli as cli
 from holant.cli import run
 
 
@@ -231,3 +232,20 @@ def test_float_format_17_digits(capsys):
     assert code == 0
     # 17 significant digits appear for theta
     assert "1.7206671780387595" in out
+
+
+def test_run_builds_the_parser_once(capsys, monkeypatch):
+    builds = []
+    real = cli._Parser.add_subparsers
+
+    def counting(self, *args, **kwargs):
+        builds.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "add_subparsers", counting)
+    cli._build_parser.cache_clear()
+    assert invoke(capsys, "exact", "--family", "cycle:4", "--model", "matching")[0] == 0
+    assert invoke(capsys, "exact", "--family", "cycle:4", "--no-such-flag")[0] == 3
+    code, out, _ = invoke(capsys, "exact", "--family", "cycle:5", "--model", "matching")
+    assert code == 0 and json.loads(out)["value"] == {"re": 11.0, "im": 0.0}
+    assert builds == ["holant"]

@@ -4,17 +4,22 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 import holant.exact
 import oracles
 from holant import (BudgetExceededError, ComplexPoly, EdgeColoringModel,
-                    GraphFamilySpec, Multigraph, RestrictedSpec,
-                    RootFindingError, TensorAssignment, all_ones,
-                    chromatic_spec, contract_network, exact_partition,
-                    exp_type_poly, generate, exact_poly_by_interpolation,
-                    model_from_predicate, perturbed_ones, poly_roots,
-                    restricted_partition)
+                    GraphFamilySpec, Multigraph, RegionParams,
+                    RestrictedSpec, RootFindingError, TensorAssignment,
+                    all_ones, chromatic_spec, contract_network,
+                    exact_partition, exp_type_poly, generate,
+                    exact_poly_by_interpolation, model_from_predicate,
+                    perturbed_ones, poly_roots, restricted_partition,
+                    sample_region_model, verify_zero_free,
+                    zero_free_constants)
+from holant.exact import _colored_sum, _plan, _vertex_table
+from holant.graphs import edges_touching
 
 TRIANGLE = Multigraph(3, ((0, 1), (1, 2), (0, 2)))
 C4 = Multigraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
@@ -165,6 +170,137 @@ def test_interpolation_poly_off_node_value():
         default=1.0 + z * (h.default - 1.0))
     assert cmath.isclose(q(z), exact_partition(g, blended),
                          rel_tol=1e-8, abs_tol=1e-9)
+
+
+def reference_colored_sum(g, k, edge_indices, fixed, tables):
+    """The contraction as one loop that re-ranks every remaining edge per step.
+
+    Returns (value, edge order).  The engine plans the same order ranking
+    again only the edges at each step's ends, and runs the same arithmetic,
+    so both must agree exactly.
+    """
+    edges = sorted(edge_indices)
+    ends, degree, left = {}, dict.fromkeys(tables, 0), dict.fromkeys(tables, 0)
+    for e in edges:
+        u, w = g.edges[e]
+        ends[e] = [(v, mult) for v, mult in (((u, 2),) if u == w else ((u, 1), (w, 1)))
+                   if v in tables]
+        for v, mult in ends[e]:
+            degree[v] += mult
+            left[v] += 1
+    start = 1.0 + 0j
+    for v, dense in tables.items():
+        if left[v] == 0:
+            start *= dense[0]
+    radix = max((len(tables[v]) for v in tables if left[v]), default=1)
+    slot_of, states, order = {}, {0: start}, []
+
+    def rank(e):
+        fresh = sum(v not in slot_of for v, _ in ends[e])
+        return fresh, min((left[v] for v, _ in ends[e]), default=0), e
+
+    while edges:
+        e = min(edges, key=rank)
+        edges.remove(e)
+        order.append(e)
+        steps, closing = [0] * k, []
+        for v, mult in ends[e]:
+            if v not in slot_of:
+                slot_of[v] = min(set(range(len(slot_of) + 1)).difference(slot_of.values()))
+            offset = radix ** slot_of[v]
+            for c in range(k):
+                steps[c] += mult * (degree[v] + 1) ** c * offset
+            left[v] -= 1
+            if left[v] == 0:
+                closing.append((offset, tables[v]))
+        for v, _ in ends[e]:
+            if left[v] == 0:
+                del slot_of[v]
+        if e in fixed:
+            steps = [steps[fixed[e]]]
+        merged = {}
+        for state, weight in states.items():
+            for step in steps:
+                key, value = state + step, weight
+                for offset, dense in closing:
+                    packed = key // offset % radix
+                    value *= dense[packed]
+                    key -= packed * offset
+                if value != 0:
+                    merged[key] = merged.get(key, 0j) + value
+        states = merged
+    return states.get(0, 0j), order
+
+
+def test_plan_order_matches_the_full_rerank():
+    rng = random.Random(404)
+    checked = 0
+    while checked < 40:
+        g = oracles.random_multigraph(rng, max_n=7, max_m=12)
+        if len(set(g.edges)) == g.m or all(u != w for u, w in g.edges):
+            continue  # want loops and parallel edges
+        if checked % 4 == 3:
+            g = Multigraph(g.n + 1, g.edges)  # an idle vertex: its zero entry
+        k = rng.choice([1, 2, 3])
+        h = perturbed_ones(k, 0.8, seed=checked, max_degree=max(1, g.max_degree()))
+        if checked % 2:
+            # a partial vertex set over the edges touching it, as q_derivative sums
+            subset = rng.sample(range(g.n), rng.randint(1, g.n))
+            edges = edges_touching(g, subset)
+        else:
+            subset, edges = range(g.n), range(g.m)
+        tables = {v: _vertex_table(g.degree(v), k, h.value) for v in subset}
+        fixed = {e: rng.randrange(k) for e in edges if rng.random() < 0.3}
+        want, order = reference_colored_sum(g, k, edges, fixed, tables)
+        plan = _plan(g, k, edges, tables)
+        assert [e for e, _, _ in plan.steps] == order, (g, subset)
+        assert _colored_sum(g, k, edges, fixed, tables, math.inf) == want, (g, subset)
+        checked += 1
+
+
+def counting_plans(monkeypatch):
+    plans = []
+    real = holant.exact._plan
+
+    def counting(*args):
+        plans.append(args)
+        return real(*args)
+
+    for module in (holant.exact, holant.approx):
+        monkeypatch.setattr(module, "_plan", counting)
+    return plans
+
+
+def test_interpolation_plans_once_and_matches_per_node_sums(monkeypatch):
+    rng = random.Random(77)
+    for trial in range(6):
+        g = oracles.random_multigraph(rng, max_n=6, max_m=9)
+        k = rng.choice([2, 3])
+        h = perturbed_ones(k, 0.6, seed=trial, max_degree=max(1, g.max_degree()))
+        plans = counting_plans(monkeypatch)
+        q = exact_poly_by_interpolation(g, h)
+        assert len(plans) == 1
+        # the recipe before planning: one blended model and sum per node
+        nodes = np.arange(g.n + 1, dtype=float)
+        values = np.array([exact_partition(g, EdgeColoringModel(
+            k, {a: 1.0 + z * (val - 1.0) for a, val in h.entries.items()},
+            1.0 + z * (h.default - 1.0))) for z in nodes], dtype=complex)
+        coeffs = np.linalg.solve(np.vander(nodes, g.n + 1, increasing=True).astype(complex),
+                                 values)
+        assert q == ComplexPoly.from_coefficients(list(coeffs), rel_tol=1e-12), trial
+
+
+def test_verify_zero_free_plans_once_and_matches_per_sample_sums(monkeypatch):
+    params = RegionParams.from_theorem(eta=0.9, theta=zero_free_constants().theta,
+                                       max_degree=4)
+    g = generate(GraphFamilySpec("regular", 8, degree=3, seed=2))
+    plans = counting_plans(monkeypatch)
+    report = verify_zero_free(g, params, samples=5, seed=11)
+    assert len(plans) == 1
+    rng = random.Random(11)
+    values = [exact_partition(g, sample_region_model(2, g.max_degree(), params, rng))
+              for _ in range(5)]
+    assert report.min_abs == min(abs(v) for v in values)
 
 
 def test_complex_poly_basics():

@@ -93,6 +93,13 @@ def test_connected_subsets_against_brute_force():
             assert fast == slow, (trial, n, max_size)
 
 
+def test_connected_subsets_below_size_one_yield_nothing():
+    path = generate(GraphFamilySpec("path", 5))
+    assert len(list(connected_subsets(path, 5))) == 15
+    for max_size in (0, -1):
+        assert list(connected_subsets(path, max_size)) == []
+
+
 def test_connected_subsets_no_duplicates_on_multigraph():
     g = Multigraph(4, ((0, 1), (0, 1), (1, 1), (1, 2), (2, 3)))
     subs = list(connected_subsets(g, 4))
