@@ -15,11 +15,11 @@ from .graphs import (GraphFamilySpec, Multigraph, component_count,
                      edges_touching, generate, incident_multiset,
                      induced_subgraph, is_connected, isomorphic,
                      parse_edge_list, read_edge_list, write_edge_list)
-from .models import (DEFAULT_MAX_DEGREE, EdgeColoringModel, RegionParams,
-                     TensorAssignment, VertexModel, all_ones, apply_orthogonal,
-                     load_model, model_from_predicate, perturbed_ones,
-                     random_orthogonal, rank_one_model, save_model,
-                     symmetric_decompose, values_in_region, vertex_to_edge)
+from .models import (EdgeColoringModel, RegionParams, TensorAssignment,
+                     VertexModel, all_ones, apply_orthogonal, load_model,
+                     model_from_predicate, perturbed_ones, random_orthogonal,
+                     rank_one_model, save_model, symmetric_decompose,
+                     values_in_region, vertex_to_edge)
 from .exact import (ComplexPoly, RestrictedSpec, contract_network,
                     exact_partition, exact_poly_by_interpolation, poly_roots,
                     restricted_partition)
@@ -41,7 +41,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApproxCertificate", "BudgetExceededError", "ComplexPoly",
-    "ConvergenceReport", "DEFAULT_MAX_DEGREE", "DecompositionError",
+    "ConvergenceReport", "DecompositionError",
     "EdgeColoringModel", "ExpTypeSpec", "GraphFamilySpec", "GraphFormatError",
     "HolantError", "Multigraph", "OutsideRegionError", "RegionParams",
     "RestrictedSpec", "RootFindingError", "TensorAssignment", "VertexModel",

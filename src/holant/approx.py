@@ -155,11 +155,11 @@ def q_derivative(g: Multigraph, h: EdgeColoringModel, m: int,
             f"order-{m} direct expansion needs about 10^{math.log10(terms):.1f} terms"
         )
 
-    shifted = h.shifted(-1.0)
     total = 0j
     for subset in combinations(range(g.n), m):
         touched = edges_touching(g, subset)
-        tables = {v: _vertex_table(g.degree(v), k, shifted.value) for v in subset}
+        tables = {v: _vertex_table(g.degree(v), k, lambda a: h.value(a) - 1.0)
+                  for v in subset}
         inner = _colored_sum(g, k, touched, {}, tables, budget)
         total += inner * float(k) ** (g.m - len(touched))
     return total * math.factorial(m)
@@ -497,7 +497,7 @@ class _EdgeOracle:
     """
 
     def __init__(self, h: EdgeColoringModel):
-        self.h = h.shifted(-1.0)
+        self.h = h
         self.k = h.k
         self._marginal_cache: dict[tuple[int, int], list[complex]] = {}
 
@@ -514,7 +514,7 @@ class _EdgeOracle:
             acc = 0j
             for gamma in compositions(b, k):
                 alpha = tuple(x + y for x, y in zip(beta, gamma))
-                acc += _multinomial(b, gamma) * self.h.value(alpha)
+                acc += _multinomial(b, gamma) * (self.h.value(alpha) - 1.0)
             return acc * scale
 
         dense = _vertex_table(d_int, k, marginal)
@@ -704,7 +704,7 @@ class ZeroFreeReport:
 
 def sample_region_model(k: int, max_degree: int, params: RegionParams, rng,
                         name: str = "") -> EdgeColoringModel:
-    """Draw one weight system whose values all lie in the (delta, eta) region."""
+    """Draw a table, up to norm ``max_degree``, of values in the (delta, eta) region."""
     delta, eta = params.delta, params.eta
     center_mod = eta + delta * (0.5 + 0.4 * rng.random())
     center = center_mod * cmath.exp(2j * math.pi * rng.random())
@@ -714,7 +714,8 @@ def sample_region_model(k: int, max_degree: int, params: RegionParams, rng,
             rho = 0.49 * delta * math.sqrt(rng.random())
             phi = 2.0 * math.pi * rng.random()
             entries[alpha] = center + rho * cmath.exp(1j * phi)
-    return EdgeColoringModel(k, entries, center, name or f"region-sample:{delta:g}:{eta:g}")
+    return EdgeColoringModel(k, entries, center, name or f"region-sample:{delta:g}:{eta:g}",
+                             max_degree)
 
 
 def verify_zero_free(g: Multigraph, params: RegionParams, samples: int = 100,

@@ -224,7 +224,8 @@ def _run(plan: _Plan, tables, fixed: dict[int, int]) -> complex:
     slot each, to a summed weight.  A free edge adds each of its ``k`` step
     vectors, a pinned edge only the step of its color.  When a vertex's
     last edge is contracted its table value is applied and its slot returns
-    to 0, so equal states merge.  Zero-weight states are dropped.
+    to 0, so equal states merge.  Zero-weight states are dropped.  A sum
+    that leaves the float range raises ArithmeticError.
     """
     start = 1.0 + 0j
     for v in plan.idle:
@@ -249,7 +250,10 @@ def _run(plan: _Plan, tables, fixed: dict[int, int]) -> complex:
                 if value != 0:
                     merged[key] = merged.get(key, 0j) + value
         states = merged
-    return states.get(0, 0j)
+    total = states.get(0, 0j)
+    if not cmath.isfinite(total):
+        raise ArithmeticError(f"the coloring sum left the float range ({total})")
+    return total
 
 
 def _colored_sum(g: Multigraph, k: int, edge_indices, fixed: dict[int, int],
@@ -330,7 +334,7 @@ def exact_poly_by_interpolation(g: Multigraph, h: EdgeColoringModel,
     coeffs = np.linalg.solve(V, values)
     resid = np.max(np.abs(V @ coeffs - values))
     tol = 1e-8 * max(1.0, float(np.max(np.abs(values))))
-    if resid > tol:
+    if not resid <= tol:
         raise ArithmeticError(f"interpolation residual {resid:.3e} exceeds {tol:.3e}")
     return ComplexPoly.from_coefficients(list(coeffs), rel_tol=1e-12)
 

@@ -2,12 +2,11 @@
 
 An edge-coloring model with k colors assigns a complex weight to every
 color-count vector alpha in N^k; the weight of a graph coloring is the
-product over vertices of the model value at the local count vector.  Models
-are stored sparsely (finite entry map plus a default) because evaluation
-only ever probes vectors with |alpha| up to the maximum degree of the graph
-at hand.  Builders therefore materialize entries up to a working degree
-bound, 12 by default; using a model on a graph of larger degree silently
-falls back to the default value, so pick the bound to cover your graphs.
+product over vertices of the model value at the local count vector.  The
+builtin closed forms are rules evaluated at any vector; random tables cover
+the norms they were drawn for, and a model file what it declares.  Every
+engine reads weights through ``EdgeColoringModel.value``, which refuses a
+vector past the model's coverage, so a graph of larger degree is refused.
 """
 
 from __future__ import annotations
@@ -16,14 +15,15 @@ import cmath
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
-from .errors import DecompositionError
+from .errors import DecompositionError, OutsideRegionError
 from .graphs import Multigraph
-
-DEFAULT_MAX_DEGREE = 12
 
 
 def compositions(total: int, parts: int):
@@ -47,26 +47,35 @@ def vectors_up_to(norm: int, parts: int):
 
 @dataclass
 class EdgeColoringModel:
-    """Sparse map from color-count vectors to complex weights.
+    """Complex weights on the color-count vectors of norm at most ``max_norm``.
 
-    ``entries`` holds explicit values; every unlisted vector takes ``default``.
-    ``k`` is the color count (k >= 1; the single-color case is degenerate but
-    legal and occasionally produced by Gram factorizations of 1x1 matrices).
+    A table lists ``entries`` and gives every unlisted vector ``default``; a
+    closed form has no entries and computes ``rule(alpha)``.  ``max_norm``
+    None covers every vector.  ``k`` is the color count (k >= 1; one color
+    is degenerate but legal, as Gram factors of 1x1 matrices produce it).
     """
 
     k: int
     entries: dict[tuple[int, ...], complex]
     default: complex = 0j
     name: str = ""
+    max_norm: int | None = None
+    rule: Callable[[tuple[int, ...]], complex] | None = None
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("models need at least one color")
+        if self.rule is not None and self.entries:
+            raise ValueError("a closed-form model takes no entries")
+        if self.max_norm is not None and self.max_norm < 0:
+            raise ValueError("max_norm must be nonnegative")
         cleaned = {}
         for alpha, val in self.entries.items():
             alpha = tuple(int(a) for a in alpha)
             if len(alpha) != self.k or any(a < 0 for a in alpha):
                 raise ValueError(f"bad count vector {alpha!r} for k={self.k}")
+            if self.max_norm is not None and sum(alpha) > self.max_norm:
+                raise ValueError(f"entry {alpha!r} lies past max_norm={self.max_norm}")
             cleaned[alpha] = complex(val)
         self.entries = cleaned
         self.default = complex(self.default)
@@ -79,20 +88,20 @@ class EdgeColoringModel:
             raise ValueError(f"count vector {alpha!r} has wrong length for k={self.k}")
         if any(a < 0 for a in alpha):
             raise ValueError(f"count vector {alpha!r} has a negative entry")
-        return self.entries.get(alpha, self.default)
-
-    @property
-    def max_alpha_norm(self) -> int:
-        return max((sum(a) for a in self.entries), default=0)
-
-    def shifted(self, offset: complex) -> "EdgeColoringModel":
-        """Model with ``offset`` added to every value (entries and default)."""
-        return EdgeColoringModel(
-            self.k,
-            {a: v + offset for a, v in self.entries.items()},
-            self.default + offset,
-            name=self.name,
-        )
+        if self.max_norm is not None and sum(alpha) > self.max_norm:
+            raise OutsideRegionError(
+                f"model {self.name or 'custom'} covers count vectors up to norm "
+                f"{self.max_norm}, not {alpha!r} of norm {sum(alpha)}"
+            )
+        if self.rule is None:
+            return self.entries.get(alpha, self.default)
+        try:
+            val = complex(self.rule(alpha))
+            if cmath.isfinite(val):
+                return val
+        except OverflowError:
+            pass
+        raise ValueError(f"model weight at {alpha!r} is not finite")
 
     def deviation(self, max_norm: int) -> float:
         """sup |h(alpha) - 1| over all vectors with |alpha| <= max_norm."""
@@ -106,7 +115,7 @@ def all_ones(k: int) -> EdgeColoringModel:
     return EdgeColoringModel(k, {}, 1.0 + 0j, name="ones")
 
 
-def model_from_predicate(kind: str, k: int = 2, max_degree: int = DEFAULT_MAX_DEGREE) -> EdgeColoringModel:
+def model_from_predicate(kind: str, k: int = 2) -> EdgeColoringModel:
     """0/1 models keyed on the count of the first color.
 
     ``matching``: value 1 when at most one incident edge has color 0 (graph
@@ -116,44 +125,30 @@ def model_from_predicate(kind: str, k: int = 2, max_degree: int = DEFAULT_MAX_DE
     if k != 2:
         raise ValueError("predicate models are two-colored")
     kind = kind.strip().lower()
-    entries = {}
     if kind == "matching":
-        for alpha in vectors_up_to(max_degree, 2):
-            if alpha[0] <= 1:
-                entries[alpha] = 1.0 + 0j
-        name = "matching"
-    elif kind.startswith("dregular:"):
+        return EdgeColoringModel(2, {}, name="matching", rule=lambda alpha: float(alpha[0] <= 1))
+    if kind.startswith("dregular:"):
         d = int(kind.split(":", 1)[1])
         if d < 0:
             raise ValueError("dregular needs a nonnegative degree")
-        for alpha in vectors_up_to(max_degree, 2):
-            if alpha[0] == d:
-                entries[alpha] = 1.0 + 0j
-        name = f"dregular:{d}"
-    else:
-        raise ValueError(f"unknown predicate model {kind!r}")
-    return EdgeColoringModel(2, entries, 0j, name=name)
+        return EdgeColoringModel(2, {}, name=f"dregular:{d}",
+                                 rule=lambda alpha: float(alpha[0] == d))
+    raise ValueError(f"unknown predicate model {kind!r}")
 
 
-def rank_one_model(x, max_degree: int = DEFAULT_MAX_DEGREE) -> EdgeColoringModel:
+def rank_one_model(x) -> EdgeColoringModel:
     """Evaluation model h(alpha) = prod_j x_j^alpha_j for a point x in C^k."""
     x = [complex(v) for v in x]
-    k = len(x)
-    entries = {}
-    for alpha in vectors_up_to(max_degree, k):
-        val = 1.0 + 0j
-        for xj, aj in zip(x, alpha):
-            val *= xj ** aj
-        entries[alpha] = val
-    return EdgeColoringModel(k, entries, 0j, name="rank-one")
+    return EdgeColoringModel(len(x), {}, name="rank-one",
+                             rule=lambda alpha: math.prod(map(pow, x, alpha)))
 
 
 def perturbed_ones(k: int, radius: float, seed: int | None = None,
-                   max_degree: int = DEFAULT_MAX_DEGREE) -> EdgeColoringModel:
+                   max_degree: int = 12) -> EdgeColoringModel:
     """All-ones model with an independent uniform disk perturbation per vector.
 
-    Every materialized entry lies within ``radius`` of 1, so the deviation on
-    the covered degree range is at most ``radius``.
+    Draws one value within ``radius`` of 1 for every vector of norm up to
+    ``max_degree``, which is the model's coverage.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -163,7 +158,7 @@ def perturbed_ones(k: int, radius: float, seed: int | None = None,
         rho = radius * math.sqrt(rng.uniform(0.0, 1.0))
         phi = rng.uniform(0.0, 2.0 * math.pi)
         entries[alpha] = 1.0 + rho * cmath.exp(1j * phi)
-    return EdgeColoringModel(k, entries, 1.0 + 0j, name=f"ones+uniform:{radius}")
+    return EdgeColoringModel(k, entries, 1.0 + 0j, f"ones+uniform:{radius}", max_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +256,12 @@ def symmetric_decompose(B) -> np.ndarray:
     return U
 
 
-def vertex_to_edge(model: VertexModel, U: np.ndarray | None = None,
-                   max_degree: int = DEFAULT_MAX_DEGREE) -> EdgeColoringModel:
+def vertex_to_edge(model: VertexModel, U: np.ndarray | None = None) -> EdgeColoringModel:
     """Edge-coloring model with the same partition function as ``model``.
 
     Uses any U with U^T U = B (computed by ``symmetric_decompose`` when not
     supplied); with columns u_1..u_n of U, the value at alpha is
-    sum_i a_i * prod_j u_i(j)^alpha_j, materialized up to ``max_degree``.
+    sum_i a_i * prod_j u_i(j)^alpha_j.
     """
     if U is None:
         U = symmetric_decompose(model.B)
@@ -277,17 +271,9 @@ def vertex_to_edge(model: VertexModel, U: np.ndarray | None = None,
     resid = np.max(np.abs(U.T @ U - model.B))
     if resid > 1e-8 * max(1.0, np.max(np.abs(model.B))):
         raise ValueError(f"U^T U differs from B by {resid:.3e}")
-    k = U.shape[0]
-    entries = {}
-    for alpha in vectors_up_to(max_degree, k):
-        total = 0j
-        for i in range(model.n):
-            term = model.a[i]
-            for j in range(k):
-                term *= U[j, i] ** alpha[j]
-            total += term
-        entries[alpha] = total
-    return EdgeColoringModel(k, entries, 0j, name="from-vertex-model")
+    return EdgeColoringModel(
+        U.shape[0], {}, name="from-vertex-model",
+        rule=lambda alpha: model.a @ np.prod(U ** np.array(alpha)[:, None], axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +321,7 @@ class TensorAssignment:
 
     @classmethod
     def from_model(cls, g: Multigraph, h: EdgeColoringModel) -> "TensorAssignment":
-        tensors = []
-        for v in range(g.n):
-            tensors.append({alpha: h.value(alpha) for alpha in compositions(g.degree(v), h.k)})
-        return cls(g, h.k, tuple(tensors))
+        return cls.from_function(g, h.k, lambda v, alpha: h.value(alpha))
 
     @classmethod
     def from_function(cls, g: Multigraph, k: int, fn) -> "TensorAssignment":
@@ -404,21 +387,18 @@ def transformed_value(g: np.ndarray, value_fn, alpha) -> complex:
 def apply_orthogonal(g: np.ndarray, target, max_degree: int | None = None):
     """Transform a model or tensor assignment by a complex orthogonal matrix.
 
-    For an ``EdgeColoringModel`` the result is materialized for all vectors
-    with norm up to ``max_degree`` (default: the model's own maximum listed
-    norm); beyond that the original default is kept, which is only faithful
-    if evaluation never probes that far.  For a ``TensorAssignment`` the
-    transform is exact since each vertex table has a fixed norm.
+    For an ``EdgeColoringModel`` the result is a closed form that expands
+    each value from the target's values of the same norm; it covers
+    ``max_degree``, or the target's own coverage when that is not given.
+    For a ``TensorAssignment`` each vertex table is transformed in full.
     """
     g = np.asarray(g, dtype=complex)
     if isinstance(target, EdgeColoringModel):
         if g.shape != (target.k, target.k):
             raise ValueError("matrix size must match the color count")
-        bound = target.max_alpha_norm if max_degree is None else max_degree
-        entries = {}
-        for alpha in vectors_up_to(bound, target.k):
-            entries[alpha] = transformed_value(g, target.value, alpha)
-        return EdgeColoringModel(target.k, entries, target.default, name=target.name)
+        cover = target.max_norm if max_degree is None else max_degree
+        return EdgeColoringModel(target.k, {}, 0j, target.name, cover,
+                                 partial(transformed_value, g, target.value))
     if isinstance(target, TensorAssignment):
         if g.shape != (target.k, target.k):
             raise ValueError("matrix size must match the color count")
@@ -511,9 +491,14 @@ def _j2c(obj) -> complex:
 
 
 def model_to_json_dict(h: EdgeColoringModel) -> dict:
+    if h.rule is not None:
+        raise ValueError(f"model {h.name or 'custom'} is a closed form, not a table")
     entries = [{"alpha": list(a), "re": v.real, "im": v.imag}
                for a, v in sorted(h.entries.items())]
-    return {"k": h.k, "default": _c2j(h.default), "entries": entries}
+    obj = {"k": h.k, "default": _c2j(h.default), "entries": entries}
+    if h.max_norm is not None:
+        obj["max_norm"] = h.max_norm
+    return obj
 
 
 def model_from_json_dict(obj) -> EdgeColoringModel:
@@ -522,9 +507,11 @@ def model_from_json_dict(obj) -> EdgeColoringModel:
         default = _j2c(obj["default"])
         entries = {tuple(int(a) for a in e["alpha"]): complex(float(e["re"]), float(e["im"]))
                    for e in obj["entries"]}
+        max_norm = obj.get("max_norm")
+        max_norm = None if max_norm is None else operator.index(max_norm)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed model JSON: {exc}") from exc
-    return EdgeColoringModel(k, entries, default)
+    return EdgeColoringModel(k, entries, default, max_norm=max_norm)
 
 
 def load_model(path) -> EdgeColoringModel:

@@ -34,3 +34,19 @@ def test_benchmark_trace_targets_exist():
                            capture_output=True, text=True, timeout=120)
     assert check.returncode == 0, check.stderr[-3000:]
     assert int(check.stdout) > 0
+
+
+def test_benchmark_probe_finds_no_mismatch():
+    # the exact-sums probe sums matchings around a vertex of degree 13 or 14
+    code = (
+        "import sys\n"
+        "sys.path[:0] = ['src', 'perfbench']\n"
+        "import workloads\n"
+        "for name, value, expected in workloads.known_defect_probe():\n"
+        "    print(name, value == expected, value, expected)\n"
+    )
+    check = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                           capture_output=True, text=True, timeout=120)
+    assert check.returncode == 0, check.stderr[-3000:]
+    lines = check.stdout.split("\n")[:-1]
+    assert lines and all(line.split()[1] == "True" for line in lines), check.stdout

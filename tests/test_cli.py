@@ -5,6 +5,7 @@ import re
 import pytest
 
 import holant.cli as cli
+from holant import load_model, save_model
 from holant.cli import run
 
 
@@ -249,3 +250,51 @@ def test_run_builds_the_parser_once(capsys, monkeypatch):
     code, out, _ = invoke(capsys, "exact", "--family", "cycle:5", "--model", "matching")
     assert code == 0 and json.loads(out)["value"] == {"re": 11.0, "im": 0.0}
     assert builds == ["holant"]
+
+
+def write_star(tmp_path, leaves):
+    p = tmp_path / f"star{leaves}.el"
+    p.write_text(f"{leaves + 1} {leaves}\n" + "".join(f"0 {v}\n" for v in range(1, leaves + 1)))
+    return str(p)
+
+
+def test_exact_matchings_on_a_star_past_degree_twelve(capsys, tmp_path):
+    code, out, _ = invoke(capsys, "exact", "--graph", write_star(tmp_path, 13),
+                          "--model", "matching", "--format", "text")
+    assert code == 0
+    assert out.strip() == "14"
+
+
+def test_approx_refuses_a_degree_the_builtin_table_does_not_cover(capsys, tmp_path):
+    code, out, err = invoke(capsys, "approx", "--graph", write_star(tmp_path, 13),
+                            "--model", "ones+-uniform:0.01")
+    assert code == 1
+    assert out == "" and "up to norm 12" in err
+
+
+def test_region_check_refuses_a_degree_the_model_does_not_cover(capsys):
+    code, out, err = invoke(capsys, "region-check", "--model", "ones+-uniform:0.03",
+                            "--max-degree", "13")
+    assert code == 1
+    assert "up to norm 12" in err
+
+
+def test_model_file_coverage_survives_a_round_trip(capsys, tmp_path):
+    first = tmp_path / "narrow.json"
+    first.write_text('{"k": 2, "default": {"re": 1, "im": 0}, "entries": [], "max_norm": 2}')
+    second = tmp_path / "copy.json"
+    save_model(load_model(first), second)
+    assert load_model(second).max_norm == 2
+    for model in (first, second):
+        code, _, err = invoke(capsys, "exact", "--family", "complete:4", "--model", str(model))
+        assert code == 1 and "up to norm 2" in err
+        code, out, _ = invoke(capsys, "exact", "--family", "cycle:5", "--model", str(model))
+        assert code == 0 and json.loads(out)["value"] == {"re": 32.0, "im": 0.0}
+
+
+def test_exact_refuses_a_sum_past_the_float_range(capsys, tmp_path):
+    model = tmp_path / "huge.json"
+    model.write_text('{"k": 2, "default": {"re": 1e200, "im": 0}, "entries": []}')
+    code, out, err = invoke(capsys, "exact", "--family", "cycle:6", "--model", str(model))
+    assert code == 1
+    assert out == "" and "float range" in err

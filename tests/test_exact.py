@@ -78,6 +78,23 @@ def test_cycle_matchings_lucas_number():
     assert time.perf_counter() - start < 1.0
 
 
+def test_matchings_past_degree_twelve():
+    star = Multigraph(14, tuple((0, leaf) for leaf in range(1, 14)))
+    assert exact_partition(star, model_from_predicate("matching")) == 14
+    doubled = Multigraph(13, tuple((0, leaf) for leaf in range(1, 13)) + ((0, 1), (0, 2)))
+    assert exact_partition(doubled, model_from_predicate("matching")) == 15
+
+
+def test_sums_past_the_float_range_are_refused():
+    # the true value 2^6 * 1e1200 is not a float
+    g = generate(GraphFamilySpec("cycle", 6))
+    h = EdgeColoringModel(2, {}, 1e200)
+    with pytest.raises(ArithmeticError, match="float range"):
+        exact_partition(g, h)
+    with pytest.raises(ArithmeticError):
+        exact_poly_by_interpolation(g, h)
+
+
 def test_budget_refusal():
     big = Multigraph(40, tuple((i, (i + 1) % 40) for i in range(40)))
     with pytest.raises(BudgetExceededError):

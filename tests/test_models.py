@@ -7,11 +7,11 @@ import pytest
 
 import oracles
 from holant import (DecompositionError, EdgeColoringModel, Multigraph,
-                    RegionParams, TensorAssignment, VertexModel, all_ones,
-                    apply_orthogonal, exact_partition, load_model,
-                    model_from_predicate, perturbed_ones, random_orthogonal,
-                    rank_one_model, save_model, symmetric_decompose,
-                    values_in_region, vertex_to_edge)
+                    OutsideRegionError, RegionParams, TensorAssignment,
+                    VertexModel, all_ones, apply_orthogonal, exact_partition,
+                    load_model, model_from_predicate, perturbed_ones,
+                    random_orthogonal, rank_one_model, save_model,
+                    symmetric_decompose, values_in_region, vertex_to_edge)
 from holant.models import (assignment_in_region, compositions,
                            model_from_json_dict, model_to_json_dict,
                            vectors_up_to)
@@ -22,7 +22,6 @@ def test_value_and_default():
     assert h.value((0, 0)) == 3.0
     assert h.value((1, 2)) == 2j
     assert h.value((4, 4)) == 5.0
-    assert h.max_alpha_norm == 3
 
 
 def test_value_rejects_wrong_arity_and_negatives():
@@ -41,12 +40,8 @@ def test_non_finite_weights_are_refused(bad):
         EdgeColoringModel(2, {(1, 1): 2.0}, default=bad)
 
 
-def test_shifted_and_deviation():
+def test_deviation_reads_entries_and_default():
     h = EdgeColoringModel(2, {(0, 0): 1.25, (1, 0): 1.0 - 0.5j}, default=1.0)
-    s = h.shifted(-1.0)
-    assert s.value((0, 0)) == 0.25
-    assert s.value((1, 0)) == -0.5j
-    assert s.value((7, 7)) == 0.0
     assert h.deviation(1) == pytest.approx(0.5)
     # default participates once norms beyond the listed entries are probed
     g = EdgeColoringModel(2, {(0, 0): 1.0}, default=1.0 + 0.3j)
@@ -125,17 +120,75 @@ def test_model_json_round_trip(tmp_path):
 
 
 def test_predicate_models():
-    h = model_from_predicate("matching", max_degree=5)
+    h = model_from_predicate("matching")
     assert h.value((0, 3)) == 1.0
     assert h.value((1, 2)) == 1.0
     assert h.value((2, 1)) == 0.0
-    r = model_from_predicate("dregular:2", max_degree=5)
+    r = model_from_predicate("dregular:2")
     assert r.value((2, 3)) == 1.0
     assert r.value((1, 4)) == 0.0
     with pytest.raises(ValueError):
         model_from_predicate("nonesuch")
     with pytest.raises(ValueError):
         model_from_predicate("matching", k=3)
+
+
+def test_closed_forms_answer_at_any_norm():
+    assert rank_one_model([2, 3]).value((13, 0)) == 8192
+    assert cmath.isclose(rank_one_model([2, 3]).value((2, 40)), 4 * 3 ** 40, rel_tol=1e-12)
+    assert model_from_predicate("matching").value((1, 90)) == 1.0
+    assert model_from_predicate("dregular:20").value((20, 3)) == 1.0
+    assert rank_one_model([2, 3]).max_norm is None
+
+
+def test_closed_form_weights_must_be_finite():
+    h = rank_one_model([1e200, 1.0])
+    assert h.value((1, 5)) == 1e200
+    with pytest.raises(ValueError, match="not finite"):
+        h.value((2, 0))
+    with pytest.raises(ValueError, match="not finite"):
+        h.value((200, 0))  # the complex power overflows instead
+
+
+def test_tables_refuse_past_their_coverage():
+    h = perturbed_ones(2, 0.1, seed=1, max_degree=3)
+    assert h.max_norm == 3
+    assert abs(h.value((0, 3)) - 1.0) <= 0.1
+    with pytest.raises(OutsideRegionError, match="up to norm 3"):
+        h.value((2, 2))
+    with pytest.raises(OutsideRegionError):
+        h.deviation(4)
+    bounded = EdgeColoringModel(2, {}, 1.0, "flat", 2)
+    assert bounded.value((1, 1)) == 1.0
+    with pytest.raises(OutsideRegionError, match="model flat covers"):
+        bounded.value((3, 0))
+
+
+def test_model_constructor_checks_coverage_and_rule():
+    with pytest.raises(ValueError):
+        EdgeColoringModel(2, {}, max_norm=-1)
+    with pytest.raises(ValueError, match="no entries"):
+        EdgeColoringModel(2, {(0, 1): 1.0}, rule=lambda alpha: 1.0)
+    with pytest.raises(ValueError, match="past max_norm=2"):
+        EdgeColoringModel(2, {(2, 1): 1.0}, max_norm=2)
+    for bad in (2.5, "2"):
+        with pytest.raises(ValueError, match="malformed"):
+            model_from_json_dict({"k": 2, "default": {"re": 1, "im": 0}, "entries": [],
+                                  "max_norm": bad})
+
+
+def test_model_json_keeps_coverage_and_refuses_closed_forms(tmp_path):
+    h = perturbed_ones(2, 0.1, seed=3, max_degree=2)
+    path = tmp_path / "m.json"
+    save_model(h, path)
+    loaded = load_model(path)
+    assert loaded.max_norm == 2
+    assert all(loaded.value(al) == h.value(al) for al in vectors_up_to(2, 2))
+    with pytest.raises(OutsideRegionError):
+        loaded.value((3, 0))
+    assert "max_norm" not in model_to_json_dict(all_ones(2))
+    with pytest.raises(ValueError, match="closed form"):
+        model_to_json_dict(model_from_predicate("matching"))
 
 
 def test_symmetric_decompose_random_matrices():
@@ -183,7 +236,7 @@ def test_vertex_to_edge_matches_vertex_partition():
         B = A + A.T
         vm = VertexModel(a, B)
         direct = oracles.brute_vertex_partition(g, vm.a, vm.B)
-        h = vertex_to_edge(vm, max_degree=max(1, g.max_degree()))
+        h = vertex_to_edge(vm)
         via_edges = exact_partition(g, h)
         scale = max(1.0, abs(direct))
         assert abs(direct - via_edges) < 1e-8 * scale, trial
@@ -192,7 +245,7 @@ def test_vertex_to_edge_matches_vertex_partition():
 def test_vertex_to_edge_rejects_wrong_factor():
     vm = VertexModel(np.array([1.0, 1.0]), np.eye(2, dtype=complex))
     with pytest.raises(ValueError):
-        vertex_to_edge(vm, U=np.eye(3), max_degree=2)
+        vertex_to_edge(vm, U=np.eye(3))
 
 
 def test_apply_orthogonal_preserves_partition():
@@ -209,13 +262,23 @@ def test_apply_orthogonal_preserves_partition():
         assert abs(before - after) < 1e-8 * max(1.0, abs(before)), trial
 
 
+def test_apply_orthogonal_keeps_or_sets_the_coverage():
+    Q = random_orthogonal(2, seed=5)
+    h = perturbed_ones(2, 0.2, seed=5, max_degree=3)
+    assert apply_orthogonal(Q, h).max_norm == 3
+    assert apply_orthogonal(Q, h, max_degree=2).max_norm == 2
+    assert apply_orthogonal(Q, model_from_predicate("matching")).max_norm is None
+    with pytest.raises(OutsideRegionError):
+        apply_orthogonal(Q, h).value((4, 0))
+
+
 def test_apply_orthogonal_on_rank_one_moves_the_point():
     rng = np.random.default_rng(23)
     k = 3
     x = rng.normal(size=k) + 1j * rng.normal(size=k)
     Q = random_orthogonal(k, seed=9)
-    lhs = apply_orthogonal(Q, rank_one_model(x, max_degree=4), max_degree=4)
-    rhs = rank_one_model(Q @ x, max_degree=4)
+    lhs = apply_orthogonal(Q, rank_one_model(x), max_degree=4)
+    rhs = rank_one_model(Q @ x)
     for alpha in vectors_up_to(4, k):
         assert cmath.isclose(lhs.value(alpha), rhs.value(alpha),
                              rel_tol=1e-9, abs_tol=1e-9)
