@@ -11,10 +11,9 @@ a command-line front end.
 from .errors import (BudgetExceededError, DecompositionError, GraphFormatError,
                      HolantError, OutsideRegionError, RootFindingError)
 from .graphs import (GraphFamilySpec, Multigraph, component_count,
-                     connected_subsets, count_induced, disjoint_union,
-                     edges_touching, generate, incident_multiset,
-                     induced_subgraph, is_connected, isomorphic,
-                     parse_edge_list, read_edge_list, write_edge_list)
+                     connected_subsets, edges_touching, generate,
+                     induced_subgraph, parse_edge_list, read_edge_list,
+                     write_edge_list)
 from .models import (EdgeColoringModel, RegionParams, TensorAssignment,
                      VertexModel, all_ones, apply_orthogonal, load_model,
                      model_from_predicate, perturbed_ones, random_orthogonal,
@@ -35,31 +34,28 @@ from .exptype import (ExpTypeSpec, chi_k_coefficients, chi_tutte,
 from .limits import (ConvergenceReport, convergence_run, cycle_transfer_matrix,
                      cycle_transfer_pf, log_potential_check, normalized_pf,
                      transfer_log_growth)
-from .partitions import bell_number, set_partitions, set_partitions_k
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ApproxCertificate", "BudgetExceededError", "ComplexPoly",
-    "ConvergenceReport", "DecompositionError",
-    "EdgeColoringModel", "ExpTypeSpec", "GraphFamilySpec", "GraphFormatError",
-    "HolantError", "Multigraph", "OutsideRegionError", "RegionParams",
-    "RestrictedSpec", "RootFindingError", "TensorAssignment", "VertexModel",
-    "ZeroFreeConstants", "ZeroFreeReport", "all_ones", "apply_orthogonal",
-    "approx_partition", "bell_number", "certified_radius",
-    "chi_k_coefficients", "chi_tutte", "chromatic_spec",
+    "ConvergenceReport", "DecompositionError", "EdgeColoringModel",
+    "ExpTypeSpec", "GraphFamilySpec", "GraphFormatError", "HolantError",
+    "Multigraph", "OutsideRegionError", "RegionParams", "RestrictedSpec",
+    "RootFindingError", "TensorAssignment", "VertexModel", "ZeroFreeConstants",
+    "ZeroFreeReport", "all_ones", "apply_orthogonal", "approx_partition",
+    "certified_radius", "chi_k_coefficients", "chi_tutte", "chromatic_spec",
     "cluster_log_derivatives", "component_count", "connected_subsets",
-    "contract_network", "convergence_run", "count_induced",
-    "cycle_transfer_matrix", "cycle_transfer_pf", "disjoint_union",
-    "edges_touching", "estimate_root_radius", "eval_exp_type",
-    "exact_partition", "exact_poly_by_interpolation", "exp_type_poly",
-    "generate", "incident_multiset", "induced_subgraph", "is_connected",
-    "isomorphic", "load_model", "log_potential_check", "magnitude_lower_bound",
-    "model_from_predicate", "normalized_pf", "parse_edge_list",
-    "perturbed_ones", "poly_roots", "q_derivative", "random_orthogonal",
-    "rank_one_model", "read_edge_list", "restricted_partition", "sample_region_model",
-    "save_model", "set_partitions", "set_partitions_k", "symmetric_decompose",
-    "taylor_error_bound", "taylor_order", "transfer_log_growth", "tutte_direct",
-    "tutte_spec", "values_in_region", "verify_zero_free", "vertex_to_edge",
-    "write_edge_list", "zero_free_constants",
+    "contract_network", "convergence_run", "cycle_transfer_matrix",
+    "cycle_transfer_pf", "edges_touching", "estimate_root_radius",
+    "eval_exp_type", "exact_partition", "exact_poly_by_interpolation",
+    "exp_type_poly", "generate", "induced_subgraph", "load_model",
+    "log_potential_check", "magnitude_lower_bound", "model_from_predicate",
+    "normalized_pf", "parse_edge_list", "perturbed_ones", "poly_roots",
+    "q_derivative", "random_orthogonal", "rank_one_model", "read_edge_list",
+    "restricted_partition", "sample_region_model", "save_model",
+    "symmetric_decompose", "taylor_error_bound", "taylor_order",
+    "transfer_log_growth", "tutte_direct", "tutte_spec", "values_in_region",
+    "verify_zero_free", "vertex_to_edge", "write_edge_list",
+    "zero_free_constants",
 ]

@@ -1,4 +1,4 @@
-"""Exact engines: edge-coloring sums, interpolation, and root finding.
+"""Exact engines: edge-coloring sums, blend polynomials, and root finding.
 
 Every coloring sum is one contraction of the per-vertex tables, edge by
 edge, refused before any work when its ``k ** #free edges`` colorings
@@ -6,8 +6,10 @@ exceed the budget.  A contraction is planned from the structure alone
 (:func:`_plan`: edge order, slot offsets, per-color step vectors and the
 vertices that close at each step) and then run over the weight tables
 (:func:`_run`), so callers that evaluate many weight systems on one graph,
-the interpolation nodes and the sampled region models, plan once and run
-the plan per system.  Polynomial roots are the eigenvalues of the
+such as the sampled region models, plan once and run the plan per system.
+The coefficients of the blend ``z -> sum prod_v (1 + z * (h - 1))`` come
+from one run of the same plan whose states carry coefficient lists
+(:func:`_run_blend`).  Polynomial roots are the eigenvalues of the
 companion matrix (``np.roots``), each validated against a residual bound.
 """
 
@@ -18,6 +20,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import partial
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -46,16 +49,6 @@ class ComplexPoly:
         if not cs:
             cs = (0j,)
         object.__setattr__(self, "coeffs", cs)
-
-    @classmethod
-    def from_coefficients(cls, coeffs, rel_tol: float = 0.0) -> "ComplexPoly":
-        cs = [complex(c) for c in coeffs]
-        if rel_tol > 0 and cs:
-            top = max(abs(c) for c in cs)
-            cut = rel_tol * top
-            while len(cs) > 1 and abs(cs[-1]) <= cut:
-                cs.pop()
-        return cls(tuple(cs))
 
     @property
     def degree(self) -> int:
@@ -256,6 +249,47 @@ def _run(plan: _Plan, tables, fixed: dict[int, int]) -> complex:
     return total
 
 
+def _run_blend(plan: _Plan, tables, fixed: dict[int, int]) -> list[complex]:
+    """Coefficients of z -> sum over colorings of prod_v (1 + z * m_v(alpha_v)).
+
+    The run of :func:`_run` over the same plan and packed state keys, with
+    ``tables`` holding each vertex's ``m = h - 1`` and each state carrying
+    a coefficient list in place of a summed weight.  Closing a vertex
+    multiplies its state's list by ``1 + z * m_v(alpha)``, one shift-add,
+    so every coefficient is a sum of products, as in ``q_derivative``;
+    idle vertices apply ``m_v(0)`` the same way.  Every state holds
+    ``1 + #vertices closed so far`` coefficients.  A coefficient that leaves
+    the float range raises ArithmeticError.
+    """
+    start = [1.0 + 0j]
+    for v in plan.idle:
+        m = tables[v][0]
+        start = [a + m * b for a, b in zip(start + [0j], [0j] + start)]
+    radix = plan.radix
+    states = {0: start}
+    for e, steps, closing in plan.steps:
+        if e in fixed:
+            steps = (steps[fixed[e]],)
+        closing = [(offset, tables[v]) for offset, v in closing]
+        merged = {}
+        for state, coeffs in states.items():
+            for step in steps:
+                key = state + step
+                value = coeffs
+                for offset, dense in closing:
+                    packed = key // offset % radix
+                    m = dense[packed]
+                    value = [a + m * b for a, b in zip(value + [0j], [0j] + value)]
+                    key -= packed * offset
+                old = merged.get(key)
+                merged[key] = value if old is None else list(map(add, old, value))
+        states = merged
+    coeffs = states[0]
+    if not all(cmath.isfinite(c) for c in coeffs):
+        raise ArithmeticError("a blend coefficient left the float range")
+    return coeffs
+
+
 def _colored_sum(g: Multigraph, k: int, edge_indices, fixed: dict[int, int],
                  tables, budget: float) -> complex:
     """Sum over colorings of ``edge_indices`` of the product of vertex weights.
@@ -313,30 +347,16 @@ def exact_poly_by_interpolation(g: Multigraph, h: EdgeColoringModel,
                                 budget: float | None = None) -> ComplexPoly:
     """Coefficients of z -> partition sum of the blend 1 + z*(h - 1).
 
-    Evaluates the blend exactly at the integer nodes 0..|V| and solves the
-    Vandermonde system; the polynomial has degree at most |V|.  The budget
-    is charged and the contraction planned once; each node runs that plan
-    over the tables of ``h`` blended entry by entry.  Raises if the solve
-    leaves a relative residual above 1e-8 at any node.
+    One contraction that carries polynomials (:func:`_run_blend`) gives
+    every coefficient as a sum of products, so the polynomial has degree at
+    most |V| and nothing is interpolated: the name is kept for its callers.
+    The budget is charged ``k ** |E|`` and the contraction planned once.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
-    n = g.n
     _charge(h.k, g.m, budget)
-    plan = _plan(g, h.k, range(g.m), range(n))
-    base = _degree_tables(g, h.k, h.value)
-    nodes = np.arange(n + 1, dtype=float)
-    values = []
-    for z in nodes.tolist():
-        values.append(_run(plan, {v: [1.0 + z * (x - 1.0) for x in t]
-                                  for v, t in base.items()}, {}))
-    values = np.array(values, dtype=complex)
-    V = np.vander(nodes, n + 1, increasing=True).astype(complex)
-    coeffs = np.linalg.solve(V, values)
-    resid = np.max(np.abs(V @ coeffs - values))
-    tol = 1e-8 * max(1.0, float(np.max(np.abs(values))))
-    if not resid <= tol:
-        raise ArithmeticError(f"interpolation residual {resid:.3e} exceeds {tol:.3e}")
-    return ComplexPoly.from_coefficients(list(coeffs), rel_tol=1e-12)
+    plan = _plan(g, h.k, range(g.m), range(g.n))
+    tables = _degree_tables(g, h.k, lambda alpha: h.value(alpha) - 1.0)
+    return ComplexPoly(tuple(_run_blend(plan, tables, {})))
 
 
 # ---------------------------------------------------------------------------

@@ -77,23 +77,6 @@ class Multigraph:
         return True
 
 
-def incident_multiset(g: Multigraph, v: int, coloring, k: int) -> tuple[int, ...]:
-    """Color-count vector at ``v`` under an edge coloring.
-
-    ``coloring`` maps edge index to a color in ``range(k)``.  The result is a
-    length-``k`` tuple whose ``c``-th entry counts incidences of color ``c``
-    at ``v``; its total equals ``g.degree(v)``.
-    """
-    alpha = [0] * k
-    for i, (u, w) in enumerate(g.edges):
-        if u == v or w == v:
-            c = coloring[i]
-            if not 0 <= c < k:
-                raise ValueError(f"color {c} out of range(k={k})")
-            alpha[c] += 2 if u == w == v else 1
-    return tuple(alpha)
-
-
 def edges_touching(g: Multigraph, vertices) -> tuple[int, ...]:
     """Indices of edges with at least one endpoint in ``vertices``."""
     vs = set(vertices)
@@ -117,53 +100,6 @@ def induced_subgraph(g: Multigraph, vertices) -> Multigraph:
     return Multigraph(len(vs), tuple(keep))
 
 
-def _edge_set(g: Multigraph) -> frozenset[tuple[int, int]]:
-    return frozenset(g.edges)
-
-
-def isomorphic(a: Multigraph, b: Multigraph) -> bool:
-    """Exact isomorphism test for small simple graphs (permutation search)."""
-    if a.n != b.n or a.m != b.m:
-        return False
-    if sorted(a.degrees()) != sorted(b.degrees()):
-        return False
-    ea, eb = _edge_set(a), _edge_set(b)
-    degs_b = b.degrees()
-    targets = sorted(range(a.n), key=lambda v: degs_b[v])
-    order = sorted(range(a.n), key=lambda v: a.degrees()[v])
-    # permutation search over degree-compatible assignments
-    for perm in itertools.permutations(targets):
-        ok = True
-        for src, dst in zip(order, perm):
-            if a.degrees()[src] != degs_b[dst]:
-                ok = False
-                break
-        if not ok:
-            continue
-        mapping = dict(zip(order, perm))
-        if all((min(mapping[u], mapping[w]), max(mapping[u], mapping[w])) in eb for u, w in ea):
-            return True
-    return False
-
-
-def count_induced(g: Multigraph, h: Multigraph) -> int:
-    """Number of vertex subsets of ``g`` inducing a copy of ``h``.
-
-    Both graphs must be simple and ``h`` must have at most 8 vertices.
-    """
-    if not h.is_simple() or not g.is_simple():
-        raise ValueError("induced-subgraph counting is defined for simple graphs")
-    if h.n > 8:
-        raise ValueError("pattern graphs are limited to 8 vertices")
-    if h.n > g.n:
-        return 0
-    total = 0
-    for subset in itertools.combinations(range(g.n), h.n):
-        if isomorphic(induced_subgraph(g, subset), h):
-            total += 1
-    return total
-
-
 def component_count(n: int, edges) -> int:
     """Number of connected components of ``(range(n), edges)`` (union-find)."""
     parent = list(range(n))
@@ -181,17 +117,6 @@ def component_count(n: int, edges) -> int:
             parent[ru] = rw
             comps -= 1
     return comps
-
-
-def is_connected(g: Multigraph) -> bool:
-    if g.n <= 1:
-        return True
-    return component_count(g.n, g.edges) == 1
-
-
-def disjoint_union(a: Multigraph, b: Multigraph) -> Multigraph:
-    shifted = tuple((u + a.n, w + a.n) for u, w in b.edges)
-    return Multigraph(a.n + b.n, a.edges + shifted)
 
 
 def connected_subsets(g: Multigraph, max_size: int):

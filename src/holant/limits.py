@@ -187,7 +187,8 @@ def log_potential_check(g: Multigraph, h: EdgeColoringModel,
 
     Left side: mean over roots of the reversed normalized blend polynomial
     of ln|1 - root|.  Right side: normalized log-magnitude minus the edge
-    density times ln k.  The two agree up to interpolation and root-finding
+    density times ln k.  The blend coefficients are sums of products from
+    one contraction, so the two agree up to rounding and root-finding
     error; a root at 1 means the partition sum vanishes and raises.
     """
     budget = DEFAULT_BUDGET if budget is None else budget

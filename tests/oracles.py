@@ -111,6 +111,15 @@ def _components(n, edges) -> int:
     return comps
 
 
+def is_connected(g: Multigraph) -> bool:
+    return g.n <= 1 or _components(g.n, g.edges) == 1
+
+
+def disjoint_union(a: Multigraph, b: Multigraph) -> Multigraph:
+    shifted = tuple((u + a.n, w + a.n) for u, w in b.edges)
+    return Multigraph(a.n + b.n, a.edges + shifted)
+
+
 def brute_tutte(g: Multigraph, q, v) -> complex:
     total = 0j
     for bits in range(1 << g.m):
@@ -136,9 +145,36 @@ def count_proper_colorings(g: Multigraph, q: int) -> int:
     return count
 
 
+def set_partitions(items):
+    """Yield all partitions of ``items`` as tuples of tuples.
+
+    Partitions are produced in restricted-growth-string order; blocks keep
+    the element order of ``items`` and are sorted by first element.
+    """
+    items = list(items)
+    n = len(items)
+    if n == 0:
+        yield ()
+        return
+    rgs = [0] * n
+
+    def rec(i, maxval):
+        if i == n:
+            blocks = [[] for _ in range(maxval + 1)]
+            for pos, b in enumerate(rgs):
+                blocks[b].append(items[pos])
+            yield tuple(tuple(b) for b in blocks)
+            return
+        for b in range(maxval + 2):
+            rgs[i] = b
+            yield from rec(i + 1, max(maxval, b))
+
+    yield from rec(1, 0)
+
+
 def brute_chi_k(g: Multigraph, chi) -> list:
     """chi_1..chi_n via full set-partition enumeration (RGS order)."""
-    from holant import induced_subgraph, set_partitions
+    from holant import induced_subgraph
 
     out = [0j] * g.n
     for part in set_partitions(tuple(range(g.n))):
@@ -198,8 +234,6 @@ def enumerate_graphs(n: int) -> tuple:
 
 
 def graphs_up_to(n: int, connected_only: bool = False):
-    from holant import is_connected
-
     out = []
     for size in range(1, n + 1):
         for g in enumerate_graphs(size):

@@ -185,6 +185,19 @@ def test_roots_output(capsys, tmp_path):
         assert abs(val) < 1e-6 * max(abs(c) for c in coeffs)
 
 
+def test_roots_rebuild_the_matching_count(capsys):
+    code, out, _ = invoke(capsys, "roots", "--family", "regular:16,3,1",
+                          "--model", "matching")
+    assert code == 0
+    obj = json.loads(out)
+    coeffs = [complex(c["re"], c["im"]) for c in obj["coefficients"]]
+    roots = [complex(r["re"], r["im"]) for r in obj["roots"]]
+    assert obj["degree"] == len(roots) == 16
+    assert sum(coeffs) == 10858
+    rebuilt = coeffs[-1] * math.prod(1.0 - r for r in roots)
+    assert abs(rebuilt - 10858) <= 1e-6
+
+
 @pytest.mark.parametrize("command", ["exact", "roots"])
 def test_non_finite_model_file_exit_code(capsys, tmp_path, command):
     graph = write_triangle(tmp_path)

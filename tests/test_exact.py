@@ -15,9 +15,9 @@ from holant import (BudgetExceededError, ComplexPoly, EdgeColoringModel,
                     all_ones, chromatic_spec, contract_network,
                     exact_partition, exp_type_poly, generate,
                     exact_poly_by_interpolation, model_from_predicate,
-                    perturbed_ones, poly_roots, restricted_partition,
-                    sample_region_model, verify_zero_free,
-                    zero_free_constants)
+                    perturbed_ones, poly_roots, q_derivative,
+                    restricted_partition, sample_region_model,
+                    verify_zero_free, zero_free_constants)
 from holant.exact import _colored_sum, _plan, _vertex_table
 from holant.graphs import edges_touching
 
@@ -175,18 +175,38 @@ def test_interpolation_poly_endpoints():
 
 
 def test_interpolation_poly_off_node_value():
-    # check the polynomial at a point that was never an interpolation node
-    g = C4
-    h = perturbed_ones(2, 0.5, seed=8, max_degree=2)
-    q = exact_poly_by_interpolation(g, h)
+    # the blend at a complex point against one exact sum of the blended model
+    cubic = generate(GraphFamilySpec("regular", 16, degree=3, seed=1))
     z = 0.37 - 0.21j
-    blended = EdgeColoringModel(
-        2,
-        {al: 1.0 + z * (h.value(al) - 1.0) for al in
-         [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0)]},
-        default=1.0 + z * (h.default - 1.0))
-    assert cmath.isclose(q(z), exact_partition(g, blended),
-                         rel_tol=1e-8, abs_tol=1e-9)
+    for g, h in ((C4, perturbed_ones(2, 0.5, seed=8, max_degree=2)),
+                 (cubic, perturbed_ones(2, 0.3, seed=3, max_degree=3)),
+                 (cubic, model_from_predicate("matching"))):
+        q = exact_poly_by_interpolation(g, h)
+        blended = EdgeColoringModel(h.k, {}, rule=lambda al: 1.0 + z * (h.value(al) - 1.0))
+        assert cmath.isclose(q(z), exact_partition(g, blended), rel_tol=1e-9), (g, h.name)
+
+
+def test_blend_coefficients_of_matchings_are_exact_integers():
+    # [z^1] sums, over the 16 vertices, minus the 2^23 colorings in which
+    # the vertex sees two or more edges of color 1; at z = 1 the blend
+    # counts matchings
+    g = generate(GraphFamilySpec("regular", 16, degree=3, seed=1))
+    q = exact_poly_by_interpolation(g, model_from_predicate("matching"))
+    assert q.degree == 16
+    assert q.coeffs[0] == 2 ** 24
+    assert q.coeffs[1] == -134217728
+    assert sum(q.coeffs) == oracles.count_matchings(g) == 10858
+
+
+def test_blend_keeps_small_top_coefficients():
+    # a mild perturbation makes the top coefficients tiny but not zero
+    g = generate(GraphFamilySpec("cycle", 12))
+    h = perturbed_ones(2, 0.05, seed=7, max_degree=2)
+    q = exact_poly_by_interpolation(g, h)
+    assert q.degree == 12
+    value = exact_partition(g, h)
+    rebuilt = q.coeffs[-1] * np.prod([1.0 - r for r in poly_roots(q)])
+    assert abs(rebuilt - value) <= 1e-9 * abs(value)
 
 
 def reference_colored_sum(g, k, edge_indices, fixed, tables):
@@ -289,22 +309,23 @@ def counting_plans(monkeypatch):
 
 
 def test_interpolation_plans_once_and_matches_per_node_sums(monkeypatch):
+    # every coefficient against the subset-sum derivative formula, on
+    # multigraphs with loops and parallel edges
     rng = random.Random(77)
-    for trial in range(6):
-        g = oracles.random_multigraph(rng, max_n=6, max_m=9)
-        k = rng.choice([2, 3])
-        h = perturbed_ones(k, 0.6, seed=trial, max_degree=max(1, g.max_degree()))
+    for trial in range(4):
+        n = rng.randint(8, 10)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(n)]
+        edges += [(0, 0), edges[-1]]
+        g = Multigraph(n, tuple(edges))
+        k = 2 + trial % 2
+        h = perturbed_ones(k, 0.6, seed=trial, max_degree=g.max_degree())
         plans = counting_plans(monkeypatch)
         q = exact_poly_by_interpolation(g, h)
         assert len(plans) == 1
-        # the recipe before planning: one blended model and sum per node
-        nodes = np.arange(g.n + 1, dtype=float)
-        values = np.array([exact_partition(g, EdgeColoringModel(
-            k, {a: 1.0 + z * (val - 1.0) for a, val in h.entries.items()},
-            1.0 + z * (h.default - 1.0))) for z in nodes], dtype=complex)
-        coeffs = np.linalg.solve(np.vander(nodes, g.n + 1, increasing=True).astype(complex),
-                                 values)
-        assert q == ComplexPoly.from_coefficients(list(coeffs), rel_tol=1e-12), trial
+        coeffs = list(q.coeffs) + [0j] * (g.n - q.degree)
+        want = [q_derivative(g, h, m, math.inf) / math.factorial(m) for m in range(g.n + 1)]
+        top = max(abs(c) for c in want)
+        assert all(abs(c - w) <= 1e-12 * top for c, w in zip(coeffs, want)), trial
 
 
 def test_verify_zero_free_plans_once_and_matches_per_sample_sums(monkeypatch):
@@ -327,8 +348,6 @@ def test_complex_poly_basics():
     assert p(2.0) == 9.0
     z = ComplexPoly((0j,))
     assert z.is_zero() and z.degree == 0
-    trimmed = ComplexPoly.from_coefficients([1.0, 1e-18, 1e-18], rel_tol=1e-12)
-    assert trimmed.degree == 0
 
 
 def _mul_linear(coeffs, root):

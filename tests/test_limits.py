@@ -56,10 +56,9 @@ def test_normalized_pf_exact_engine():
 
 
 def test_normalized_pf_additive_under_disjoint_union():
-    from holant import disjoint_union
     h = perturbed_ones(2, 0.3, seed=5, max_degree=2)
     g = cycle(4)
-    doubled = disjoint_union(g, g)
+    doubled = oracles.disjoint_union(g, g)
     assert normalized_pf(doubled, h) == pytest.approx(normalized_pf(g, h))
 
 
