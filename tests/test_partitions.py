@@ -14,12 +14,15 @@ def _stirling2(n, k):
     return total // math.factorial(k)
 
 
+def _bell(n):
+    return sum(_stirling2(n, k) for k in range(n + 1))
+
+
 def test_set_partitions_counts_match_bell():
-    bell = [1, 1, 2, 5, 15, 52, 203, 877]
     for n in range(0, 8):
         items = tuple(range(n))
         parts = list(set_partitions(items))
-        assert len(parts) == bell[n]
+        assert len(parts) == _bell(n)
         # no duplicates
         assert len({tuple(sorted(tuple(sorted(b)) for b in p)) for p in parts}) == len(parts)
 
@@ -37,3 +40,7 @@ def test_set_partitions_k_counts_match_stirling():
         parts = list(set_partitions(tuple(range(n))))
         for k in range(1, n + 1):
             assert sum(len(p) == k for p in parts) == _stirling2(n, k), (n, k)
+
+
+def test_bell_numbers():
+    assert [_bell(n) for n in range(8)] == [1, 1, 2, 5, 15, 52, 203, 877]
