@@ -249,17 +249,17 @@ def _run(plan: _Plan, tables, fixed: dict[int, int]) -> complex:
     return total
 
 
-def _run_blend(plan: _Plan, tables, fixed: dict[int, int]) -> list[complex]:
+def _run_blend(plan: _Plan, tables) -> list[complex]:
     """Coefficients of z -> sum over colorings of prod_v (1 + z * m_v(alpha_v)).
 
     The run of :func:`_run` over the same plan and packed state keys, with
-    ``tables`` holding each vertex's ``m = h - 1`` and each state carrying
-    a coefficient list in place of a summed weight.  Closing a vertex
-    multiplies its state's list by ``1 + z * m_v(alpha)``, one shift-add,
-    so every coefficient is a sum of products, as in ``q_derivative``;
-    idle vertices apply ``m_v(0)`` the same way.  Every state holds
-    ``1 + #vertices closed so far`` coefficients.  A coefficient that leaves
-    the float range raises ArithmeticError.
+    every edge free, ``tables`` holding each vertex's ``m = h - 1`` and
+    each state carrying a coefficient list in place of a summed weight.
+    Closing a vertex multiplies its state's list by ``1 + z * m_v(alpha)``,
+    one shift-add, so every coefficient is a sum of products, as in
+    ``q_derivative``; idle vertices apply ``m_v(0)`` the same way.  Every
+    state holds ``1 + #vertices closed so far`` coefficients.  A
+    coefficient that leaves the float range raises ArithmeticError.
     """
     start = [1.0 + 0j]
     for v in plan.idle:
@@ -267,9 +267,7 @@ def _run_blend(plan: _Plan, tables, fixed: dict[int, int]) -> list[complex]:
         start = [a + m * b for a, b in zip(start + [0j], [0j] + start)]
     radix = plan.radix
     states = {0: start}
-    for e, steps, closing in plan.steps:
-        if e in fixed:
-            steps = (steps[fixed[e]],)
+    for _, steps, closing in plan.steps:
         closing = [(offset, tables[v]) for offset, v in closing]
         merged = {}
         for state, coeffs in states.items():
@@ -356,7 +354,7 @@ def exact_poly_by_interpolation(g: Multigraph, h: EdgeColoringModel,
     _charge(h.k, g.m, budget)
     plan = _plan(g, h.k, range(g.m), range(g.n))
     tables = _degree_tables(g, h.k, lambda alpha: h.value(alpha) - 1.0)
-    return ComplexPoly(tuple(_run_blend(plan, tables, {})))
+    return ComplexPoly(tuple(_run_blend(plan, tables)))
 
 
 # ---------------------------------------------------------------------------
