@@ -13,8 +13,14 @@ only on the labelled shape of C (its internal multigraph and the number of
 edges leaving each vertex), and its series log is computed once per shape.
 The sets are streamed as they grow, and each carries a layout id derived
 from its parent's id and its last vertex, so recognising a set's shape
-costs one table lookup; only a new id is refined to its shape.  The
-budget is charged 1 per set plus each new shape's work.  Only local
+costs one table lookup; only a new id is refined to its shape.  A set of
+the top size enters only the last coefficient, with boundary weight 1,
+so it is tallied by its shape alone.  On a graph that
+:func:`holant.graphs.generate` marks vertex-transitive, the sum over all sets
+equals n times the sum over the sets containing vertex 0 of the same term
+divided by |C| (every term depends only on the shape and the boundary,
+which automorphisms keep), so only those sets are streamed.  The budget is
+charged 1 per streamed set plus each new shape's work.  Only local
 neighborhoods are touched, which scales to graphs with hundreds of
 vertices.  With another per-shape oracle the same engine
 expands the exponential-type polynomials of :mod:`holant.exptype`.  The
@@ -434,32 +440,45 @@ class _ClusterEngine:
         prefix's layout id, bitmask and neighborhood, so each set costs its
         last vertex's row, one intern lookup and its boundary size; only an
         id seen for the first time builds a layout and looks up its shape.
-        Each streamed set is charged 1 and each new shape its oracle's
-        charge, refusing once the total passes the budget.
+        A set of the top size order + R enters only [z^order], where
+        c(b, 0) = 1, so it is tallied by its shape alone: no boundary, and
+        no prefix entry, as it is never extended.
+
+        On a graph marked ``vertex_transitive`` every term depends only on
+        the shape and the boundary, which an automorphism keeps, so
+        sum over C of f(C) = n * sum over C containing 0 of f(C) / |C|: the
+        engine streams only the first group of :func:`connected_subsets`
+        (the sets containing vertex 0) and weighs each tally by n / |C|
+        once, at the end.  Each streamed set is charged 1 and each new shape
+        its oracle's charge, refusing once the total passes the budget.
         """
         reach = self.reach
         g = self.g
+        top = order + reach
+        rooted = g.vertex_transitive
         neighbors, place, intern, id_shape = (self.neighbors, self._place,
                                               self._intern, self._id_shape)
         kind = [self._kind[self.loops[v], g.degree(v)] for v in range(g.n)]
         near = [sum(1 << w for w, _ in nb) for nb in neighbors]
         pos = [0] * g.n
         # stack[s] = (layout id, bitmask, neighborhood bitmask) of the
-        # current prefix of size s
-        stack = [(0, 0, 0)] * (order + reach + 1)
+        # current prefix of size s < top
+        stack = [(0, 0, 0)] * top
         tally: dict[tuple[int, int], int] = {}
+        top_tally: dict[int, int] = {}
         streamed = self.streamed
         room = self.budget - self.shape_terms
-        for members in connected_subsets(g, order + reach):
+        for members in connected_subsets(g, top):
             size = len(members)
+            u = members[-1]
+            if size == 1 and u and rooted:
+                break
             streamed += 1
             if streamed > room:
                 # this set's 1 passes the budget: charge() refuses
                 self.streamed = streamed
                 self.charge(0.0, size)
-            u = members[-1]
             pid, pmask, pnear = stack[size - 1]
-            pos[u] = size - 1
             code = kind[u]
             for w, m in neighbors[u]:
                 if pmask >> w & 1:
@@ -468,23 +487,35 @@ class _ClusterEngine:
             if cid is None:
                 pairs = [(pos[w], m) for w, m in neighbors[u] if pmask >> w & 1]
                 cid = self._new_id(pid, code, self.loops[u], g.degree(u), pairs)
-            mask = pmask | 1 << u
-            grown = pnear | near[u]
-            stack[size] = (cid, mask, grown)
             sid = id_shape[cid]
             if sid is None:
                 self.streamed = streamed
                 sid = self._resolve(cid, order)
                 room = self.budget - self.shape_terms
+            if size == top:
+                top_tally[sid] = top_tally.get(sid, 0) + 1
+                continue
+            pos[u] = size - 1
+            mask = pmask | 1 << u
+            grown = pnear | near[u]
+            stack[size] = (cid, mask, grown)
             key = (sid, (grown & ~mask).bit_count())
             tally[key] = tally.get(key, 0) + 1
         self.streamed = streamed
 
+        def weight(count: int, size: int):
+            # no exactness is claimed for n * count / size: a refinement tie
+            # may split one class of sets over two shape ids
+            return count * g.n / size if rooted else count
+
         coeffs = [0j] * (order + 1)
         for (sid, boundary), count in tally.items():
             size, _, logs = self.shapes[sid]
+            count = weight(count, size)
             for j in range(size - reach, order + 1):
                 coeffs[j] += count * _boundary_sign(boundary, j + reach - size) * logs[j]
+        for sid, count in top_tally.items():
+            coeffs[order] += weight(count, top) * self.shapes[sid][2][order]
         return coeffs
 
 

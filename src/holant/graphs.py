@@ -22,11 +22,15 @@ class Multigraph:
 
     Endpoints of each edge are normalized to ``(min, max)`` order; the edge
     list itself keeps its given order so that edge indices are meaningful.
+    ``vertex_transitive`` is True only on the graphs that :func:`generate`
+    builds from a family that is vertex-transitive by construction; no
+    constructor argument sets it, so an edge-list graph never claims it.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
     _degrees: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    vertex_transitive: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 0:
@@ -130,6 +134,9 @@ def connected_subsets(g: Multigraph, max_size: int):
     root that have not been offered before on the current search path.  So
     a tuple of size s > 1 is the last tuple of size s - 1 yielded before it
     plus one vertex, and a consumer can keep per-depth state for prefixes.
+    The first group, from ``(0,)`` up to the first tuple that does not start
+    at 0, is exactly the connected sets that contain vertex 0; the cluster
+    engine stops there on a vertex-transitive graph.
     """
     if max_size < 1:
         return
@@ -238,8 +245,14 @@ def _random_regular(n: int, d: int, seed: int | None) -> Multigraph:
 
 
 def generate(spec: GraphFamilySpec) -> Multigraph:
-    """Build a graph from a family spec; pure function of (spec, seed)."""
+    """Build a graph from a family spec; pure function of (spec, seed).
+
+    ``cycle``, ``complete`` and ``torus`` graphs come out marked
+    ``vertex_transitive`` (rotations, permutations and translations map any
+    vertex to any other); ``path`` and ``regular`` graphs do not.
+    """
     fam = spec.family.lower()
+    transitive = fam in ("cycle", "complete", "torus", "torus2d")
     if fam == "cycle":
         g, declared = _cycle(spec.size), 2
     elif fam == "path":
@@ -259,6 +272,7 @@ def generate(spec: GraphFamilySpec) -> Multigraph:
         raise RuntimeError(f"family {spec.family} produced a non-simple graph")
     if g.max_degree() > max(declared, 0):
         raise RuntimeError(f"family {spec.family} exceeded its declared degree")
+    object.__setattr__(g, "vertex_transitive", transitive)
     return g
 
 

@@ -233,11 +233,16 @@ def test_boundary_sign_matches_subset_count():
             assert _boundary_sign(b, t) == brute, (b, t)
 
 
+def edge_list_copy(g):
+    """The same graph without the vertex-transitive mark of :func:`generate`."""
+    return Multigraph(g.n, g.edges)
+
+
 def test_cluster_budget_charges_sets_and_shapes():
-    # the 4x4 torus at order 6 streams 3,160 sets of 21 shapes: 1 per set
-    # plus 2^|C| + 2^|internal edges| per shape is 4,805 terms, far below
-    # the 155,424 that a 2^|C| charge per set would take
-    g = generate(GraphFamilySpec("torus", 4, size2=4))
+    # the 4x4 torus at order 6, read as an edge list, streams 3,160 sets of
+    # 21 shapes: 1 per set plus 2^|C| + 2^|internal edges| per shape is
+    # 4,805 terms, far below the 155,424 that a 2^|C| charge per set would take
+    g = edge_list_copy(generate(GraphFamilySpec("torus", 4, size2=4)))
     h = perturbed_ones(2, 0.02, seed=1, max_degree=4)
     per_set = sum(2 ** len(c) for c in connected_subsets(g, 6))
     assert per_set > 1e4
@@ -270,7 +275,7 @@ def test_cluster_shape_charge_names_its_cost():
 def test_cluster_refines_few_layouts(monkeypatch):
     # layout ids follow the growth of each set, so on the 6x6 torus at
     # order 6 few of the streamed sets bring a layout to the refinement
-    g = generate(GraphFamilySpec("torus", 6, size2=6))
+    g = edge_list_copy(generate(GraphFamilySpec("torus", 6, size2=6)))
     h = perturbed_ones(2, 0.02, seed=1, max_degree=4)
     refined = []
     real = approx_module._ClusterEngine._shape_id
@@ -284,6 +289,47 @@ def test_cluster_refines_few_layouts(monkeypatch):
     engine.log_coefficients(6)
     assert engine.streamed == sum(1 for _ in connected_subsets(g, 6))
     assert 20 * len(refined) <= engine.streamed
+
+
+def test_cluster_streams_only_root_sets_on_transitive_graphs():
+    # a generated torus streams the sets holding vertex 0, and its shapes
+    # are those of the full stream of its edge-list copy
+    g = generate(GraphFamilySpec("torus", 6, size2=6))
+    h = perturbed_ones(2, 0.02, seed=1, max_degree=4)
+    engine = approx_module._ClusterEngine(g, approx_module._EdgeOracle(h), 0, 1e8)
+    engine.log_coefficients(6)
+    rooted = [c for c in connected_subsets(g, 6) if c[0] == 0]
+    assert engine.streamed == len(rooted) == 1700
+    full = approx_module._ClusterEngine(edge_list_copy(g), approx_module._EdgeOracle(h), 0, 1e8)
+    full.log_coefficients(6)
+    # the rooted identity with f = 1: n * sum of 1 / |C| counts every set
+    assert full.streamed == 10992 == round(sum(g.n / len(c) for c in rooted))
+    assert len(engine.shapes) == len(full.shapes)
+
+
+ROOTED_GRAPHS = [("torus", 4, 4), ("torus", 5, 5), ("torus", 4, 6), ("torus", 6, 6),
+                 ("torus", 8, 8), ("cycle", 9, None), ("cycle", 30, None),
+                 ("complete", 6, None), ("complete", 8, None)]
+
+
+@pytest.mark.parametrize("family,size,size2", ROOTED_GRAPHS)
+def test_rooted_stream_matches_full_stream(family, size, size2):
+    # n * sum over sets at vertex 0 of f(C) / |C| against the sum over all
+    # sets of the unmarked copy: coefficients within 1e-12 of the largest
+    g = generate(GraphFamilySpec(family, size, size2=size2))
+    assert g.vertex_transitive
+    for k in (2, 3):
+        h = perturbed_ones(k, 0.02, seed=size + k, max_degree=g.max_degree())
+        for order in range(2, 7):
+            rooted = cluster_log_derivatives(g, h, order, budget=math.inf)
+            full = cluster_log_derivatives(edge_list_copy(g), h, order, budget=math.inf)
+            top = max(abs(c) for c in full[1:])
+            for a, b in zip(rooted[1:], full[1:]):
+                assert abs(a - b) <= 1e-12 * top, (k, order, a, b)
+            # and the log value that the derivatives sum to
+            total = [sum(f[m] / math.factorial(m) for m in range(order + 1))
+                     for f in (rooted, full)]
+            assert cmath.isclose(total[0], total[1], rel_tol=1e-12), (k, order)
 
 
 @st.composite

@@ -5,7 +5,8 @@ import re
 import pytest
 
 import holant.cli as cli
-from holant import load_model, save_model
+from holant import (GraphFamilySpec, approx_partition, generate, load_model,
+                    perturbed_ones, save_model)
 from holant.cli import run
 
 
@@ -96,6 +97,11 @@ def test_approx_certificate_json(capsys):
     assert 0.0 < obj["q0"] < 1.0
     assert obj["bound"] <= 1e-3
     assert obj["requested_mode"] == "mult"
+    # the CLI's generated torus takes the same rooted stream as the library's
+    cert = approx_partition(generate(GraphFamilySpec("torus", 4, size2=4)),
+                            perturbed_ones(2, 0.02, seed=5), 1e-3)
+    expected = json.loads(json.dumps(cert.to_json_dict()))
+    assert {key: obj[key] for key in expected} == expected
 
 
 def test_approx_outside_region_exit_code(capsys):

@@ -308,7 +308,7 @@ def counting_plans(monkeypatch):
     return plans
 
 
-def test_interpolation_plans_once_and_matches_per_node_sums(monkeypatch):
+def test_blend_plans_once_and_matches_q_derivative(monkeypatch):
     # every coefficient against the subset-sum derivative formula, on
     # multigraphs with loops and parallel edges
     rng = random.Random(77)

@@ -234,6 +234,29 @@ def test_eval_exp_type_computes_chi_once_per_shape(monkeypatch):
     assert len(calls) - 1 == len(engines[0].shapes) < len(sets)
 
 
+def test_eval_exp_type_rooted_on_generated_torus(monkeypatch):
+    # the generated 5x5 torus streams only vertex 0's sets, its edge-list
+    # copy all of them, and both give the same certificate
+    g = generate(GraphFamilySpec("torus", 5, size2=5))
+    spec = tutte_spec(1.0, root_radius=10.0)
+    streamed = []
+    real = approx._ClusterEngine.log_coefficients
+
+    def record(self, order):
+        out = real(self, order)
+        streamed.append(self.streamed)
+        return out
+
+    monkeypatch.setattr(approx._ClusterEngine, "log_coefficients", record)
+    rooted = eval_exp_type(g, spec, 60.0, eps=1e-4, budget=math.inf)
+    full = eval_exp_type(Multigraph(g.n, g.edges), spec, 60.0, eps=1e-4, budget=math.inf)
+    size = rooted.order + 1
+    assert size < g.n and full.order == rooted.order
+    assert streamed == [sum(1 for c in connected_subsets(g, size) if c[0] == 0),
+                        sum(1 for _ in connected_subsets(g, size))]
+    assert cmath.isclose(rooted.log_value, full.log_value, rel_tol=1e-12)
+
+
 def test_eval_exp_type_refuses_non_multiplicative_chi():
     const = ExpTypeSpec(chi=lambda g: 1.0, name="const-one", root_radius=10.0)
     g = generate(GraphFamilySpec("path", 8))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -6,7 +7,9 @@ import oracles
 from holant import (GraphFamilySpec, GraphFormatError, Multigraph,
                     component_count, connected_subsets, edges_touching,
                     generate, induced_subgraph, parse_edge_list,
-                    read_edge_list, write_edge_list)
+                    perturbed_ones, read_edge_list, write_edge_list)
+from holant.approx import _ClusterEngine, _EdgeOracle
+from holant.graphs import format_edge_list
 
 
 def test_degrees_count_loops_twice():
@@ -113,6 +116,36 @@ def test_generate_families():
     t = generate(GraphFamilySpec("torus", 3, size2=4))
     assert (t.n, t.m) == (12, 24)
     assert all(t.degree(v) == 4 for v in range(t.n))
+
+
+def test_only_transitive_families_are_marked(tmp_path):
+    marked = [generate(GraphFamilySpec("cycle", 7)), generate(GraphFamilySpec("complete", 5)),
+              generate(GraphFamilySpec("torus", 3, size2=4))]
+    assert all(g.vertex_transitive for g in marked)
+    t = marked[2]
+    write_edge_list(t, tmp_path / "t.el")
+    unmarked = [generate(GraphFamilySpec("path", 5)),
+                generate(GraphFamilySpec("regular", 12, degree=3, seed=1)),
+                Multigraph(t.n, t.edges), parse_edge_list(format_edge_list(t)),
+                read_edge_list(tmp_path / "t.el"), induced_subgraph(t, range(t.n)),
+                dataclasses.replace(t)]
+    assert not any(g.vertex_transitive for g in unmarked)
+    # the mark is no constructor argument and no part of equality
+    with pytest.raises(TypeError):
+        Multigraph(3, ((0, 1), (1, 2), (0, 2)), vertex_transitive=True)
+    with pytest.raises(ValueError):
+        dataclasses.replace(t, vertex_transitive=True)
+    assert all(g == t for g in unmarked[2:])
+
+
+def test_unmarked_graphs_stream_every_root():
+    h = perturbed_ones(2, 0.02, seed=1, max_degree=4)
+    for g in (generate(GraphFamilySpec("path", 9)),
+              generate(GraphFamilySpec("regular", 12, degree=3, seed=1)),
+              Multigraph(16, generate(GraphFamilySpec("torus", 4, size2=4)).edges)):
+        engine = _ClusterEngine(g, _EdgeOracle(h), 0, float("inf"))
+        engine.log_coefficients(4)
+        assert engine.streamed == sum(1 for _ in connected_subsets(g, 4)), g
 
 
 def test_generate_regular_is_simple_and_regular():
