@@ -13,9 +13,12 @@ only on the labelled shape of C (its internal multigraph and the number of
 edges leaving each vertex), and its series log is computed once per shape.
 The sets are streamed as they grow, and each carries a layout id derived
 from its parent's id and its last vertex, so recognising a set's shape
-costs one table lookup; only a new id is refined to its shape.  A set of
-the top size enters only the last coefficient, with boundary weight 1,
-so it is tallied by its shape alone.  On a graph that
+costs one table lookup; only a new id is refined to its shape.  Per-vertex
+arrays for the current prefix, undone when the next set is shorter, give a
+set's row and boundary in time set by its last vertex's degree, not by the
+size of the graph.  A set of the top size enters only the last
+coefficient, with boundary weight 1, so it is counted under (prefix id,
+row) and its shape is looked up once per such pair.  On a graph that
 :func:`holant.graphs.generate` marks vertex-transitive, the sum over all sets
 equals n times the sum over the sets containing vertex 0 of the same term
 divided by |C| (every term depends only on the shape and the boundary,
@@ -247,11 +250,12 @@ class _ClusterEngine:
         self.neighbors = [sorted(m.items()) for m in mult]
         # a row is packed into one int: the index of (loops, degree) plus
         # len(kinds) * sum of multiplicity * radix^position, radix above
-        # every multiplicity, so equal codes are equal rows
+        # every multiplicity, so equal codes are equal rows; _place holds
+        # the positions of the largest set streamed so far
         kinds = sorted({(self.loops[v], g.degree(v)) for v in range(g.n)})
         self._kind = {kind: i for i, kind in enumerate(kinds)}
-        radix = 1 + max((m for nb in self.neighbors for _, m in nb), default=0)
-        self._place = [len(kinds) * radix ** p for p in range(g.n)]
+        self._radix = 1 + max((m for nb in self.neighbors for _, m in nb), default=0)
+        self._place: list[int] = []
         self._intern: dict[tuple[int, int], int] = {}
         self._layouts: list[tuple] = [((), ())]
         self._id_shape: list[int | None] = [None]
@@ -436,13 +440,24 @@ class _ClusterEngine:
         where dC is the outer vertex boundary of C (:func:`_boundary_sign`).
         Q_C depends only on the labelled shape of C (internal multigraph and
         edges leaving each vertex), so the oracle runs once per shape.  The
-        sets are streamed in growth order: per depth the engine keeps the
-        prefix's layout id, bitmask and neighborhood, so each set costs its
-        last vertex's row, one intern lookup and its boundary size; only an
-        id seen for the first time builds a layout and looks up its shape.
+        sets are streamed in growth order, a set of size s > 1 being the
+        last set of size s - 1 plus one vertex u.  The engine keeps the
+        current prefix as a path (its vertices by position), per size its
+        layout id and boundary, and per vertex w four entries: ``row[w]``,
+        w's edges into the prefix packed by position; ``cover[w]``, the
+        number of prefix vertices adjacent to w; ``inside[w]``; and
+        ``pos[w]``.  A shorter set first pops the path down to its prefix,
+        undoing those entries.  The code of u is then ``kind[u] + row[u]``
+        and one intern lookup gives the set's id; only an id seen for the
+        first time builds a layout and looks up its shape.  Pushing u adds
+        its edges to the arrays, and the boundary is the prefix's, minus u,
+        plus u's neighbors outside the prefix that no prefix vertex covers.
         A set of the top size order + R enters only [z^order], where
-        c(b, 0) = 1, so it is tallied by its shape alone: no boundary, and
-        no prefix entry, as it is never extended.
+        c(b, 0) = 1, and is never extended, so it costs one count under
+        (prefix id, code of u): no boundary and no push.  The first set of
+        each such pair resolves its id and shape, so shapes are charged when
+        they are first met; after the stream the pairs fold into a tally per
+        shape.
 
         On a graph marked ``vertex_transitive`` every term depends only on
         the shape and the boundary, which an automorphism keeps, so
@@ -456,16 +471,23 @@ class _ClusterEngine:
         g = self.g
         top = order + reach
         rooted = g.vertex_transitive
+        if len(self._place) < top:
+            self._place = [len(self._kind) * self._radix ** p for p in range(top)]
         neighbors, place, intern, id_shape = (self.neighbors, self._place,
                                               self._intern, self._id_shape)
         kind = [self._kind[self.loops[v], g.degree(v)] for v in range(g.n)]
-        near = [sum(1 << w for w, _ in nb) for nb in neighbors]
+        # the prefix by position, and the per-vertex arrays of the docstring
+        path: list[int] = []
+        row = [0] * g.n
+        cover = [0] * g.n
+        inside = [False] * g.n
         pos = [0] * g.n
-        # stack[s] = (layout id, bitmask, neighborhood bitmask) of the
-        # current prefix of size s < top
-        stack = [(0, 0, 0)] * top
+        # layout id and outer boundary of the prefix of each size s < top
+        ids = [0] * top
+        bounds = [0] * top
         tally: dict[tuple[int, int], int] = {}
-        top_tally: dict[int, int] = {}
+        # top-size sets by (layout id of the prefix, code of the last vertex)
+        leaves: dict[tuple[int, int], int] = {}
         streamed = self.streamed
         room = self.budget - self.shape_terms
         for members in connected_subsets(g, top):
@@ -478,14 +500,30 @@ class _ClusterEngine:
                 # this set's 1 passes the budget: charge() refuses
                 self.streamed = streamed
                 self.charge(0.0, size)
-            pid, pmask, pnear = stack[size - 1]
-            code = kind[u]
-            for w, m in neighbors[u]:
-                if pmask >> w & 1:
-                    code += m * place[pos[w]]
+            depth = size - 1
+            pid = ids[depth]
+            if size == top:
+                # the prefix is the whole path, as a full set is never
+                # pushed; only a pair seen for the first time goes on to
+                # its layout and shape
+                key = (pid, kind[u] + row[u])
+                count = leaves.get(key)
+                if count is not None:
+                    leaves[key] = count + 1
+                    continue
+                leaves[key] = 1
+            while len(path) > depth:
+                # a shorter set: drop the path's last vertex
+                v = path.pop()
+                step = place[len(path)]
+                for w, m in neighbors[v]:
+                    row[w] -= m * step
+                    cover[w] -= 1
+                inside[v] = False
+            code = kind[u] + row[u]
             cid = intern.get((pid, code))
             if cid is None:
-                pairs = [(pos[w], m) for w, m in neighbors[u] if pmask >> w & 1]
+                pairs = [(pos[w], m) for w, m in neighbors[u] if inside[w]]
                 cid = self._new_id(pid, code, self.loops[u], g.degree(u), pairs)
             sid = id_shape[cid]
             if sid is None:
@@ -493,15 +531,27 @@ class _ClusterEngine:
                 sid = self._resolve(cid, order)
                 room = self.budget - self.shape_terms
             if size == top:
-                top_tally[sid] = top_tally.get(sid, 0) + 1
                 continue
-            pos[u] = size - 1
-            mask = pmask | 1 << u
-            grown = pnear | near[u]
-            stack[size] = (cid, mask, grown)
-            key = (sid, (grown & ~mask).bit_count())
+            # u leaves the boundary and its uncovered outside neighbors join
+            boundary = bounds[depth] - 1 if depth else 0
+            step = place[depth]
+            for w, m in neighbors[u]:
+                if not cover[w] and not inside[w]:
+                    boundary += 1
+                row[w] += m * step
+                cover[w] += 1
+            inside[u] = True
+            pos[u] = depth
+            path.append(u)
+            ids[size] = cid
+            bounds[size] = boundary
+            key = (sid, boundary)
             tally[key] = tally.get(key, 0) + 1
         self.streamed = streamed
+        top_tally: dict[int, int] = {}
+        for (pid, code), count in leaves.items():
+            sid = id_shape[intern[pid, code]]
+            top_tally[sid] = top_tally.get(sid, 0) + count
 
         def weight(count: int, size: int):
             # no exactness is claimed for n * count / size: a refinement tie

@@ -264,6 +264,26 @@ def _cmd_exptype(args) -> int:
     return 0
 
 
+def _limits_family(text: str, seed) -> graphs.GraphFamilySpec:
+    """The family of ``limits``, whose size each of ``--sizes`` replaces.
+
+    A bare ``cycle``, ``path``, ``complete`` or ``torus`` needs no size; a
+    bare torus means square tori.  Any other family is given in full.
+    """
+    if ":" in text:
+        return _parse_family(text, seed)
+    name = text.strip().lower()
+    if name in ("cycle", "path", "complete"):
+        return graphs.GraphFamilySpec(name, 0)
+    if name in ("torus", "torus2d"):
+        return graphs.GraphFamilySpec("torus", 0)
+    raise _ParseFailure(
+        f"bad family {text!r}; limits takes cycle, path, complete or torus bare, "
+        f"or a full spec such as torus:AxB or regular:N,D[,seed] whose first size "
+        f"--sizes replaces"
+    )
+
+
 def _cmd_limits(args) -> int:
     h = _load_model(args)
     budget = _resolve_budget(args.budget)
@@ -273,8 +293,7 @@ def _cmd_limits(args) -> int:
         raise _ParseFailure(f"bad --sizes {args.sizes!r}; use comma-separated integers")
     if not sizes:
         raise _ParseFailure("--sizes must name at least one size")
-    base = _parse_family(args.family if ":" in args.family else args.family + ":0",
-                         args.seed)
+    base = _limits_family(args.family, args.seed)
     specs = [graphs.GraphFamilySpec(base.family, s, size2=base.size2,
                                     degree=base.degree, seed=base.seed)
              for s in sizes]

@@ -137,15 +137,27 @@ def connected_subsets(g: Multigraph, max_size: int):
     The first group, from ``(0,)`` up to the first tuple that does not start
     at 0, is exactly the connected sets that contain vertex 0; the cluster
     engine stops there on a vertex-transitive graph.
+
+    Most sets have the full size.  The full-size children of a set of size
+    ``max_size - 1`` are that set plus each vertex of its frontier (the
+    unused rest of its parent's frontier, then its own fresh neighbors), and
+    they come from one tight loop: a full set is never extended, so it needs
+    no frame and offers nothing to ``seen``.
     """
     if max_size < 1:
         return
     adj = [sorted(s) for s in g.adjacency()]
     for root in range(g.n):
-        yield (root,)
+        prefix = (root,)
+        yield prefix
         if max_size == 1:
             continue
         start = [w for w in adj[root] if w > root]
+        if max_size == 2:
+            for w in start:
+                yield prefix + (w,)
+            continue
+        leaf = max_size - 1
         current = [root]
         seen = set(start)
         # one frame per depth below the current set: [frontier, next index,
@@ -165,10 +177,16 @@ def connected_subsets(g: Multigraph, max_size: int):
             u = frontier[idx]
             current.append(u)
             frame[1] = idx + 1
-            if len(current) == max_size:
-                # a full set is never extended, so it offers nothing
+            if len(current) == leaf:
+                # the full-size children, without frames or offers
                 frame[2] = ()
-                yield tuple(current)
+                prefix = tuple(current)
+                yield prefix
+                for w in frontier[idx + 1:]:
+                    yield prefix + (w,)
+                for w in adj[u]:
+                    if w > root and w not in seen:
+                        yield prefix + (w,)
                 continue
             fresh = frame[2] = [w for w in adj[u] if w > root and w not in seen]
             seen.update(fresh)

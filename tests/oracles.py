@@ -201,6 +201,48 @@ def brute_connected_subsets(g: Multigraph, max_size: int) -> set:
     return found
 
 
+def growth_order_subsets(g: Multigraph, max_size: int):
+    """The growth-order sequence that ``connected_subsets`` must yield.
+
+    The rooted depth-first expansion with a frame per depth, full-size sets
+    included: from each root in turn, extend through vertices above the
+    root not offered before on the current search path, preorder.
+    """
+    if max_size < 1:
+        return []
+    adj = [sorted(s) for s in g.adjacency()]
+    out = []
+    for root in range(g.n):
+        out.append((root,))
+        if max_size == 1:
+            continue
+        start = [w for w in adj[root] if w > root]
+        current = [root]
+        seen = set(start)
+        frames = [[start, 0, None]]
+        while frames:
+            frame = frames[-1]
+            frontier, idx, fresh = frame
+            if fresh is not None:
+                current.pop()
+                seen.difference_update(fresh)
+            if idx == len(frontier):
+                frames.pop()
+                continue
+            u = frontier[idx]
+            current.append(u)
+            frame[1] = idx + 1
+            if len(current) == max_size:
+                frame[2] = ()
+                out.append(tuple(current))
+                continue
+            fresh = frame[2] = [w for w in adj[u] if w > root and w not in seen]
+            seen.update(fresh)
+            out.append(tuple(current))
+            frames.append([frontier[idx + 1:] + fresh, 0, None])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # exhaustive small-graph enumeration up to isomorphism
 

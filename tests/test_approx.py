@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -305,6 +306,25 @@ def test_cluster_streams_only_root_sets_on_transitive_graphs():
     # the rooted identity with f = 1: n * sum of 1 / |C| counts every set
     assert full.streamed == 10992 == round(sum(g.n / len(c) for c in rooted))
     assert len(engine.shapes) == len(full.shapes)
+
+
+def test_cluster_engine_memory_is_linear_in_the_graph():
+    # the engine keeps per-vertex arrays and packs rows over the positions of
+    # the largest set streamed, so four times the vertices cost about four
+    # times the memory (quadratic bookkeeping grew about eightfold here)
+    h = perturbed_ones(2, 0.02, seed=1, max_degree=4)
+    peaks = []
+    for side in (50, 100):
+        g = generate(GraphFamilySpec("torus", side, size2=side))
+        tracemalloc.start()
+        try:
+            engine = approx_module._ClusterEngine(g, approx_module._EdgeOracle(h), 0, 1e8)
+            engine.log_coefficients(5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(engine._place) <= 5 + engine.reach
+    assert peaks[1] <= 5 * peaks[0], peaks
 
 
 ROOTED_GRAPHS = [("torus", 4, 4), ("torus", 5, 5), ("torus", 4, 6), ("torus", 6, 6),

@@ -175,6 +175,26 @@ def test_limits_json(capsys):
         assert v == pytest.approx(math.log(2.0))
 
 
+def test_limits_bare_torus_means_square_tori(capsys):
+    code, out, _ = invoke(capsys, "limits", "--family", "torus", "--sizes", "5,6",
+                          "--model", "ones+-uniform:0.02:3", "--eps", "1e-2")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["family"] == "torus" and obj["sizes"] == [5, 6]
+    assert obj["engine_per_size"] == ["approx", "approx"]
+    h = perturbed_ones(2, 0.02, seed=3)
+    for side, value in zip((5, 6), obj["values"]):
+        cert = approx_partition(generate(GraphFamilySpec("torus", side, size2=side)), h, 1e-2)
+        assert value == pytest.approx(cert.log_value.real / side ** 2, rel=1e-12)
+
+
+def test_limits_bare_family_that_needs_parameters_names_the_text(capsys):
+    code, out, err = invoke(capsys, "limits", "--family", "regular", "--sizes", "10,12",
+                            "--model", "ones:2")
+    assert code == 3 and out == ""
+    assert "bad family 'regular'" in err and "regular:0" not in err
+
+
 def test_roots_output(capsys, tmp_path):
     graph = write_triangle(tmp_path)
     code, out, _ = invoke(capsys, "roots", "--graph", graph,
