@@ -6,6 +6,11 @@ quantity.  The package provides exact contraction engines, a certified Taylor
 scheme valid near the all-ones system, partition-indexed graph polynomials
 (random-cluster and chromatic included), transfer matrices for cycles, and
 a command-line front end.
+
+numpy is loaded on first numeric use (root finding, cycle transfer
+matrices, the seeded random and orthogonal models, vertex models), not by
+``import holant``, so the exact, cluster and exp-type engines and the CLI
+commands built on them start without it.
 """
 
 from .errors import (BudgetExceededError, DecompositionError, GraphFormatError,

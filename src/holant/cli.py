@@ -259,7 +259,7 @@ def _cmd_exptype(args) -> int:
     payload = _cert_payload(cert)
     payload["chi"] = spec.name
     payload["x"] = _cpx(x)
-    payload["root_radius"] = spec.effective_radius()
+    payload["root_radius"] = spec.root_radius
     _print(args, payload, _cert_text(cert, args.mode))
     return 0
 

@@ -23,8 +23,6 @@ from functools import partial
 from operator import add
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import BudgetExceededError, RootFindingError
 from .graphs import Multigraph
 from .models import EdgeColoringModel, TensorAssignment, compositions
@@ -386,6 +384,8 @@ def poly_roots(p: ComplexPoly) -> tuple[complex, ...]:
             f"the monic form leaves the float range: max|coeff| = {scale:g} over "
             f"|leading coeff| = {lead:g} overflows"
         )
+    import numpy as np
+
     roots = [complex(z) for z in np.roots(p.coeffs[::-1])]
     if any(abs(p(z)) > 1e-9 * scale * max(1.0, abs(z)) ** d for z in roots):
         raise RootFindingError("companion-matrix roots fail the residual check",

@@ -28,11 +28,6 @@ from .errors import BudgetExceededError, OutsideRegionError
 from .exact import DEFAULT_BUDGET, ComplexPoly, poly_roots
 from .graphs import Multigraph, component_count, induced_subgraph
 
-# Universal scale relating a family's growth constant to a disk containing
-# every root of its polynomials on bounded-degree graphs.  Kept as reference
-# documentation; certified radii should be measured or supplied explicitly.
-EXP_ROOT_SCALE = 7.30319
-
 _SMALL_DP_LIMIT = 13
 
 
@@ -41,10 +36,9 @@ class ExpTypeSpec:
     """A block weight plus optional root-location knowledge.
 
     ``root_radius`` is a caller-supplied bound on root moduli of the
-    polynomial over the graph class of interest; ``R_delta`` is the growth
-    constant of a bounded family, convertible to a radius via
-    EXP_ROOT_SCALE.  ``root_radius_heuristic`` marks radii that were
-    estimated rather than proven, and is propagated to certificates.
+    polynomial over the graph class of interest.  ``root_radius_heuristic``
+    marks radii that were estimated rather than proven, and is propagated
+    to certificates.
 
     ``chi`` must be 1 on K_1 and vanish on disconnected graphs, as the
     random-cluster weight does; the polynomial then factors over
@@ -54,20 +48,12 @@ class ExpTypeSpec:
     chi: Callable[[Multigraph], complex]
     name: str
     root_radius: float | None = None
-    R_delta: float | None = None
     root_radius_heuristic: bool = False
 
     def __post_init__(self):
         probe = complex(self.chi(Multigraph(1, ())))
         if abs(probe - 1.0) > 1e-9:
             raise ValueError(f"chi(K_1) = {probe} but must be 1")
-
-    def effective_radius(self) -> float | None:
-        if self.root_radius is not None:
-            return self.root_radius
-        if self.R_delta is not None:
-            return EXP_ROOT_SCALE * self.R_delta
-        return None
 
     def with_root_radius(self, c: float, heuristic: bool = True) -> "ExpTypeSpec":
         return replace(self, root_radius=float(c), root_radius_heuristic=heuristic)
@@ -124,7 +110,7 @@ def tutte_spec(v: complex, root_radius: float | None = None,
     """Random-cluster family member at edge weight ``v``."""
     v = complex(v)
     return ExpTypeSpec(lambda h: chi_tutte(h, v), f"tutte:v={v.real:g},{v.imag:g}",
-                       root_radius, None, heuristic)
+                       root_radius, heuristic)
 
 
 def chromatic_spec(root_radius: float | None = None,
@@ -310,7 +296,7 @@ def eval_exp_type(g: Multigraph, spec: ExpTypeSpec, x: complex, eps: float,
         raise ValueError(f"unknown mode {mode!r}")
     budget = DEFAULT_BUDGET if budget is None else budget
     x = complex(x)
-    c = spec.effective_radius()
+    c = spec.root_radius
     if c is None:
         raise ValueError(
             "spec has no root_radius; supply one or run estimate_root_radius"

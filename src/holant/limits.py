@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .approx import approx_partition
 from .errors import BudgetExceededError, OutsideRegionError
@@ -21,6 +20,9 @@ from .exact import (DEFAULT_BUDGET, ComplexPoly, exact_partition,
                     exact_poly_by_interpolation, poly_roots)
 from .graphs import GraphFamilySpec, Multigraph, generate
 from .models import EdgeColoringModel
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def normalized_pf(g: Multigraph, h: EdgeColoringModel, engine: str = "exact",
@@ -51,6 +53,8 @@ def normalized_pf(g: Multigraph, h: EdgeColoringModel, engine: str = "exact",
 
 def cycle_transfer_matrix(h: EdgeColoringModel) -> np.ndarray:
     """k x k matrix with entry (i, j) the weight of one i and one j incidence."""
+    import numpy as np
+
     k = h.k
     T = np.empty((k, k), dtype=complex)
     for i in range(k):
@@ -66,12 +70,16 @@ def cycle_transfer_pf(h: EdgeColoringModel, n: int) -> complex:
     """Partition sum on the length-n cycle: trace of the n-th matrix power."""
     if n < 1:
         raise ValueError("cycle length must be at least 1")
+    import numpy as np
+
     T = cycle_transfer_matrix(h)
     return complex(np.trace(np.linalg.matrix_power(T, n)))
 
 
 def transfer_log_growth(h: EdgeColoringModel) -> float:
     """ln of the spectral radius of the cycle transfer matrix."""
+    import numpy as np
+
     T = cycle_transfer_matrix(h)
     top = max(abs(w) for w in np.linalg.eigvals(T))
     if top == 0:

@@ -18,12 +18,13 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import DecompositionError, OutsideRegionError
 from .graphs import Multigraph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def compositions(total: int, parts: int):
@@ -152,6 +153,8 @@ def perturbed_ones(k: int, radius: float, seed: int | None = None,
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     entries = {}
     for alpha in vectors_up_to(max_degree, k):
@@ -173,6 +176,8 @@ class VertexModel:
     B: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         self.a = np.asarray(self.a, dtype=complex).reshape(-1)
         self.B = np.asarray(self.B, dtype=complex)
         n = self.a.shape[0]
@@ -196,6 +201,8 @@ def symmetric_decompose(B) -> np.ndarray:
     [[0, b], [b, 0]] into rows proportional to (1, +-i)).  Raises
     ``DecompositionError`` if no usable pivot remains.
     """
+    import numpy as np
+
     B = np.array(B, dtype=complex)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise DecompositionError("input must be a square matrix")
@@ -263,6 +270,8 @@ def vertex_to_edge(model: VertexModel, U: np.ndarray | None = None) -> EdgeColor
     supplied); with columns u_1..u_n of U, the value at alpha is
     sum_i a_i * prod_j u_i(j)^alpha_j.
     """
+    import numpy as np
+
     if U is None:
         U = symmetric_decompose(model.B)
     U = np.asarray(U, dtype=complex)
@@ -338,18 +347,36 @@ class TensorAssignment:
 
 def random_orthogonal(k: int, seed: int | None = None) -> np.ndarray:
     """Complex orthogonal matrix exp(A) with A antisymmetric, entries in the unit disk."""
-    from scipy.linalg import expm
+    import numpy as np
 
     rng = np.random.default_rng(seed)
     re = rng.uniform(-0.5, 0.5, size=(k, k))
     im = rng.uniform(-0.5, 0.5, size=(k, k))
     A = re + 1j * im
     A = A - A.T  # antisymmetric; entries stay within the unit disk
-    g = expm(A)
+    g = _expm(A)
     resid = np.max(np.abs(g.T @ g - np.eye(k)))
     if resid > 1e-9:
         raise RuntimeError(f"orthogonality residual {resid:.3e} too large")
     return g
+
+
+def _expm(A: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring: halve A until its 1-norm is
+    at most 1/2, sum 20 Taylor terms (truncation below 1e-25), square back."""
+    import numpy as np
+
+    norm = np.linalg.norm(A, 1)
+    squarings = math.ceil(math.log2(norm / 0.5)) if norm > 0.5 else 0
+    X = A / 2.0 ** squarings
+    term = np.eye(A.shape[0], dtype=complex)
+    total = term.copy()
+    for j in range(1, 21):
+        term = term @ X / j
+        total = total + term
+    for _ in range(squarings):
+        total = total @ total
+    return total
 
 
 def _poly_mul(p: dict, q: dict) -> dict:
@@ -363,6 +390,8 @@ def _poly_mul(p: dict, q: dict) -> dict:
 
 def _transformed_monomial(g: np.ndarray, alpha: tuple[int, ...]) -> dict:
     """Expansion of prod_j (g v)_j^alpha_j as a polynomial in v (dict beta -> coeff)."""
+    import numpy as np
+
     k = len(alpha)
     zero = tuple(0 for _ in range(k))
     result = {zero: 1.0 + 0j}
@@ -392,6 +421,8 @@ def apply_orthogonal(g: np.ndarray, target, max_degree: int | None = None):
     ``max_degree``, or the target's own coverage when that is not given.
     For a ``TensorAssignment`` each vertex table is transformed in full.
     """
+    import numpy as np
+
     g = np.asarray(g, dtype=complex)
     if isinstance(target, EdgeColoringModel):
         if g.shape != (target.k, target.k):
@@ -538,4 +569,6 @@ def vertex_model_from_json_dict(obj) -> VertexModel:
         B = [[_j2c(z) for z in row] for row in obj["B"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed vertex-model JSON: {exc}") from exc
+    import numpy as np
+
     return VertexModel(np.array(a), np.array(B))

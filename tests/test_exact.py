@@ -431,7 +431,7 @@ def test_poly_roots_repeated_chromatic_roots():
 def test_poly_roots_rejects_candidates_failing_the_residual(monkeypatch):
     poly = ComplexPoly((-6.0, 11.0, -6.0, 1.0))
     candidates = [1.0 + 1e-3j, 2.0, 3.0 - 1e-3]
-    monkeypatch.setattr(holant.exact.np, "roots", lambda coeffs: list(candidates))
+    monkeypatch.setattr(np, "roots", lambda coeffs: list(candidates))
     with pytest.raises(RootFindingError) as info:
         poly_roots(poly)
     assert info.value.partial_roots == tuple(candidates)

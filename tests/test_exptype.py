@@ -12,7 +12,7 @@ from holant import (ExpTypeSpec, GraphFamilySpec, Multigraph, OutsideRegionError
                     chi_tutte, chi_k_coefficients, chromatic_spec, connected_subsets,
                     estimate_root_radius, eval_exp_type, exp_type_poly, generate,
                     poly_roots, qhat_derivative, tutte_direct, tutte_spec)
-from holant.exptype import EXP_ROOT_SCALE, random_cluster_profile, tutte_from_profile
+from holant.exptype import random_cluster_profile, tutte_from_profile
 
 K1 = Multigraph(1, ())
 K2 = Multigraph(2, ((0, 1),))
@@ -50,20 +50,20 @@ def test_spec_probes_single_vertex_normalization():
     with pytest.raises(ValueError):
         ExpTypeSpec(chi=lambda g: 2.0, name="bad")
     ok = ExpTypeSpec(chi=lambda g: 1.0, name="const-one")
-    assert ok.effective_radius() is None
+    assert ok.root_radius is None
+    assert not ok.root_radius_heuristic
 
 
 def test_spec_radius_resolution():
     s = ExpTypeSpec(chi=lambda g: 1.0, name="x", root_radius=3.0)
-    assert s.effective_radius() == 3.0
-    r = ExpTypeSpec(chi=lambda g: 1.0, name="y", R_delta=2.0)
-    assert r.effective_radius() == pytest.approx(EXP_ROOT_SCALE * 2.0)
-    # explicit radius wins over the scaled fallback
-    both = ExpTypeSpec(chi=lambda g: 1.0, name="z", root_radius=1.0, R_delta=2.0)
-    assert both.effective_radius() == 1.0
+    assert s.root_radius == 3.0
+    assert not s.root_radius_heuristic
     tagged = s.with_root_radius(9.0, heuristic=True)
-    assert tagged.effective_radius() == 9.0
+    assert tagged.root_radius == 9.0
     assert tagged.root_radius_heuristic
+    # the positional order is chi, name, root_radius, heuristic flag
+    spec = tutte_spec(1.0, 4.0, True)
+    assert (spec.root_radius, spec.root_radius_heuristic) == (4.0, True)
 
 
 def test_chi_k_small_cases():
