@@ -41,8 +41,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import BudgetExceededError, OutsideRegionError
-from .exact import (DEFAULT_BUDGET, _charge, _colored_sum, _degree_tables, _plan, _run,
-                    _vertex_table)
+from .exact import (DEFAULT_BUDGET, _Plan, _charge, _colored_sum, _degree_tables, _plan,
+                    _run, _run_blend, _vertex_table)
 from .graphs import Multigraph, connected_subsets, edges_touching
 from .models import EdgeColoringModel, RegionParams, compositions
 
@@ -358,15 +358,17 @@ class _ClusterEngine:
     def subsets(self, layout, order: int):
         """Yield (mask, comp, value) for the nonempty masks of a new shape.
 
-        Masks are over the layout's positions, in increasing order.
-        ``comp`` is the component of the mask's lowest position, grown from
-        that of the mask minus its highest position v; ``value`` is the
-        shape value of a proper connected mask, None for a disconnected mask
-        and for the whole set.  A connected mask's vertex order is the order
-        of the mask minus its highest position that leaves it connected,
-        then that position, so its id is folded from the smaller mask's id
-        through the intern table.  A prefix of the layout keeps its own
-        order, and with it its id.
+        Only the exponential-type oracle reads these values; the edge oracle
+        gets every sub-mask from one blend run.  Masks are over the layout's
+        positions, in increasing order.  ``comp`` is the component of the
+        mask's lowest position, grown from that of the mask minus its
+        highest position v; ``value`` is the shape value of a proper
+        connected mask, None for a disconnected mask and for the whole set.
+        A connected mask's vertex order is the order of the mask minus its
+        highest position that leaves it connected, then that position, so
+        its id is folded from the smaller mask's id through the intern
+        table.  A prefix of the layout keeps its own order, and with it its
+        id.
         """
         labels, edges = layout
         size = len(labels)
@@ -572,15 +574,25 @@ class _ClusterEngine:
 class _EdgeOracle:
     """Per-shape oracle of an edge-coloring model for the cluster engine.
 
-    A shape's value is the piece weight lambda(C); its local polynomial is
-    Q_C(z) = sum over S in C of z^|S| lambda(S), where lambda(S) is the
-    product of the piece weights of the components of S.
+    A shape's local polynomial is Q_C(z) = sum over S in C of z^|S| lambda(S),
+    where lambda(S) is the product of the piece weights of the components of
+    S, and a piece weight is k^-|touched edges| times the sum over colorings
+    of those edges of the product of (h-1) at each piece vertex.  With each
+    vertex's boundary edges averaged into its table m_v, expanding the
+    product over the vertices gives Q_C(z) = k^-|E(C)| times the blend run
+    (:func:`holant.exact._run_blend`) of the piece with tables m_v: one
+    contraction per shape, whose top coefficient is the value lambda(C).
     """
 
     def __init__(self, h: EdgeColoringModel):
         self.h = h
         self.k = h.k
+        # per call, so nothing outlives one expansion: h(alpha) - 1 by count
+        # vector, marginal tables by (internal degree, leaving edges), and
+        # contraction plans by (loops per position, layout edges)
+        self._deviation: dict[tuple[int, ...], complex] = {}
         self._marginal_cache: dict[tuple[int, int], list[complex]] = {}
+        self._plans: dict[tuple, _Plan] = {}
 
     def _marginal_table(self, d_int: int, b: int) -> list[complex]:
         """Weights over internal count vectors with boundary colors averaged out."""
@@ -590,52 +602,41 @@ class _EdgeOracle:
             return found
         k = self.k
         scale = float(k) ** (-b)
+        deviation = self._deviation
 
         def marginal(beta):
             acc = 0j
             for gamma in compositions(b, k):
                 alpha = tuple(x + y for x, y in zip(beta, gamma))
-                acc += _multinomial(b, gamma) * (self.h.value(alpha) - 1.0)
+                m = deviation.get(alpha)
+                if m is None:
+                    m = deviation[alpha] = self.h.value(alpha) - 1.0
+                acc += _multinomial(b, gamma) * m
             return acc * scale
 
         dense = _vertex_table(d_int, k, marginal)
         self._marginal_cache[key] = dense
         return dense
 
-    def weight(self, piece: Multigraph, leaving, budget: float) -> complex:
-        """Normalized weight of a connected set with internal multigraph ``piece``.
-
-        Equals k^-|touched edges| times the sum over colorings of those edges
-        of the product of (h-1) at each piece vertex, where ``leaving[i]``
-        edges leave vertex i.  Boundary edges are averaged per vertex, so
-        only internal colorings are enumerated.
-        """
-        k = self.k
-        tables = {i: self._marginal_table(piece.degree(i), b)
-                  for i, b in enumerate(leaving)}
-        value = _colored_sum(piece, k, range(piece.m), {}, tables, budget)
-        return value * float(k) ** (-piece.m)
-
     def __call__(self, engine: _ClusterEngine, layout, order: int):
-        """(lambda(C), series log of Q_C); only C itself is a new piece.
+        """(lambda(C), series log of Q_C) from one blend run of the piece.
 
-        Charges 2^|C| for the subset loop plus k^|internal edges| for the
-        piece's colorings before either runs.
+        Charges k^|internal edges|, the piece's colorings, before the run.
+        The run's constant term counts those colorings, so dividing by it
+        applies k^-|E(C)|, and Q_C(0) is set to exactly 1, which
+        :func:`_series_log` requires (3^m * 3.0^-m need not be 1).
         """
+        labels, edges = layout
         piece = _layout_graph(layout)
-        size = piece.n
-        engine.charge(2.0 ** size + float(self.k) ** piece.m, size)
-        lam = [1.0 + 0j] * (1 << size)
-        poly = [1.0 + 0j] + [0j] * size
-        for mask, comp, value in engine.subsets(layout, order):
-            if comp != mask:
-                lam[mask] = lam[comp] * lam[mask ^ comp]
-            elif value is not None:
-                lam[mask] = value
-            else:
-                lam[mask] = self.weight(piece, [b for b, _ in layout[0]], engine.budget)
-            poly[mask.bit_count()] += lam[mask]
-        return lam[-1], _series_log(poly, order)
+        engine.charge(float(self.k) ** piece.m, piece.n)
+        key = (tuple(loops for _, loops in labels), edges)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = _plan(piece, self.k, range(piece.m), range(piece.n))
+        coeffs = _run_blend(plan, [self._marginal_table(piece.degree(i), b)
+                                   for i, (b, _) in enumerate(labels)])
+        poly = [1.0 + 0j] + [c / coeffs[0] for c in coeffs[1:]]
+        return poly[-1], _series_log(poly, order)
 
 
 def _boundary_sign(b: int, t: int) -> int:
@@ -653,8 +654,10 @@ def cluster_log_derivatives(g: Multigraph, h: EdgeColoringModel, order: int,
 
     The derivatives that the series log of :func:`q_derivative` gives, from
     the local work of the cluster engine: one series log per shape of
-    connected set of at most ``order`` vertices.  Entry 0 is |E| ln k.
-    Each streamed set charges 1 and each new shape 2^|C| + k^|internal edges|.
+    connected set of at most ``order`` vertices, each from one blend run of
+    the shape's piece (:class:`_EdgeOracle`).  Entry 0 is |E| ln k.  Each
+    streamed set charges 1 and each new shape k^|internal edges|, the
+    colorings its blend run sums over.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     coeffs = _ClusterEngine(g, _EdgeOracle(h), 0, budget).log_coefficients(order)

@@ -8,8 +8,9 @@ vertices that close at each step) and then run over the weight tables
 (:func:`_run`), so callers that evaluate many weight systems on one graph,
 such as the sampled region models, plan once and run the plan per system.
 The coefficients of the blend ``z -> sum prod_v (1 + z * (h - 1))`` come
-from one run of the same plan whose states carry coefficient lists
-(:func:`_run_blend`).  Polynomial roots are the eigenvalues of the
+from one run of the same plan whose states are split by their power of z
+(:func:`_run_blend`); the cluster expansion takes each shape's local
+polynomial from the same run.  Polynomial roots are the eigenvalues of the
 companion matrix (``np.roots``), each validated against a residual bound.
 """
 
@@ -20,7 +21,6 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import partial
-from operator import add
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, RootFindingError
@@ -250,37 +250,54 @@ def _run(plan: _Plan, tables, fixed: dict[int, int]) -> complex:
 def _run_blend(plan: _Plan, tables) -> list[complex]:
     """Coefficients of z -> sum over colorings of prod_v (1 + z * m_v(alpha_v)).
 
-    The run of :func:`_run` over the same plan and packed state keys, with
-    every edge free, ``tables`` holding each vertex's ``m = h - 1`` and
-    each state carrying a coefficient list in place of a summed weight.
-    Closing a vertex multiplies its state's list by ``1 + z * m_v(alpha)``,
-    one shift-add, so every coefficient is a sum of products, as in
-    ``q_derivative``; idle vertices apply ``m_v(0)`` the same way.  Every
-    state holds ``1 + #vertices closed so far`` coefficients.  A
-    coefficient that leaves the float range raises ArithmeticError.
+    The run of :func:`_run` over the same plan, with every edge free and
+    ``tables`` holding each vertex's ``m = h - 1``.  A key is the packed
+    state times ``width`` (one more than the number of vertices) plus a
+    power of z, so each (state, power) pair sums one scalar.  Closing a
+    vertex keeps a pair's weight under its power (the 1) and adds the
+    weight times ``m_v(alpha)`` under the next power, so every coefficient
+    is a sum of products, as in ``q_derivative``; idle vertices apply
+    ``m_v(0)`` the same way.  A coefficient that leaves the float range
+    raises ArithmeticError.
     """
-    start = [1.0 + 0j]
-    for v in plan.idle:
-        m = tables[v][0]
-        start = [a + m * b for a, b in zip(start + [0j], [0j] + start)]
+    width = 1 + len(plan.idle) + sum(len(closing) for _, _, closing in plan.steps)
     radix = plan.radix
-    states = {0: start}
-    for _, steps, closing in plan.steps:
-        closing = [(offset, tables[v]) for offset, v in closing]
-        merged = {}
-        for state, coeffs in states.items():
+
+    def advance(states, steps, offset, dense):
+        # add each step to each state, then close the vertex whose slot
+        # starts at ``offset`` (already scaled by width)
+        out = {}
+        get = out.get
+        for state, weight in states.items():
             for step in steps:
                 key = state + step
-                value = coeffs
-                for offset, dense in closing:
-                    packed = key // offset % radix
-                    m = dense[packed]
-                    value = [a + m * b for a, b in zip(value + [0j], [0j] + value)]
-                    key -= packed * offset
-                old = merged.get(key)
-                merged[key] = value if old is None else list(map(add, old, value))
+                packed = key // offset % radix
+                key -= packed * offset
+                out[key] = get(key, 0j) + weight
+                key += 1
+                out[key] = get(key, 0j) + weight * dense[packed]
+        return out
+
+    states = {0: 1.0 + 0j}
+    for v in plan.idle:
+        # every key is a bare power below width, so its slot reads 0
+        states = advance(states, (0,), width, tables[v])
+    for _, steps, closing in plan.steps:
+        steps = [step * width for step in steps]
+        if closing:
+            offset, v = closing[0]
+            states = advance(states, steps, offset * width, tables[v])
+            for offset, v in closing[1:]:
+                states = advance(states, (0,), offset * width, tables[v])
+            continue
+        merged = {}
+        get = merged.get
+        for state, weight in states.items():
+            for step in steps:
+                key = state + step
+                merged[key] = get(key, 0j) + weight
         states = merged
-    coeffs = states[0]
+    coeffs = [states.get(power, 0j) for power in range(width)]
     if not all(cmath.isfinite(c) for c in coeffs):
         raise ArithmeticError("a blend coefficient left the float range")
     return coeffs

@@ -104,7 +104,6 @@ class ConvergenceReport:
     family: str
     sizes: tuple[int, ...]
     values: tuple
-    densities: tuple
     diffs: tuple
     cauchy: bool
     engine_per_size: tuple[str, ...]
@@ -151,7 +150,6 @@ def convergence_run(specs, h: EdgeColoringModel, eps: float = 1e-3,
         raise ValueError("sizes must be strictly increasing")
 
     values = []
-    densities = []
     engines = []
     for spec in specs:
         try:
@@ -161,16 +159,11 @@ def convergence_run(specs, h: EdgeColoringModel, eps: float = 1e-3,
                 if mag == 0:
                     raise OutsideRegionError("cycle partition sum vanishes")
                 values.append(math.log(mag) / spec.size)
-                densities.append(1.0)
                 engines.append("transfer")
             else:
-                g = generate(spec)
-                densities.append(g.m / g.n)
-                values.append(normalized_pf(g, h, "approx", eps, budget))
+                values.append(normalized_pf(generate(spec), h, "approx", eps, budget))
                 engines.append("approx")
         except (OutsideRegionError, BudgetExceededError, ArithmeticError) as exc:
-            if len(densities) < len(values) + 1:
-                densities.append(float("nan"))
             values.append(None)
             engines.append(f"error: {exc}")
 
@@ -180,8 +173,7 @@ def convergence_run(specs, h: EdgeColoringModel, eps: float = 1e-3,
     window = [d for d in diffs[-3:]]
     cauchy = bool(window) and all(d is not None and abs(d) < tol for d in window)
 
-    return ConvergenceReport(family, tuple(sizes), tuple(values),
-                             tuple(densities), tuple(diffs), cauchy,
+    return ConvergenceReport(family, tuple(sizes), tuple(values), tuple(diffs), cauchy,
                              tuple(engines), tol)
 
 

@@ -554,21 +554,3 @@ def save_model(h: EdgeColoringModel, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(model_to_json_dict(h), fh, indent=1)
         fh.write("\n")
-
-
-def vertex_model_to_json_dict(vm: VertexModel) -> dict:
-    return {
-        "a": [_c2j(z) for z in vm.a],
-        "B": [[_c2j(z) for z in row] for row in vm.B],
-    }
-
-
-def vertex_model_from_json_dict(obj) -> VertexModel:
-    try:
-        a = [_j2c(z) for z in obj["a"]]
-        B = [[_j2c(z) for z in row] for row in obj["B"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed vertex-model JSON: {exc}") from exc
-    import numpy as np
-
-    return VertexModel(np.array(a), np.array(B))

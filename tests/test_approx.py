@@ -12,7 +12,7 @@ import oracles
 from holant import (BudgetExceededError, GraphFamilySpec, Multigraph,
                     OutsideRegionError, RegionParams, all_ones,
                     approx_partition, certified_radius,
-                    cluster_log_derivatives, exact_partition, generate,
+                    cluster_log_derivatives, cycle_transfer_pf, exact_partition, generate,
                     magnitude_lower_bound, perturbed_ones, q_derivative,
                     sample_region_model, taylor_error_bound, taylor_order,
                     verify_zero_free, zero_free_constants)
@@ -211,17 +211,18 @@ def test_cluster_weighs_each_shape_once(monkeypatch):
     g = generate(GraphFamilySpec("torus", 6, size2=6))
     h = perturbed_ones(2, 0.02, seed=1, max_degree=4)
     calls = []
-    real = approx_module._colored_sum
+    real = approx_module._run_blend
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(approx_module, "_colored_sum", counting)
+    monkeypatch.setattr(approx_module, "_run_blend", counting)
     engine = approx_module._ClusterEngine(g, approx_module._EdgeOracle(h), 0, 1e8)
     sets = list(connected_subsets(g, 4))
     engine.log_coefficients(4)
-    # 1,008 connected sets; 6 isomorphism classes of labelled shapes
+    # 1,008 connected sets; 6 isomorphism classes of labelled shapes, each
+    # weighed by one blend run
     assert len(sets) == 1008
     assert 6 <= len(calls) == len(engine.shapes) <= 50
 
@@ -241,36 +242,54 @@ def edge_list_copy(g):
 
 def test_cluster_budget_charges_sets_and_shapes():
     # the 4x4 torus at order 6, read as an edge list, streams 3,160 sets of
-    # 21 shapes: 1 per set plus 2^|C| + 2^|internal edges| per shape is
-    # 4,805 terms, far below the 155,424 that a 2^|C| charge per set would take
+    # 20 shapes: 1 per set plus 2^|internal edges| per shape is 3,951
+    # terms, far below the 155,424 that a 2^|C| charge per set would take
     g = edge_list_copy(generate(GraphFamilySpec("torus", 4, size2=4)))
     h = perturbed_ones(2, 0.02, seed=1, max_degree=4)
     per_set = sum(2 ** len(c) for c in connected_subsets(g, 6))
     assert per_set > 1e4
     free = cluster_log_derivatives(g, h, 6, budget=math.inf)
     assert cluster_log_derivatives(g, h, 6, budget=1e4) == free
-    assert cluster_log_derivatives(g, h, 6, budget=4805) == free
+    assert cluster_log_derivatives(g, h, 6, budget=3951) == free
     with pytest.raises(BudgetExceededError,
-                       match=r"4805 terms spent against a budget of 4804, after "
-                             r"3160 sets streamed and 21 shapes computed"):
-        cluster_log_derivatives(g, h, 6, budget=4805 - 1)
+                       match=r"3951 terms spent against a budget of 3950, after "
+                             r"3160 sets streamed and 20 shapes computed"):
+        cluster_log_derivatives(g, h, 6, budget=3951 - 1)
 
 
 def test_cluster_shape_charge_names_its_cost():
-    # stream (0,), (0, 1), (1,): 1 per set; shape {0} charges 2^1 + 2^0,
-    # shape {0, 1} 2^2 + 2^5 before its subset loop, whose sub-mask {1} is
-    # a new shape charging 2^1 + 2^4 (four loops); (1,) then reuses it
+    # stream (0,), (0, 1), (1,): 1 per set; shape {0} charges 2^0, shape
+    # {0, 1} 2^5 (its edge and the four loops), and shape {1} 2^4
     g = Multigraph(2, ((0, 1),) + ((1, 1),) * 4)
     h = perturbed_ones(2, 0.3, seed=1, max_degree=g.max_degree())
     with pytest.raises(BudgetExceededError,
-                       match="41 terms spent against a budget of 40, after 2 "
+                       match="35 terms spent against a budget of 34, after 2 "
                              "sets streamed and 1 shapes computed, at a set of size 2"):
-        cluster_log_derivatives(g, h, 2, budget=40)
-    with pytest.raises(BudgetExceededError,
-                       match="60 terms spent against a budget of 59, after 3 "
-                             "sets streamed and 3 shapes computed, at a set of size 1"):
-        cluster_log_derivatives(g, h, 2, budget=59)
-    assert len(cluster_log_derivatives(g, h, 2, budget=60)) == 3
+        cluster_log_derivatives(g, h, 2, budget=34)
+    for budget in (40, 51):
+        with pytest.raises(BudgetExceededError,
+                           match=f"52 terms spent against a budget of {budget}, after 3 "
+                                 "sets streamed and 2 shapes computed, at a set of size 1"):
+            cluster_log_derivatives(g, h, 2, budget=budget)
+    assert len(cluster_log_derivatives(g, h, 2, budget=52)) == 3
+
+
+def test_cluster_weighs_long_paths_by_their_colorings(monkeypatch):
+    # cycle:40 as an edge list at order 18: 720 sets, and each path shape
+    # is charged 2^|internal edges| for its one blend run (2,622,415 terms
+    # in all); no shape reads the values of its sub-masks
+    g = edge_list_copy(generate(GraphFamilySpec("cycle", 40)))
+    h = perturbed_ones(2, 0.3, seed=7, max_degree=2)
+
+    def no_subsets(*args):
+        raise AssertionError("an edge expansion read sub-mask values")
+
+    monkeypatch.setattr(approx_module._ClusterEngine, "subsets", no_subsets)
+    f = cluster_log_derivatives(g, h, 18, budget=2622415)
+    value = sum(f[m] / math.factorial(m) for m in range(19))
+    assert abs(value - cmath.log(cycle_transfer_pf(h, 40))) <= 1e-9
+    with pytest.raises(BudgetExceededError, match="after 720 sets streamed"):
+        cluster_log_derivatives(g, h, 18, budget=2622415 - 1)
 
 
 def test_cluster_refines_few_layouts(monkeypatch):

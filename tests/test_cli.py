@@ -64,7 +64,7 @@ def test_budget_exit_code(capsys):
 
 def test_cluster_budget_exit_code(capsys):
     # order 9 on the 6x6 torus: 1 per streamed set plus each new shape's
-    # subset loop and colorings pass 1e5 terms early in the stream
+    # colorings pass 1e5 terms early in the stream
     code, _, err = invoke(capsys, "approx", "--family", "torus:6x6",
                           "--model", "ones+-uniform:0.02:1", "--eps", "1e-6",
                           "--budget", "1e5")
