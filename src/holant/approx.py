@@ -17,18 +17,21 @@ costs one table lookup; only a new id is refined to its shape.  Per-vertex
 arrays for the current prefix, undone when the next set is shorter, give a
 set's row and boundary in time set by its last vertex's degree, not by the
 size of the graph.  A set of the top size enters only the last
-coefficient, with boundary weight 1, so it is counted under (prefix id,
-row) and its shape is looked up once per such pair.  On a graph that
+coefficient, with boundary weight 1, so it is never streamed: the engine
+streams the smaller sets, and counts the top-size children of each set one
+size below under (that set's id, row of the added vertex), reading them
+from the vertices offered after its last vertex in the stream's frontier
+order; its shape is looked up once per such pair.  On a graph that
 :func:`holant.graphs.generate` marks vertex-transitive, the sum over all sets
 equals n times the sum over the sets containing vertex 0 of the same term
 divided by |C| (every term depends only on the shape and the boundary,
 which automorphisms keep), so only those sets are streamed.  The budget is
-charged 1 per streamed set plus each new shape's work.  Only local
-neighborhoods are touched, which scales to graphs with hundreds of
-vertices.  With another per-shape oracle the same engine
-expands the exponential-type polynomials of :mod:`holant.exptype`.  The
-direct vertex-subset formula for the derivatives of q stays as an
-independent reference (:func:`q_derivative`).
+charged 1 per set, streamed or counted, plus each new shape's work.  Only
+local neighborhoods are touched, which scales to graphs with hundreds of
+vertices.  With another per-shape oracle the same engine expands the
+exponential-type polynomials of :mod:`holant.exptype`.  The direct
+vertex-subset formula for the derivatives of q stays as an independent
+reference (:func:`q_derivative`).
 """
 
 from __future__ import annotations
@@ -196,21 +199,14 @@ def _series_log(coeffs, order: int) -> list[complex]:
     return out
 
 
-def _multinomial(total: int, parts) -> int:
-    value = 1
-    left = total
-    for c in parts:
-        value *= math.comb(left, c)
-        left -= c
-    return value
+def _layout_pairs(layout) -> list[tuple[int, int]]:
+    """Endpoint pairs of a layout's internal edges, position i as vertex i.
 
-
-def _layout_graph(layout) -> Multigraph:
-    """The internal multigraph of a layout, position i as vertex i."""
+    The loops come first, by position, then the other edges in layout order.
+    """
     labels, edges = layout
-    loops = tuple((i, i) for i, (_, count) in enumerate(labels) for _ in range(count))
-    return Multigraph(len(labels), loops + tuple((i, j) for i, j, m in edges
-                                                 for _ in range(m)))
+    pairs = [(i, i) for i, (_, loops) in enumerate(labels) for _ in range(loops)]
+    return pairs + [(i, j) for i, j, m in edges for _ in range(m)]
 
 
 class _ClusterEngine:
@@ -238,6 +234,8 @@ class _ClusterEngine:
         self.budget = budget
         self.streamed = 0
         self.shape_terms = 0.0
+        # the order of the first expansion, through which shapes keep logs
+        self.order: int | None = None
         # loop counts and the distinct other neighbors with multiplicities
         self.loops = [0] * g.n
         mult = [{} for _ in range(g.n)]
@@ -247,14 +245,14 @@ class _ClusterEngine:
             else:
                 mult[u][w] = mult[u].get(w, 0) + 1
                 mult[w][u] = mult[w].get(u, 0) + 1
-        self.neighbors = [sorted(m.items()) for m in mult]
+        self.neighbors = [dict(sorted(m.items())) for m in mult]
         # a row is packed into one int: the index of (loops, degree) plus
         # len(kinds) * sum of multiplicity * radix^position, radix above
         # every multiplicity, so equal codes are equal rows; _place holds
         # the positions of the largest set streamed so far
         kinds = sorted({(self.loops[v], g.degree(v)) for v in range(g.n)})
         self._kind = {kind: i for i, kind in enumerate(kinds)}
-        self._radix = 1 + max((m for nb in self.neighbors for _, m in nb), default=0)
+        self._radix = 1 + max((m for nb in self.neighbors for m in nb.values()), default=0)
         self._place: list[int] = []
         self._intern: dict[tuple[int, int], int] = {}
         self._layouts: list[tuple] = [((), ())]
@@ -310,6 +308,21 @@ class _ClusterEngine:
                 sid = self._shape_id(layout, order)
             self._id_shape[cid] = sid
         return sid
+
+    def _settle(self, pid: int, code: int, v: int, pairs, streamed: int) -> int:
+        """Id of the set with id ``pid`` plus ``v``, whose row packs to ``code``.
+
+        Interns the id if it is new (``pairs`` as in :meth:`_new_id`) and
+        resolves its shape if that is new too, with ``streamed`` sets
+        charged so far.
+        """
+        cid = self._intern.get((pid, code))
+        if cid is None:
+            cid = self._new_id(pid, code, self.loops[v], self.g.degree(v), pairs)
+        if self._id_shape[cid] is None:
+            self.streamed = streamed
+            self._resolve(cid, self.order)
+        return cid
 
     def _shape_id(self, layout, order: int) -> int:
         """Id of the shape of a layout that has not been seen yet.
@@ -442,33 +455,55 @@ class _ClusterEngine:
         where dC is the outer vertex boundary of C (:func:`_boundary_sign`).
         Q_C depends only on the labelled shape of C (internal multigraph and
         edges leaving each vertex), so the oracle runs once per shape.  The
-        sets are streamed in growth order, a set of size s > 1 being the
-        last set of size s - 1 plus one vertex u.  The engine keeps the
+        sets below the top size order + R are streamed from
+        :func:`connected_subsets` in growth order, a set of size s > 1 being
+        the last set of size s - 1 plus one vertex u.  The engine keeps the
         current prefix as a path (its vertices by position), per size its
         layout id and boundary, and per vertex w four entries: ``row[w]``,
         w's edges into the prefix packed by position; ``cover[w]``, the
         number of prefix vertices adjacent to w; ``inside[w]``; and
-        ``pos[w]``.  A shorter set first pops the path down to its prefix,
-        undoing those entries.  The code of u is then ``kind[u] + row[u]``
-        and one intern lookup gives the set's id; only an id seen for the
-        first time builds a layout and looks up its shape.  Pushing u adds
-        its edges to the arrays, and the boundary is the prefix's, minus u,
-        plus u's neighbors outside the prefix that no prefix vertex covers.
-        A set of the top size order + R enters only [z^order], where
-        c(b, 0) = 1, and is never extended, so it costs one count under
-        (prefix id, code of u): no boundary and no push.  The first set of
-        each such pair resolves its id and shape, so shapes are charged when
-        they are first met; after the stream the pairs fold into a tally per
-        shape.
+        ``pos[w]``.  Beside them it keeps ``offered``, the vertices above
+        the root offered so far on the path, in the frontier order of
+        :func:`connected_subsets` (a vertex above the root is offered once
+        a path vertex is adjacent to it, so ``cover`` tells which are), and
+        cuts it back whenever the path shrinks.  A shorter set first pops
+        the path down to its prefix, undoing those entries.  The code of u
+        is then ``kind[u] + row[u]`` and one intern lookup gives the set's
+        id; only an id seen for the first time builds a layout and looks up
+        its shape.  Pushing u adds its edges to the arrays and its fresh
+        offers to the list, and the boundary is the prefix's, minus u, plus
+        u's neighbors outside the prefix that no prefix vertex covers.
+
+        A set S of size order + R - 1 is read only: one pass over the
+        neighbors of its last vertex u gives its boundary and u's fresh
+        offers, and nothing is pushed.  Its children of the top size are S
+        plus each vertex offered after u, then each of u's fresh offers;
+        they enter only [z^order], where c(b, 0) = 1, so each child S + w
+        costs one count under (id of S, code of w in S), the code being
+        ``kind[w] + row[w]`` plus w's edges to u at u's position.  At order
+        1 with reach 0 the single vertices are counted under the empty
+        prefix, with nothing streamed.  The first child of each such pair
+        resolves its id and shape, so shapes are charged when they are
+        first met; after the stream the pairs fold into a tally per shape.
 
         On a graph marked ``vertex_transitive`` every term depends only on
         the shape and the boundary, which an automorphism keeps, so
         sum over C of f(C) = n * sum over C containing 0 of f(C) / |C|: the
         engine streams only the first group of :func:`connected_subsets`
         (the sets containing vertex 0) and weighs each tally by n / |C|
-        once, at the end.  Each streamed set is charged 1 and each new shape
-        its oracle's charge, refusing once the total passes the budget.
+        once, at the end.  Each set is charged 1, in stream order, and each
+        new shape its oracle's charge, refusing once the total passes the
+        budget.  Shapes keep their series logs through the order of the
+        engine's first call, so a later call at a higher order raises
+        ValueError.
         """
+        if self.order is None:
+            self.order = order
+        elif order > self.order:
+            raise ValueError(
+                f"the engine's shapes hold series logs through order {self.order}, "
+                f"the order of its first call, so it cannot expand to order {order}"
+            )
         reach = self.reach
         g = self.g
         top = order + reach
@@ -484,76 +519,125 @@ class _ClusterEngine:
         cover = [0] * g.n
         inside = [False] * g.n
         pos = [0] * g.n
+        # the offers in frontier order, each vertex's index there, and per
+        # path position the list's length before that vertex's offers
+        offered: list[int] = []
+        slot = [0] * g.n
+        cut = [0] * top
         # layout id and outer boundary of the prefix of each size s < top
         ids = [0] * top
         bounds = [0] * top
         tally: dict[tuple[int, int], int] = {}
-        # top-size sets by (layout id of the prefix, code of the last vertex)
-        leaves: dict[tuple[int, int], int] = {}
+        # top-size sets: per layout id of the prefix, a count per code of the
+        # last vertex, and the (prefix id, code) pairs in the order first met
+        leaves: dict[int, dict[int, int]] = {}
+        first: list[tuple[int, int]] = []
         streamed = self.streamed
         room = self.budget - self.shape_terms
-        for members in connected_subsets(g, top):
+        if top == 1:
+            counts = leaves[0] = {}
+            for u in range(min(g.n, 1) if rooted else g.n):
+                streamed += 1
+                if streamed > room:
+                    # this set's 1 passes the budget: charge() refuses
+                    self.streamed = streamed
+                    self.charge(0.0, top)
+                count = counts.get(kind[u])
+                if count is None:
+                    counts[kind[u]] = 1
+                    first.append((0, kind[u]))
+                    self._settle(0, kind[u], u, (), streamed)
+                    room = self.budget - self.shape_terms
+                else:
+                    counts[kind[u]] = count + 1
+        leaf = top - 1
+        root = 0
+        for members in connected_subsets(g, leaf) if leaf > 0 else ():
             size = len(members)
             u = members[-1]
-            if size == 1 and u and rooted:
-                break
+            if size == 1:
+                if u and rooted:
+                    break
+                root = u
             streamed += 1
             if streamed > room:
-                # this set's 1 passes the budget: charge() refuses
                 self.streamed = streamed
                 self.charge(0.0, size)
             depth = size - 1
+            if len(path) > depth:
+                # a shorter set: drop the path down to its prefix
+                while len(path) > depth:
+                    v = path.pop()
+                    step = place[len(path)]
+                    for w, m in neighbors[v].items():
+                        row[w] -= m * step
+                        cover[w] -= 1
+                    inside[v] = False
+                del offered[cut[depth]:]
             pid = ids[depth]
-            if size == top:
-                # the prefix is the whole path, as a full set is never
-                # pushed; only a pair seen for the first time goes on to
-                # its layout and shape
-                key = (pid, kind[u] + row[u])
-                count = leaves.get(key)
-                if count is not None:
-                    leaves[key] = count + 1
-                    continue
-                leaves[key] = 1
-            while len(path) > depth:
-                # a shorter set: drop the path's last vertex
-                v = path.pop()
-                step = place[len(path)]
-                for w, m in neighbors[v]:
-                    row[w] -= m * step
-                    cover[w] -= 1
-                inside[v] = False
             code = kind[u] + row[u]
+            link = neighbors[u]
             cid = intern.get((pid, code))
-            if cid is None:
-                pairs = [(pos[w], m) for w, m in neighbors[u] if inside[w]]
-                cid = self._new_id(pid, code, self.loops[u], g.degree(u), pairs)
-            sid = id_shape[cid]
-            if sid is None:
-                self.streamed = streamed
-                sid = self._resolve(cid, order)
+            if cid is None or id_shape[cid] is None:
+                pairs = [(pos[w], m) for w, m in link.items() if inside[w]]
+                cid = self._settle(pid, code, u, pairs, streamed)
                 room = self.budget - self.shape_terms
-            if size == top:
-                continue
-            # u leaves the boundary and its uncovered outside neighbors join
+            # u leaves the boundary and its uncovered outside neighbors join;
+            # those above the root are its fresh offers
             boundary = bounds[depth] - 1 if depth else 0
             step = place[depth]
-            for w, m in neighbors[u]:
-                if not cover[w] and not inside[w]:
-                    boundary += 1
-                row[w] += m * step
-                cover[w] += 1
-            inside[u] = True
-            pos[u] = depth
-            path.append(u)
-            ids[size] = cid
-            bounds[size] = boundary
-            key = (sid, boundary)
+            if size < leaf:
+                cut[depth] = len(offered)
+                for w, m in link.items():
+                    if not cover[w]:
+                        if w > root:
+                            slot[w] = len(offered)
+                            offered.append(w)
+                        if not inside[w]:
+                            boundary += 1
+                    row[w] += m * step
+                    cover[w] += 1
+                inside[u] = True
+                pos[u] = depth
+                path.append(u)
+                ids[size] = cid
+                bounds[size] = boundary
+            else:
+                fresh = []
+                for w in link:
+                    if not cover[w]:
+                        if w > root:
+                            fresh.append(w)
+                        if not inside[w]:
+                            boundary += 1
+                # the top-size children in stream order, counted in place
+                counts = leaves.get(cid)
+                if counts is None:
+                    counts = leaves[cid] = {}
+                for w in offered[slot[u] + 1:] + fresh:
+                    streamed += 1
+                    if streamed > room:
+                        self.streamed = streamed
+                        self.charge(0.0, top)
+                    code = kind[w] + row[w] + link.get(w, 0) * step
+                    count = counts.get(code)
+                    if count is None:
+                        counts[code] = 1
+                        first.append((cid, code))
+                        pairs = [(pos[x], m) for x, m in neighbors[w].items() if inside[x]]
+                        if w in link:
+                            pairs.append((depth, link[w]))
+                        self._settle(cid, code, w, pairs, streamed)
+                        room = self.budget - self.shape_terms
+                    else:
+                        counts[code] = count + 1
+            key = (id_shape[cid], boundary)
             tally[key] = tally.get(key, 0) + 1
         self.streamed = streamed
         top_tally: dict[int, int] = {}
-        for (pid, code), count in leaves.items():
+        for pid, code in first:
             sid = id_shape[intern[pid, code]]
-            top_tally[sid] = top_tally.get(sid, 0) + count
+            top_tally[sid] = top_tally.get(sid, 0) + leaves[pid][code]
 
         def weight(count: int, size: int):
             # no exactness is claimed for n * count / size: a refinement tie
@@ -587,34 +671,39 @@ class _EdgeOracle:
     def __init__(self, h: EdgeColoringModel):
         self.h = h
         self.k = h.k
-        # per call, so nothing outlives one expansion: h(alpha) - 1 by count
-        # vector, marginal tables by (internal degree, leaving edges), and
-        # contraction plans by (loops per position, layout edges)
-        self._deviation: dict[tuple[int, ...], complex] = {}
+        # per call, so nothing outlives one expansion: marginal tables by
+        # (internal degree, leaving edges), and contraction plans by (loops
+        # per position, layout edges)
         self._marginal_cache: dict[tuple[int, int], list[complex]] = {}
         self._plans: dict[tuple, _Plan] = {}
 
-    def _marginal_table(self, d_int: int, b: int) -> list[complex]:
-        """Weights over internal count vectors with boundary colors averaged out."""
-        key = (d_int, b)
+    def _marginal_table(self, d: int, b: int) -> list[complex]:
+        """Table of a vertex with ``d`` internal and ``b`` leaving edges.
+
+        Over the count vectors beta of norm d, packed as by
+        :func:`holant.exact._vertex_table`, it holds h - 1 with the colors
+        of the leaving edges averaged out:
+        m(beta) = k^-b sum over gamma of norm b of multinomial(b, gamma) (h(beta + gamma) - 1).
+        Averaging one leaving edge at a time, m(beta) = (1/k) sum over
+        colors c of m'(beta + e_c) with m' the (d + 1, b - 1) table, so an
+        entry costs k lookups, and h is read only on vectors of norm d + b.
+        """
+        key = (d, b)
         found = self._marginal_cache.get(key)
         if found is not None:
             return found
         k = self.k
-        scale = float(k) ** (-b)
-        deviation = self._deviation
+        if b == 0:
+            dense = _vertex_table(d, k, lambda alpha: self.h.value(alpha) - 1.0)
+        else:
+            wider = self._marginal_table(d + 1, b - 1)
+            units = [(d + 2) ** c for c in range(k)]
 
-        def marginal(beta):
-            acc = 0j
-            for gamma in compositions(b, k):
-                alpha = tuple(x + y for x, y in zip(beta, gamma))
-                m = deviation.get(alpha)
-                if m is None:
-                    m = deviation[alpha] = self.h.value(alpha) - 1.0
-                acc += _multinomial(b, gamma) * m
-            return acc * scale
+            def average(beta):
+                packed = sum(x * unit for x, unit in zip(beta, units))
+                return sum(wider[packed + unit] for unit in units) / k
 
-        dense = _vertex_table(d_int, k, marginal)
+            dense = _vertex_table(d, k, average)
         self._marginal_cache[key] = dense
         return dense
 
@@ -622,18 +711,26 @@ class _EdgeOracle:
         """(lambda(C), series log of Q_C) from one blend run of the piece.
 
         Charges k^|internal edges|, the piece's colorings, before the run.
-        The run's constant term counts those colorings, so dividing by it
-        applies k^-|E(C)|, and Q_C(0) is set to exactly 1, which
-        :func:`_series_log` requires (3^m * 3.0^-m need not be 1).
+        The piece is planned from its endpoint pairs (:func:`_layout_pairs`)
+        and its degrees are read from the layout.  The run's constant term
+        counts its colorings, so dividing by it applies k^-|E(C)|, and
+        Q_C(0) is set to exactly 1, which :func:`_series_log` requires
+        (3^m * 3.0^-m need not be 1).
         """
         labels, edges = layout
-        piece = _layout_graph(layout)
-        engine.charge(float(self.k) ** piece.m, piece.n)
-        key = (tuple(loops for _, loops in labels), edges)
+        size = len(labels)
+        loops = tuple(count for _, count in labels)
+        degree = [2 * count for count in loops]
+        for i, j, m in edges:
+            degree[i] += m
+            degree[j] += m
+        engine.charge(float(self.k) ** (sum(degree) // 2), size)
+        key = (loops, edges)
         plan = self._plans.get(key)
         if plan is None:
-            plan = self._plans[key] = _plan(piece, self.k, range(piece.m), range(piece.n))
-        coeffs = _run_blend(plan, [self._marginal_table(piece.degree(i), b)
+            pairs = _layout_pairs(layout)
+            plan = self._plans[key] = _plan(pairs, self.k, range(len(pairs)), range(size))
+        coeffs = _run_blend(plan, [self._marginal_table(degree[i], b)
                                    for i, (b, _) in enumerate(labels)])
         poly = [1.0 + 0j] + [c / coeffs[0] for c in coeffs[1:]]
         return poly[-1], _series_log(poly, order)
@@ -815,7 +912,7 @@ def verify_zero_free(g: Multigraph, params: RegionParams, samples: int = 100,
     rng = random.Random(seed)
     bound = magnitude_lower_bound(g, k, params)
     _charge(k, g.m, DEFAULT_BUDGET if budget is None else budget)
-    plan = _plan(g, k, range(g.m), range(g.n))
+    plan = _plan(g.edges, k, range(g.m), range(g.n))
     min_abs = math.inf
     min_ratio = math.inf
     failures = []

@@ -138,12 +138,14 @@ def _charge(k: int, free: int, budget: float | None) -> None:
         )
 
 
-def _plan(g: Multigraph, k: int, edge_indices, vertices) -> _Plan:
+def _plan(edges, k: int, edge_indices, vertices) -> _Plan:
     """Order the contraction of ``edge_indices`` over the tables of ``vertices``.
 
-    Only the structure enters: which vertices have tables (ends at other
-    vertices contribute no factor), their degrees within the edge set, and
-    hence the table sizes ``(degree + 1) ** k`` that fix the slot radix.
+    ``edges`` holds the endpoint pairs that the indices refer to, as
+    ``Multigraph.edges`` does.  Only the structure enters: which vertices
+    have tables (ends at other vertices contribute no factor), their
+    degrees within the edge set, and hence the table sizes
+    ``(degree + 1) ** k`` that fix the slot radix.
     The next edge is the one that opens the fewest new vertices, then the
     one with an endpoint that has the fewest edges left, then the lowest
     index, so reruns are bit-for-bit stable.  Ranks are kept per edge, and
@@ -157,7 +159,7 @@ def _plan(g: Multigraph, k: int, edge_indices, vertices) -> _Plan:
     degree = dict.fromkeys(vertices, 0)
     incident = {v: [] for v in vertices}
     for e in sorted(edge_indices):
-        u, w = g.edges[e]
+        u, w = edges[e]
         ends[e] = [(v, mult) for v, mult in (((u, 2),) if u == w else ((u, 1), (w, 1)))
                    if v in degree]
         for v, mult in ends[e]:
@@ -317,7 +319,7 @@ def _colored_sum(g: Multigraph, k: int, edge_indices, fixed: dict[int, int],
     """
     edges = sorted(edge_indices)
     _charge(k, sum(e not in fixed for e in edges), budget)
-    return _run(_plan(g, k, edges, tables), tables, fixed)
+    return _run(_plan(g.edges, k, edges, tables), tables, fixed)
 
 
 def _degree_tables(g: Multigraph, k: int, value) -> dict[int, list[complex]]:
@@ -367,7 +369,7 @@ def exact_poly_by_interpolation(g: Multigraph, h: EdgeColoringModel,
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     _charge(h.k, g.m, budget)
-    plan = _plan(g, h.k, range(g.m), range(g.n))
+    plan = _plan(g.edges, h.k, range(g.m), range(g.n))
     tables = _degree_tables(g, h.k, lambda alpha: h.value(alpha) - 1.0)
     return ComplexPoly(tuple(_run_blend(plan, tables)))
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
-from .approx import (ApproxCertificate, _ClusterEngine, _exp_or_inf, _layout_graph,
+from .approx import (ApproxCertificate, _ClusterEngine, _exp_or_inf, _layout_pairs,
                      _series_log, taylor_error_bound, taylor_order)
 from .errors import BudgetExceededError, OutsideRegionError
 from .exact import DEFAULT_BUDGET, ComplexPoly, poly_roots
@@ -258,7 +258,7 @@ def _exp_shape(spec: ExpTypeSpec, engine, layout, order: int):
     """
     size = len(layout[0])
     engine.charge(3.0 ** size, size)
-    chi = complex(spec.chi(_layout_graph(layout)))
+    chi = complex(spec.chi(Multigraph(size, _layout_pairs(layout))))
     full = (1 << size) - 1
     qhat = [[1.0 + 0j]] + [None] * full
     poly = [0j] * size

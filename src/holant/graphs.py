@@ -138,11 +138,15 @@ def connected_subsets(g: Multigraph, max_size: int):
     at 0, is exactly the connected sets that contain vertex 0; the cluster
     engine stops there on a vertex-transitive graph.
 
-    Most sets have the full size.  The full-size children of a set of size
-    ``max_size - 1`` are that set plus each vertex of its frontier (the
-    unused rest of its parent's frontier, then its own fresh neighbors), and
-    they come from one tight loop: a full set is never extended, so it needs
-    no frame and offers nothing to ``seen``.
+    The children of a set S of size s - 1 are S plus each vertex of its
+    frontier, in order: the vertices offered on the search path after S's
+    last vertex u, then u's fresh neighbors (above the root, not offered
+    before).  The cluster engine relies on this frontier order: it streams
+    the sets below its top size and counts each top-size set itself, as S
+    plus each vertex offered after u, then u's fresh offers.  Most sets have
+    the full size, and the full-size children of a set of size
+    ``max_size - 1`` come from one tight loop: a full set is never
+    extended, so it needs no frame and offers nothing to ``seen``.
     """
     if max_size < 1:
         return

@@ -9,16 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from holant import (BudgetExceededError, GraphFamilySpec, Multigraph,
+from holant import (BudgetExceededError, EdgeColoringModel, GraphFamilySpec, Multigraph,
                     OutsideRegionError, RegionParams, all_ones,
                     approx_partition, certified_radius,
-                    cluster_log_derivatives, cycle_transfer_pf, exact_partition, generate,
-                    magnitude_lower_bound, perturbed_ones, q_derivative,
-                    sample_region_model, taylor_error_bound, taylor_order,
-                    verify_zero_free, zero_free_constants)
+                    cluster_log_derivatives, cycle_transfer_pf, eval_exp_type,
+                    exact_partition, generate, magnitude_lower_bound, perturbed_ones,
+                    q_derivative, sample_region_model, taylor_error_bound, taylor_order,
+                    tutte_spec, verify_zero_free, zero_free_constants)
 import holant.approx as approx_module
 from holant.approx import _boundary_sign, _series_log, log_magnitude_lower_bound
 from holant.graphs import connected_subsets
+from holant.models import compositions
 
 TRIANGLE = Multigraph(3, ((0, 1), (1, 2), (0, 2)))
 
@@ -325,6 +326,87 @@ def test_cluster_streams_only_root_sets_on_transitive_graphs():
     # the rooted identity with f = 1: n * sum of 1 / |C| counts every set
     assert full.streamed == 10992 == round(sum(g.n / len(c) for c in rooted))
     assert len(engine.shapes) == len(full.shapes)
+
+
+def test_cluster_counts_top_size_sets_without_streaming_them(monkeypatch):
+    # the engine streams the sets below the top size order + reach and
+    # counts each top-size set from its prefix's offers; at order 1 with
+    # reach 0 it counts the single vertices and streams nothing
+    calls = []
+    real = approx_module.connected_subsets
+
+    def recording(g, max_size):
+        sizes = []
+        calls.append((max_size, sizes))
+        for members in real(g, max_size):
+            sizes.append(len(members))
+            yield members
+
+    monkeypatch.setattr(approx_module, "connected_subsets", recording)
+    torus = generate(GraphFamilySpec("torus", 4, size2=4))
+    h = perturbed_ones(2, 0.02, seed=1, max_degree=4)
+    for g in (torus, edge_list_copy(torus)):
+        for order in range(1, 6):
+            calls.clear()
+            engine = approx_module._ClusterEngine(g, approx_module._EdgeOracle(h), 0, 1e8)
+            got = engine.log_coefficients(order)
+            if order == 1:
+                assert calls == []
+                assert engine.streamed == (1 if g.vertex_transitive else g.n)
+            else:
+                assert [size for size, _ in calls] == [order - 1]
+                assert max(calls[0][1]) == order - 1
+                sets = [c for c in real(g, order) if c[0] == 0 or not g.vertex_transitive]
+                assert engine.streamed == len(sets)
+            full = approx_module._ClusterEngine(edge_list_copy(torus),
+                                                approx_module._EdgeOracle(h), 0, 1e8)
+            want = full.log_coefficients(order)
+            assert all(abs(a - b) <= 1e-12 * max(map(abs, want)) for a, b in zip(got, want))
+    # with reach 1 the stream stops one size below order + 1 as well
+    calls.clear()
+    cert = eval_exp_type(torus, tutte_spec(1.0, root_radius=10.0), 60.0, eps=1e-4)
+    assert cert.order + 1 < torus.n
+    assert [size for size, _ in calls] == [cert.order] and max(calls[0][1]) == cert.order
+    # and order 1 on a small graph against the global expansion
+    g = Multigraph(3, ((0, 1), (1, 1), (1, 2), (1, 2)))
+    h = perturbed_ones(3, 0.3, seed=4, max_degree=g.max_degree())
+    want = reference_log_derivatives(g, h, 1)
+    assert cmath.isclose(cluster_log_derivatives(g, h, 1)[1], want[1], rel_tol=1e-12)
+
+
+def test_cluster_engine_refuses_a_higher_order_than_its_first():
+    # shapes keep their series logs through the first call's order
+    g = generate(GraphFamilySpec("torus", 4, size2=4))
+    h = perturbed_ones(2, 0.02, seed=1, max_degree=4)
+    engine = approx_module._ClusterEngine(g, approx_module._EdgeOracle(h), 0, 1e8)
+    engine.log_coefficients(3)
+    with pytest.raises(ValueError, match=r"through order 3.*to order 5"):
+        engine.log_coefficients(5)
+    # a lower order reuses the shapes and gives a fresh engine's answer
+    fresh = approx_module._ClusterEngine(g, approx_module._EdgeOracle(h), 0, 1e8)
+    assert engine.log_coefficients(2) == fresh.log_coefficients(2)
+
+
+def test_marginal_tables_average_the_leaving_edges():
+    # each table against k^-b sum over gamma of multinomial(b, gamma) (h(beta + gamma) - 1),
+    # also for a table model that covers only norms up to d + b
+    for k in (1, 2, 3):
+        for total in range(7):
+            drawn = perturbed_ones(k, 0.4, seed=total + 10 * k, max_degree=6)
+            table = EdgeColoringModel(k, {a: drawn.value(a) for a in compositions(total, k)},
+                                      1.5 - 0.5j, "table", max_norm=total)
+            for h in (drawn, table):
+                oracle = approx_module._EdgeOracle(h)
+                for d in range(total + 1):
+                    b = total - d
+                    got = oracle._marginal_table(d, b)
+                    for beta in compositions(d, k):
+                        want = sum(math.factorial(b) / math.prod(map(math.factorial, gamma))
+                                   * (h.value([x + y for x, y in zip(beta, gamma)]) - 1.0)
+                                   for gamma in compositions(b, k)) / k ** b
+                        packed = sum(x * (d + 1) ** c for c, x in enumerate(beta))
+                        assert cmath.isclose(got[packed], want, rel_tol=1e-13,
+                                             abs_tol=1e-15), (k, d, b, beta)
 
 
 def test_cluster_engine_memory_is_linear_in_the_graph():

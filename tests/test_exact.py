@@ -289,7 +289,7 @@ def test_plan_order_matches_the_full_rerank():
         tables = {v: _vertex_table(g.degree(v), k, h.value) for v in subset}
         fixed = {e: rng.randrange(k) for e in edges if rng.random() < 0.3}
         want, order = reference_colored_sum(g, k, edges, fixed, tables)
-        plan = _plan(g, k, edges, tables)
+        plan = _plan(g.edges, k, edges, tables)
         assert [e for e, _, _ in plan.steps] == order, (g, subset)
         assert _colored_sum(g, k, edges, fixed, tables, math.inf) == want, (g, subset)
         checked += 1

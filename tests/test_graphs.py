@@ -115,6 +115,39 @@ def test_connected_subsets_grow_from_the_last_smaller_set():
         checked += 1
 
 
+def test_connected_subsets_offer_later_vertices_in_frontier_order():
+    # the cluster engine counts the full-size children of a set S of size
+    # max_size - 1 itself, as S plus each vertex offered after S's last
+    # vertex, then that vertex's fresh offers; here every set's children
+    # are checked, whatever its size.  A path (v0, ..., vj) offers, in
+    # order, the neighbors above v0 of v0, then of v1 not offered yet, ...
+    rng = random.Random(23)
+    checked = 0
+    while checked < 40:
+        g = oracles.random_multigraph(rng, max_n=7, max_m=12)
+        if len(set(g.edges)) == g.m or all(u != w for u, w in g.edges):
+            continue  # want loops and parallel edges
+        g = Multigraph(g.n + rng.randint(1, 2), g.edges)  # and isolated vertices
+        adj = [sorted(a) for a in g.adjacency()]
+        for max_size in range(2, 7):
+            sets = list(connected_subsets(g, max_size))
+            for i, s in enumerate(sets):
+                if len(s) == max_size:
+                    continue
+                offered = []
+                for v in s:
+                    offered += [w for w in adj[v] if w > s[0] and w not in offered]
+                later = offered[offered.index(s[-1]) + 1:] if len(s) > 1 else offered
+                children = []
+                for t in sets[i + 1:]:
+                    if len(t) <= len(s):
+                        break
+                    if len(t) == len(s) + 1:
+                        children.append(t)
+                assert children == [s + (w,) for w in later], (g, max_size, s)
+        checked += 1
+
+
 def test_generate_families():
     c = generate(GraphFamilySpec("cycle", 5))
     assert (c.n, c.m) == (5, 5) and c.max_degree() == 2
