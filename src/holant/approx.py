@@ -44,8 +44,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import BudgetExceededError, OutsideRegionError
-from .exact import (DEFAULT_BUDGET, _Plan, _charge, _colored_sum, _degree_tables, _plan,
-                    _run, _run_blend, _vertex_table)
+from .exact import (DEFAULT_BUDGET, _charge, _colored_sum, _degree_tables, _plan,
+                    _plan_in_order, _run, _run_blend, _vertex_table)
 from .graphs import Multigraph, connected_subsets, edges_touching
 from .models import EdgeColoringModel, RegionParams, compositions
 
@@ -199,16 +199,6 @@ def _series_log(coeffs, order: int) -> list[complex]:
     return out
 
 
-def _layout_pairs(layout) -> list[tuple[int, int]]:
-    """Endpoint pairs of a layout's internal edges, position i as vertex i.
-
-    The loops come first, by position, then the other edges in layout order.
-    """
-    labels, edges = layout
-    pairs = [(i, i) for i, (_, loops) in enumerate(labels) for _ in range(loops)]
-    return pairs + [(i, j) for i, j, m in edges for _ in range(m)]
-
-
 class _ClusterEngine:
     """Connected-set expansion of one graph, shared by both expansions.
 
@@ -253,11 +243,13 @@ class _ClusterEngine:
         kinds = sorted({(self.loops[v], g.degree(v)) for v in range(g.n)})
         self._kind = {kind: i for i, kind in enumerate(kinds)}
         self._radix = 1 + max((m for nb in self.neighbors for m in nb.values()), default=0)
+        # above every leaving, loop and internal degree count of a position
+        self._span = 1 + g.max_degree()
         self._place: list[int] = []
         self._intern: dict[tuple[int, int], int] = {}
         self._layouts: list[tuple] = [((), ())]
         self._id_shape: list[int | None] = [None]
-        # layout -> shape id; shapes[id] = (size, value, series log)
+        # canonical layout -> shape id; shapes[id] = (size, value, series log)
         self._shape_of: dict[tuple, int] = {}
         self.shapes: list[tuple[int, object, list[complex]]] = []
 
@@ -303,6 +295,8 @@ class _ClusterEngine:
         sid = self._id_shape[cid]
         if sid is None:
             layout = self._layouts[cid]
+            # ids and layouts are one to one, so only a layout that is
+            # itself canonical can be known already
             sid = self._shape_of.get(layout)
             if sid is None:
                 sid = self._shape_id(layout, order)
@@ -324,48 +318,66 @@ class _ClusterEngine:
             self._resolve(cid, self.order)
         return cid
 
-    def _shape_id(self, layout, order: int) -> int:
-        """Id of the shape of a layout that has not been seen yet.
+    def _canonical(self, layout) -> tuple:
+        """The layout rewritten in a vertex order that isomorphic sets mostly share.
 
-        The layout is rewritten in a vertex order that isomorphic sets
-        mostly share: (leaving edges, loops, internal degree) refined twice
-        by the sorted colors of the neighbors, ties broken by position.  If
-        that layout is new too, the oracle computes the shape.  A tie that
-        the refinement leaves open costs one more shape, never a wrong one.
+        Positions are colored by (leaving edges, loops, internal degree),
+        refined twice by the sorted colors of the neighbors, ties broken by
+        position.  Colors are ints ordered as those tuples would be: the
+        first packs the triple in base ``_span``, and a neighbor enters a
+        signature as color * ``_radix`` + multiplicity, so the order, and
+        with it the canonical layout, is that of the tuples.
         """
         labels, edges = layout
         size = len(labels)
+        span = self._span
         adj = [[] for _ in range(size)]
-        for i, j, mult in edges:
-            adj[i].append((j, mult))
-            adj[j].append((i, mult))
-        color = [(b, loops, sum(m for _, m in adj[i]))
-                 for i, (b, loops) in enumerate(labels)]
+        color = [(leaving * span + loops) * span for leaving, loops in labels]
+        for i, j, m in edges:
+            adj[i].append((j, m))
+            adj[j].append((i, m))
+            color[i] += m
+            color[j] += m
         classes = len(set(color))
-        # a round that splits no class, or classes that are all single, would
-        # leave the order of the next round unchanged
-        for _ in range(2):
-            if classes == size:
-                break
-            sig = [(color[i], tuple(sorted((color[j], m) for j, m in adj[i])))
-                   for i in range(size)]
-            rank = {s: r for r, s in enumerate(sorted(set(sig)))}
-            color = [rank[s] for s in sig]
-            if len(rank) == classes:
-                break
-            classes = len(rank)
-        perm = sorted(range(size), key=lambda i: (color[i], i))
-        pos = {i: p for p, i in enumerate(perm)}
-        canonical = (tuple(labels[i] for i in perm),
-                     tuple(sorted((min(pos[i], pos[j]), max(pos[i], pos[j]), m)
-                                  for i, j, m in edges)))
+        if classes < size:
+            radix = self._radix
+            # a round that splits no class, or classes that are all single,
+            # would leave the order of the next round unchanged
+            for _ in range(2):
+                sig = [(color[i], tuple(sorted([color[j] * radix + m for j, m in adj[i]])))
+                       for i in range(size)]
+                distinct = sorted(set(sig))
+                rank = {s: r for r, s in enumerate(distinct)}
+                color = [rank[s] for s in sig]
+                if len(distinct) in (classes, size):
+                    break
+                classes = len(distinct)
+        # sorted() is stable, so ties keep position order
+        perm = sorted(range(size), key=color.__getitem__)
+        pos = [0] * size
+        for p, i in enumerate(perm):
+            pos[i] = p
+        out = []
+        for i, j, m in edges:
+            i, j = pos[i], pos[j]
+            out.append((i, j, m) if i < j else (j, i, m))
+        out.sort()
+        return tuple([labels[i] for i in perm]), tuple(out)
+
+    def _shape_id(self, layout, order: int) -> int:
+        """Id of the shape of a layout that has not been seen yet.
+
+        If the layout's canonical form (:meth:`_canonical`) is new too, the
+        oracle computes the shape.  A tie that the refinement leaves open
+        costs one more shape, never a wrong one.
+        """
+        canonical = self._canonical(layout)
         sid = self._shape_of.get(canonical)
         if sid is None:
             # the oracle resolves smaller shapes first, so append after it
             value, logs = self.oracle(self, layout, order)
             sid = self._shape_of[canonical] = len(self.shapes)
-            self.shapes.append((size, value, logs))
-        self._shape_of[layout] = sid
+            self.shapes.append((len(layout[0]), value, logs))
         return sid
 
     def subsets(self, layout, order: int):
@@ -672,10 +684,8 @@ class _EdgeOracle:
         self.h = h
         self.k = h.k
         # per call, so nothing outlives one expansion: marginal tables by
-        # (internal degree, leaving edges), and contraction plans by (loops
-        # per position, layout edges)
+        # (internal degree, leaving edges)
         self._marginal_cache: dict[tuple[int, int], list[complex]] = {}
-        self._plans: dict[tuple, _Plan] = {}
 
     def _marginal_table(self, d: int, b: int) -> list[complex]:
         """Table of a vertex with ``d`` internal and ``b`` leaving edges.
@@ -711,25 +721,26 @@ class _EdgeOracle:
         """(lambda(C), series log of Q_C) from one blend run of the piece.
 
         Charges k^|internal edges|, the piece's colorings, before the run.
-        The piece is planned from its endpoint pairs (:func:`_layout_pairs`)
-        and its degrees are read from the layout.  The run's constant term
-        counts its colorings, so dividing by it applies k^-|E(C)|, and
-        Q_C(0) is set to exactly 1, which :func:`_series_log` requires
-        (3^m * 3.0^-m need not be 1).
+        The piece is contracted in its growth order, each position's loops
+        and then its edges to earlier positions, and its degrees are read
+        from the layout.  The run's constant term counts its colorings, so
+        dividing by it applies k^-|E(C)|, and Q_C(0) is set to exactly 1,
+        which :func:`_series_log` requires (3^m * 3.0^-m need not be 1).
         """
         labels, edges = layout
         size = len(labels)
-        loops = tuple(count for _, count in labels)
-        degree = [2 * count for count in loops]
+        degree = [2 * loops for _, loops in labels]
+        later = [[] for _ in range(size)]
         for i, j, m in edges:
             degree[i] += m
             degree[j] += m
-        engine.charge(float(self.k) ** (sum(degree) // 2), size)
-        key = (loops, edges)
-        plan = self._plans.get(key)
-        if plan is None:
-            pairs = _layout_pairs(layout)
-            plan = self._plans[key] = _plan(pairs, self.k, range(len(pairs)), range(size))
+            later[j] += [((i, 1), (j, 1))] * m
+        growth = []
+        for j, (_, loops) in enumerate(labels):
+            growth += [((j, 2),)] * loops
+            growth += later[j]
+        engine.charge(float(self.k) ** len(growth), size)
+        plan = _plan_in_order(self.k, list(enumerate(growth)), range(size))
         coeffs = _run_blend(plan, [self._marginal_table(degree[i], b)
                                    for i, (b, _) in enumerate(labels)])
         poly = [1.0 + 0j] + [c / coeffs[0] for c in coeffs[1:]]
@@ -768,7 +779,7 @@ def cluster_log_derivatives(g: Multigraph, h: EdgeColoringModel, order: int,
 # the certified evaluator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ApproxCertificate:
     """Result of a certified evaluation.
 

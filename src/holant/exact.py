@@ -3,15 +3,20 @@
 Every coloring sum is one contraction of the per-vertex tables, edge by
 edge, refused before any work when its ``k ** #free edges`` colorings
 exceed the budget.  A contraction is planned from the structure alone
-(:func:`_plan`: edge order, slot offsets, per-color step vectors and the
-vertices that close at each step) and then run over the weight tables
-(:func:`_run`), so callers that evaluate many weight systems on one graph,
-such as the sampled region models, plan once and run the plan per system.
-The coefficients of the blend ``z -> sum prod_v (1 + z * (h - 1))`` come
-from one run of the same plan whose states are split by their power of z
-(:func:`_run_blend`); the cluster expansion takes each shape's local
-polynomial from the same run.  Polynomial roots are the eigenvalues of the
-companion matrix (``np.roots``), each validated against a residual bound.
+(edge order, slot offsets, per-color step vectors and the vertices that
+close at each step) and then run over the weight tables (:func:`_run`), so
+callers that evaluate many weight systems on one graph, such as the
+sampled region models, plan once and run the plan per system.  Planning is
+two steps: an edge order, then :func:`_plan_in_order`, which turns any
+order into the steps.  Whole graphs and vertex subsets use the greedy
+order of :func:`_greedy_order` (:func:`_plan`); the cluster expansion's
+shapes use their growth order, each position's loops and then its edges
+to earlier positions, which costs no search.  The coefficients of the
+blend ``z -> sum prod_v (1 + z * (h - 1))`` come from one run of a plan
+whose states are split by their power of z (:func:`_run_blend`); the
+cluster expansion takes each shape's local polynomial from the same run.
+Polynomial roots are the eigenvalues of the companion matrix
+(``np.roots``), each validated against a residual bound.
 """
 
 from __future__ import annotations
@@ -138,58 +143,87 @@ def _charge(k: int, free: int, budget: float | None) -> None:
         )
 
 
-def _plan(edges, k: int, edge_indices, vertices) -> _Plan:
-    """Order the contraction of ``edge_indices`` over the tables of ``vertices``.
+def _greedy_order(edges, edge_indices, vertices) -> list[tuple[int, tuple]]:
+    """Greedy contraction order of ``edge_indices``, as :func:`_plan_in_order` takes it.
 
     ``edges`` holds the endpoint pairs that the indices refer to, as
-    ``Multigraph.edges`` does.  Only the structure enters: which vertices
-    have tables (ends at other vertices contribute no factor), their
-    degrees within the edge set, and hence the table sizes
-    ``(degree + 1) ** k`` that fix the slot radix.
-    The next edge is the one that opens the fewest new vertices, then the
-    one with an endpoint that has the fewest edges left, then the lowest
-    index, so reruns are bit-for-bit stable.  Ranks are kept per edge, and
-    after each step only the edges at its ends are ranked again.  Each
-    opening vertex takes the lowest free slot; a closing vertex frees its
-    slot only after the step, so an end opening in a step cannot take the
-    slot of an end closing in it.
+    ``Multigraph.edges`` does; only ends at ``vertices`` are kept.  The next
+    edge is the one that opens the fewest new vertices, then the one with an
+    endpoint that has the fewest edges left, then the lowest index, so
+    reruns are bit-for-bit stable.  Ranks are kept per edge, and after each
+    step only the edges at its ends are ranked again.
     """
-    vertices = tuple(vertices)
     ends = {}
-    degree = dict.fromkeys(vertices, 0)
     incident = {v: [] for v in vertices}
     for e in sorted(edge_indices):
         u, w = edges[e]
-        ends[e] = [(v, mult) for v, mult in (((u, 2),) if u == w else ((u, 1), (w, 1)))
-                   if v in degree]
-        for v, mult in ends[e]:
-            degree[v] += mult
+        if u == w:
+            found = ((u, 2),) if u in incident else ()
+        elif u in incident:
+            found = ((u, 1), (w, 1)) if w in incident else ((u, 1),)
+        else:
+            found = ((w, 1),) if w in incident else ()
+        ends[e] = found
+        for v, _ in found:
             incident[v].append(e)
-    left = {v: len(incident[v]) for v in vertices}
-    radix = max(((degree[v] + 1) ** k for v in vertices if left[v]), default=1)
-
-    slot_of = {}
-    freed = []
+    left = {v: len(found) for v, found in incident.items()}
+    opened = set()
 
     def rank(e):
         # the ends of an edge not yet contracted have edges left, so a
         # low of 0 means none seen (an edge with no ends ranks (0, 0, e))
         fresh = low = 0
         for v, _ in ends[e]:
-            if v not in slot_of:
+            if v not in opened:
                 fresh += 1
             if not low or left[v] < low:
                 low = left[v]
         return fresh, low, e
 
     current = {e: rank(e) for e in ends}
-    steps = []
+    order = []
     while current:
         e = min(current.values())[2]
         del current[e]
+        order.append((e, ends[e]))
+        for v, _ in ends[e]:
+            opened.add(v)
+            left[v] -= 1
+        for v, _ in ends[e]:
+            for f in incident[v]:
+                if f in current:
+                    current[f] = rank(f)
+    return order
+
+
+def _plan_in_order(k: int, order, vertices) -> _Plan:
+    """The :class:`_Plan` that contracts the edges of ``order`` in that order.
+
+    ``order`` is a sequence, read twice, of (edge index, ends) pairs,
+    ``ends`` giving the (vertex, multiplicity) of the edge's ends at
+    ``vertices``: multiplicity 2 for a loop, and no entry for an end at a
+    vertex without a table, which contributes no factor.  Only the
+    structure enters: the degrees within the edge set, and hence the table
+    sizes ``(degree + 1) ** k`` that fix the slot radix.  Each opening
+    vertex takes the lowest free slot; a closing vertex frees its slot only
+    after the step, so an end opening in a step cannot take the slot of an
+    end closing in it.
+    """
+    degree = dict.fromkeys(vertices, 0)
+    left = dict.fromkeys(degree, 0)
+    for _, ends in order:
+        for v, mult in ends:
+            degree[v] += mult
+            left[v] += 1
+    radix = max(((d + 1) ** k for d in degree.values() if d), default=1)
+
+    slot_of = {}
+    freed = []
+    steps = []
+    for e, ends in order:
         step = [0] * k
         closing = []
-        for v, mult in ends[e]:
+        for v, mult in ends:
             if v not in slot_of:
                 slot_of[v] = heapq.heappop(freed) if freed else len(slot_of)
             offset = radix ** slot_of[v]
@@ -199,15 +233,21 @@ def _plan(edges, k: int, edge_indices, vertices) -> _Plan:
             left[v] -= 1
             if left[v] == 0:
                 closing.append((offset, v))
-        for v, _ in ends[e]:
-            if left[v] == 0:
-                heapq.heappush(freed, slot_of.pop(v))
-            for f in incident[v]:
-                if f in current:
-                    current[f] = rank(f)
+        for offset, v in closing:
+            heapq.heappush(freed, slot_of.pop(v))
         steps.append((e, tuple(step), tuple(closing)))
-    idle = tuple(v for v in vertices if not incident[v])
+    idle = tuple(v for v, d in degree.items() if not d)
     return _Plan(radix, idle, tuple(steps))
+
+
+def _plan(edges, k: int, edge_indices, vertices) -> _Plan:
+    """Plan the contraction of ``edge_indices`` over the tables of ``vertices``.
+
+    Whole graphs and vertex subsets are contracted in the greedy order of
+    :func:`_greedy_order`; :func:`_plan_in_order` builds the steps.
+    """
+    vertices = tuple(vertices)
+    return _plan_in_order(k, _greedy_order(edges, edge_indices, vertices), vertices)
 
 
 def _run(plan: _Plan, tables, fixed: dict[int, int]) -> complex:

@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
-from .approx import (ApproxCertificate, _ClusterEngine, _exp_or_inf, _layout_pairs,
-                     _series_log, taylor_error_bound, taylor_order)
+from .approx import (ApproxCertificate, _ClusterEngine, _exp_or_inf, _series_log,
+                     taylor_error_bound, taylor_order)
 from .errors import BudgetExceededError, OutsideRegionError
 from .exact import DEFAULT_BUDGET, ComplexPoly, poly_roots
 from .graphs import Multigraph, component_count, induced_subgraph
@@ -256,9 +256,13 @@ def _exp_shape(spec: ExpTypeSpec, engine, layout, order: int):
     components of C minus B.  Both come from the engine's shapes, so chi
     runs once per shape, on the shape itself.  Charges 3^|C| first.
     """
-    size = len(layout[0])
+    labels, edges = layout
+    size = len(labels)
     engine.charge(3.0 ** size, size)
-    chi = complex(spec.chi(Multigraph(size, _layout_pairs(layout))))
+    # position i as vertex i: the loops by position, then the other edges
+    pairs = [(i, i) for i, (_, loops) in enumerate(labels) for _ in range(loops)]
+    pairs += [(i, j) for i, j, m in edges for _ in range(m)]
+    chi = complex(spec.chi(Multigraph(size, pairs)))
     full = (1 << size) - 1
     qhat = [[1.0 + 0j]] + [None] * full
     poly = [0j] * size
@@ -328,7 +332,8 @@ def eval_exp_type(g: Multigraph, spec: ExpTypeSpec, x: complex, eps: float,
     log_value = n * cmath.log(x) + logs[0] + series * t
     return ApproxCertificate(_exp_or_inf(log_value), log_value,
                              math.inf if c == 0 else 1.0 / c, q0, order, bound, 0.0,
-                             f"exp-{mode}", spec.root_radius_heuristic)
+                             "exp-mult" if mode == "mult" else "exp-add",
+                             spec.root_radius_heuristic)
 
 
 def estimate_root_radius(spec: ExpTypeSpec, max_degree: int, graphs,

@@ -317,3 +317,40 @@ def random_multigraph(rng, max_n=6, max_m=8) -> Multigraph:
         v = rng.randrange(n)
         edges.append((u, v))
     return Multigraph(n, tuple(edges))
+
+
+# ---------------------------------------------------------------------------
+# the cluster engine's canonical layout, as first written
+
+
+def canonical_layout(layout):
+    """Canonical form of a cluster-engine layout, kept from its first version.
+
+    Colors (leaving edges, loops, internal degree) as tuples, refined at
+    most twice by the sorted (color, multiplicity) pairs of the neighbors,
+    ties broken by position; the layout is then rewritten in that order.
+    ``holant.approx._ClusterEngine._canonical`` must give the same key.
+    """
+    labels, edges = layout
+    size = len(labels)
+    adj = [[] for _ in range(size)]
+    for i, j, mult in edges:
+        adj[i].append((j, mult))
+        adj[j].append((i, mult))
+    color = [(b, loops, sum(m for _, m in adj[i])) for i, (b, loops) in enumerate(labels)]
+    classes = len(set(color))
+    for _ in range(2):
+        if classes == size:
+            break
+        sig = [(color[i], tuple(sorted((color[j], m) for j, m in adj[i])))
+               for i in range(size)]
+        rank = {s: r for r, s in enumerate(sorted(set(sig)))}
+        color = [rank[s] for s in sig]
+        if len(rank) == classes:
+            break
+        classes = len(rank)
+    perm = sorted(range(size), key=lambda i: (color[i], i))
+    pos = {i: p for p, i in enumerate(perm)}
+    return (tuple(labels[i] for i in perm),
+            tuple(sorted((min(pos[i], pos[j]), max(pos[i], pos[j]), m)
+                         for i, j, m in edges)))

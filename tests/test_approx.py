@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -409,6 +410,101 @@ def test_marginal_tables_average_the_leaving_edges():
                                              abs_tol=1e-15), (k, d, b, beta)
 
 
+def random_layout(rng, size):
+    """A layout of ``size`` positions, each adjacent to an earlier one.
+
+    Positions draw loops and leaving edges, and edges draw multiplicities up
+    to 3, so most layouts have loops and parallel edges.
+    """
+    labels = tuple((rng.randint(0, 2), rng.choice((0, 0, 1, 2))) for _ in range(size))
+    edges = []
+    for j in range(1, size):
+        for i in sorted(rng.sample(range(j), rng.randint(1, min(j, 2)))):
+            edges.append((i, j, rng.choice((1, 1, 2, 3))))
+    return labels, tuple(edges)
+
+
+def test_growth_order_blend_matches_the_greedy_plan(monkeypatch):
+    # the edge oracle contracts a shape in its growth order; the greedy plan
+    # of the same piece gives every blend coefficient within 1e-12 of the
+    # largest
+    runs = []
+    real = approx_module._run_blend
+
+    def recording(plan, tables):
+        runs.append((plan, tables))
+        return real(plan, tables)
+
+    monkeypatch.setattr(approx_module, "_run_blend", recording)
+    rng = random.Random(1818)
+    reordered = 0
+    for trial in range(90):
+        k = 1 + trial % 3
+        labels, edges = layout = random_layout(rng, rng.randint(1, 6 if k < 3 else 5))
+        size = len(labels)
+        degree = [leaving + 2 * loops for leaving, loops in labels]
+        for i, j, m in edges:
+            degree[i] += m
+            degree[j] += m
+        h = perturbed_ones(k, 0.5, seed=trial, max_degree=max(degree))
+        engine = approx_module._ClusterEngine(Multigraph(1, ()), None, 0, math.inf)
+        approx_module._EdgeOracle(h)(engine, layout, size)
+        plan, tables = runs.pop()
+        pairs = [(i, i) for i, (_, loops) in enumerate(labels) for _ in range(loops)]
+        pairs += [(i, j) for i, j, m in edges for _ in range(m)]
+        greedy = approx_module._plan(pairs, k, range(len(pairs)), range(size))
+        reordered += [c for _, _, c in greedy.steps] != [c for _, _, c in plan.steps]
+        got, want = real(plan, tables), real(greedy, tables)
+        top = max(abs(c) for c in want)
+        assert len(got) == len(want) == size + 1
+        assert all(abs(a - b) <= 1e-12 * top for a, b in zip(got, want)), (k, layout)
+    # the two orders close the vertices differently on most shapes
+    assert reordered >= 30, reordered
+
+
+def test_canonical_layout_matches_its_first_version(monkeypatch):
+    # every layout the engine refines gets the key of the tuple-colored
+    # refinement kept in oracles, and its shape is filed under that key
+    refined = []
+    real = approx_module._ClusterEngine._shape_id
+
+    def recording(self, layout, order):
+        sid = real(self, layout, order)
+        refined.append((layout, sid))
+        return sid
+
+    monkeypatch.setattr(approx_module._ClusterEngine, "_shape_id", recording)
+
+    def check(engine):
+        assert refined
+        for layout, sid in refined:
+            want = oracles.canonical_layout(layout)
+            assert engine._canonical(layout) == want, layout
+            assert engine._shape_of[want] == sid
+        refined.clear()
+
+    rng = random.Random(2718)
+    for trial in range(30):
+        g = oracles.random_multigraph(rng, max_n=7, max_m=12)
+        k = 2 + trial % 2
+        h = perturbed_ones(k, 0.02, seed=trial, max_degree=max(1, g.max_degree()))
+        engine = approx_module._ClusterEngine(g, approx_module._EdgeOracle(h), 0, math.inf)
+        engine.log_coefficients(rng.randint(2, 5))
+        check(engine)
+    # the second refinement round first orders paths of 7 positions
+    cases = [(generate(GraphFamilySpec("cycle", 12)), range(7, 9))]
+    for side in (4, 6):
+        cases.append((generate(GraphFamilySpec("torus", side, size2=side)), range(2, 7)))
+    for graph, orders in cases:
+        h = perturbed_ones(2, 0.02, seed=graph.n, max_degree=graph.max_degree())
+        for g in (graph, edge_list_copy(graph)):
+            for order in orders:
+                engine = approx_module._ClusterEngine(g, approx_module._EdgeOracle(h), 0,
+                                                      math.inf)
+                engine.log_coefficients(order)
+                check(engine)
+
+
 def test_cluster_engine_memory_is_linear_in_the_graph():
     # the engine keeps per-vertex arrays and packs rows over the positions of
     # the largest set streamed, so four times the vertices cost about four
@@ -552,6 +648,23 @@ def test_certificate_json_keys():
                         "deviation", "mode", "heuristic"}
     assert obj["value"] == {"re": cert.value.real, "im": cert.value.imag}
     assert obj["n"] == cert.order
+
+
+def test_certificate_is_a_slotted_frozen_record():
+    # no per-instance dict, and equality, replace, repr and the JSON form
+    # of a frozen dataclass
+    cert = approx_partition(TRIANGLE, perturbed_ones(2, 0.03, seed=6,
+                                                     max_degree=2), eps=1e-3)
+    assert not hasattr(cert, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cert.order = 1
+    again = dataclasses.replace(cert)
+    assert again == cert and again is not cert
+    assert repr(again) == repr(cert)
+    assert repr(cert).startswith(f"ApproxCertificate(value={cert.value!r}, ")
+    assert again.to_json_dict() == cert.to_json_dict()
+    flagged = dataclasses.replace(cert, heuristic=True)
+    assert flagged != cert and flagged.to_json_dict()["heuristic"] is True
 
 
 def test_magnitude_lower_bound_formula():

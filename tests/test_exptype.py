@@ -311,6 +311,16 @@ def test_eval_exp_type_add_mode_and_flags():
         eval_exp_type(TRIANGLE, spec, 9.0, eps=-1.0)
 
 
+def test_eval_exp_type_certificates_share_their_mode_string():
+    # the mode is one of two constants, not a string built per certificate
+    spec = tutte_spec(1.0, root_radius=2.0)
+    for mode in ("mult", "add"):
+        first, second = (eval_exp_type(TRIANGLE, spec, x, eps=1e-3, mode=mode)
+                         for x in (9.0, 11.0))
+        assert first.mode == second.mode == f"exp-{mode}"
+        assert first.mode is second.mode
+
+
 def test_eval_exp_type_region_and_radius_errors():
     spec = tutte_spec(1.0, root_radius=2.0)
     with pytest.raises(OutsideRegionError):
