@@ -12,6 +12,13 @@ coefficients come from the 3^n partition recursion when the whole graph
 fits in one cluster, and otherwise from the connected-set engine that the
 edge models use (:class:`holant.approx._ClusterEngine`), which computes
 one local reversed polynomial per labelled shape of connected set.
+
+The recursion weighs each block by chi of its induced subgraph.  When chi
+vanishes on two isolated vertices, as the random-cluster weight does, only
+connected blocks are weighed and a disconnected one counts 0 unbuilt.  The
+random-cluster weight of a block of b vertices is a subset sieve over its
+2^b vertex sets (3^b terms, refused past the budget), however many edges
+the block has.
 """
 
 from __future__ import annotations
@@ -28,9 +35,6 @@ from .errors import BudgetExceededError, OutsideRegionError
 from .exact import DEFAULT_BUDGET, ComplexPoly, poly_roots
 from .graphs import Multigraph, component_count, induced_subgraph
 
-_SMALL_DP_LIMIT = 13
-
-
 @dataclass(frozen=True)
 class ExpTypeSpec:
     """A block weight plus optional root-location knowledge.
@@ -40,9 +44,14 @@ class ExpTypeSpec:
     marks radii that were estimated rather than proven, and is propagated
     to certificates.
 
-    ``chi`` must be 1 on K_1 and vanish on disconnected graphs, as the
-    random-cluster weight does; the polynomial then factors over
-    components, which the cluster path of :func:`eval_exp_type` needs.
+    ``chi`` must be 1 on K_1.  Two paths rely on chi vanishing on
+    disconnected graphs, as the random-cluster weight does, and both probe
+    it on two isolated vertices: :func:`chi_k_coefficients` then weighs
+    only connected blocks (any other chi is evaluated on every block), and
+    the cluster path of :func:`eval_exp_type`, which needs the polynomial
+    to factor over components, refuses a chi that does not vanish there.
+    Such a probe stands for every disconnected graph, so a chi that
+    vanishes on two isolated vertices must vanish on all of them.
     """
 
     chi: Callable[[Multigraph], complex]
@@ -63,46 +72,53 @@ class ExpTypeSpec:
 # the random-cluster block weight
 
 
-def chi_tutte(g: Multigraph, v: complex) -> complex:
+def chi_tutte(g: Multigraph, v: complex, budget: float | None = None) -> complex:
     """Sum of v^|A| over edge subsets A that connect and span all of g.
 
-    Uses the subset sieve C(S) = (1+v)^{e(S)} - sum over proper anchored
-    subsets T of C(T)(1+v)^{e(S minus T)} when the vertex count permits a
-    bitmask table, and falls back to direct edge-subset enumeration.
+    The subset sieve C(S) = (1+v)^{e(S)} - sum over proper subsets T of S
+    holding S's lowest vertex of C(T)(1+v)^{e(S minus T)}, over all vertex
+    bitmasks of g: 3^|V| terms and 2^|V| table entries, whatever the
+    number of edges.  Raises BudgetExceededError before any table is built
+    when 3^|V| exceeds ``budget`` (at the default budget, graphs of 17 or
+    more vertices).
     """
+    budget = DEFAULT_BUDGET if budget is None else budget
     v = complex(v)
     if g.n == 0:
         return 1.0 + 0j
-    if g.n <= _SMALL_DP_LIMIT:
-        return _chi_tutte_sieve(g, v)
-    if 2 ** g.m > DEFAULT_BUDGET:
-        raise BudgetExceededError(f"2^{g.m} edge subsets exceed the budget")
-    total = 0j
-    for bits in range(1 << g.m):
-        chosen = [g.edges[i] for i in range(g.m) if bits >> i & 1]
-        if component_count(g.n, chosen) == 1:
-            total += v ** len(chosen)
-    return total
+    if 3 ** g.n > budget:
+        raise BudgetExceededError(f"3^{g.n} sieve terms for chi exceed the budget")
+    return _chi_tutte_sieve(g, v)
 
 
 def _chi_tutte_sieve(g: Multigraph, v: complex) -> complex:
     n = g.n
-    edge_masks = [(1 << u) | (1 << w) for u, w in g.edges]
-    inner = [0] * (1 << n)
-    for mask in range(1 << n):
-        inner[mask] = sum(1 for em in edge_masks if em & mask == em)
-    full = [ (1.0 + v) ** inner[mask] for mask in range(1 << n) ]
+    # per vertex t: its edges to each lower vertex, and at index t its loops
+    links = [[0] * (t + 1) for t in range(n)]
+    for u, w in g.edges:
+        links[w][u] += 1
+    # a mask's inner edges: those of the mask without its top vertex t, plus
+    # t's loops and its edges into that rest; masks with top t come in turn
+    inner = [0]
+    for t, row in enumerate(links):
+        into = [row[t]]
+        for m in row[:t]:
+            into += [c + m for c in into]
+        inner += [e + c for e, c in zip(inner, into)]
+    powers = [(1.0 + v) ** e for e in range(g.m + 1)]
+    full = [powers[e] for e in inner]
     conn = [0j] * (1 << n)
     for mask in range(1, 1 << n):
         anchor = mask & -mask
+        others = mask ^ anchor
         acc = full[mask]
-        sub = (mask - 1) & mask
+        # the proper subsets holding the anchor, largest first
+        sub = others
         while sub:
-            if sub & anchor:
-                acc -= conn[sub] * full[mask ^ sub]
-            sub = (sub - 1) & mask
+            sub = (sub - 1) & others
+            acc -= conn[sub | anchor] * full[others ^ sub]
         conn[mask] = acc
-    return conn[(1 << n) - 1]
+    return conn[-1]
 
 
 def tutte_spec(v: complex, root_radius: float | None = None,
@@ -157,7 +173,11 @@ def chi_k_coefficients(g: Multigraph, spec: ExpTypeSpec,
 
     Anchored recursion over vertex bitmasks: the block containing the
     lowest remaining vertex is chosen, chi of its induced subgraph weighs
-    it, and the rest recurses; results are memoized per mask.
+    it, and the rest recurses; results are memoized per mask.  Charges
+    3^|V| first.  When chi vanishes on two isolated vertices (a probe made
+    once per call), a disconnected block weighs 0 without chi being called
+    or its subgraph built, so only connected blocks are weighed; any other
+    chi is evaluated on every block.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     n = g.n
@@ -165,27 +185,49 @@ def chi_k_coefficients(g: Multigraph, spec: ExpTypeSpec,
         return []
     if 3 ** n > budget:
         raise BudgetExceededError(f"3^{n} anchored blocks exceed the budget")
+    prune = spec.chi(Multigraph(2, ())) == 0
+    # neighbour bitmask of each vertex bit, loops left out
+    nbrs = {1 << i: 0 for i in range(n)}
+    for u, w in g.edges:
+        nbrs[1 << u] |= 1 << w
+        nbrs[1 << w] |= 1 << u
     chi_of: dict[int, complex] = {}
     memo: dict[int, dict[int, complex]] = {0: {0: 1.0 + 0j}}
+
+    def weigh(block: int) -> complex:
+        if prune:
+            # flood the component of the block's lowest vertex
+            reached = frontier = block & -block
+            while frontier:
+                bit = frontier & -frontier
+                grown = nbrs[bit] & block & ~reached
+                reached |= grown
+                frontier = (frontier ^ bit) | grown
+            if reached != block:
+                return 0j
+        return complex(spec.chi(induced_subgraph(g, [i for i in range(n) if block >> i & 1])))
 
     def solve(mask: int) -> dict[int, complex]:
         found = memo.get(mask)
         if found is not None:
             return found
         anchor = mask & -mask
+        others = mask ^ anchor
         out: dict[int, complex] = {}
-        sub = mask
-        while sub:
-            if sub & anchor:
-                w = chi_of.get(sub)
-                if w is None:
-                    block = [i for i in range(n) if sub >> i & 1]
-                    w = chi_of[sub] = complex(spec.chi(induced_subgraph(g, block)))
-                if w != 0:
-                    for blocks, val in solve(mask ^ sub).items():
-                        key = blocks + 1
-                        out[key] = out.get(key, 0j) + w * val
-            sub = (sub - 1) & mask
+        # every block holding the anchor, largest first
+        sub = others
+        while True:
+            block = sub | anchor
+            w = chi_of.get(block)
+            if w is None:
+                w = chi_of[block] = weigh(block)
+            if w != 0:
+                for blocks, val in solve(others ^ sub).items():
+                    key = blocks + 1
+                    out[key] = out.get(key, 0j) + w * val
+            if not sub:
+                break
+            sub = (sub - 1) & others
         memo[mask] = out
         return out
 

@@ -3,13 +3,14 @@ import math
 import random
 from functools import partial
 
+import numpy as np
 import pytest
 
 import holant.approx as approx
 import holant.exptype as exptype
 import oracles
-from holant import (ExpTypeSpec, GraphFamilySpec, Multigraph, OutsideRegionError,
-                    chi_tutte, chi_k_coefficients, chromatic_spec, connected_subsets,
+from holant import (BudgetExceededError, ExpTypeSpec, GraphFamilySpec, Multigraph,
+                    OutsideRegionError, chi_tutte, chi_k_coefficients, chromatic_spec, connected_subsets,
                     estimate_root_radius, eval_exp_type, exp_type_poly, generate,
                     poly_roots, qhat_derivative, tutte_direct, tutte_spec)
 from holant.exptype import random_cluster_profile, tutte_from_profile
@@ -36,14 +37,49 @@ def test_chi_tutte_hand_cases():
     assert chi_tutte(Multigraph(2, ()), v) == 0.0
 
 
+def _loopy_multigraphs(rng, count, max_n, max_m):
+    # random multigraphs of at least three vertices with a loop and a parallel edge
+    out = []
+    while len(out) < count:
+        g = oracles.random_multigraph(rng, max_n=max_n, max_m=max_m)
+        if g.n >= 3 and len(set(g.edges)) < g.m and any(u == w for u, w in g.edges):
+            out.append(g)
+    return out
+
+
 def test_chi_tutte_matches_brute():
     rng = random.Random(31)
-    for trial in range(10):
-        g = oracles.random_multigraph(rng, max_n=5, max_m=7)
+    graphs = _loopy_multigraphs(rng, 30, 8, 12)
+    graphs += [oracles.random_multigraph(rng, max_n=8, max_m=12) for _ in range(30)]
+    assert max(g.n for g in graphs) == 8
+    for trial, g in enumerate(graphs):
         v = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
         fast = chi_tutte(g, v)
         slow = oracles.brute_connected_spanning(g, v)
         assert cmath.isclose(fast, slow, rel_tol=1e-9, abs_tol=1e-9), trial
+        # counts of connected spanning subgraphs, and their signed sum, are
+        # integers, which the sieve gives exactly
+        for count_v in (1.0, -1.0):
+            assert chi_tutte(g, count_v) == oracles.brute_connected_spanning(g, count_v), \
+                (trial, count_v)
+
+
+def test_chi_tutte_sieves_sparse_graphs_past_thirteen_vertices():
+    # a 15-vertex path with a chord and a loop: 16 edges, 2^16 edge subsets
+    edges = tuple((i, i + 1) for i in range(14)) + ((0, 7), (3, 3))
+    g = Multigraph(15, edges)
+    # integer weights keep every term exact
+    assert chi_tutte(g, 2.0) == oracles.brute_connected_spanning(g, 2.0)
+
+
+def test_chi_tutte_refuses_past_the_budget_before_sieving():
+    # 3^17 sieve terms pass the default budget of 1e8, however sparse the graph
+    path = Multigraph(17, tuple((i, i + 1) for i in range(16)))
+    with pytest.raises(BudgetExceededError, match="3\\^17"):
+        chi_tutte(path, 1.0)
+    with pytest.raises(BudgetExceededError):
+        chi_tutte(TRIANGLE, 1.0, budget=26)
+    assert chi_tutte(TRIANGLE, 1.0, budget=27) == 4.0
 
 
 def test_spec_probes_single_vertex_normalization():
@@ -89,6 +125,51 @@ def test_chi_k_matches_brute():
         assert len(fast) == len(slow) == g.n
         for a, b in zip(fast, slow):
             assert cmath.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9), trial
+
+
+def test_chi_k_weighs_only_connected_blocks():
+    graphs = oracles.graphs_up_to(6) + _loopy_multigraphs(random.Random(61), 12, 7, 10)
+    weights = (1.0, -0.5, -1.0)
+    calls = []
+    specs = [ExpTypeSpec(lambda h, v=v: calls.append(h) or chi_tutte(h, v), f"counted:{v}")
+             for v in weights]
+    pruned = 0
+    for g in graphs:
+        # one partition enumeration weighs every block under all three weights
+        blocks = {}
+
+        def weigh(sub):
+            key = (sub.n, sub.edges)
+            if key not in blocks:
+                blocks[key] = np.array([chi_tutte(sub, v) for v in weights])
+            return blocks[key]
+
+        slow = oracles.brute_chi_k(g, weigh)
+        for i, spec in enumerate(specs):
+            calls.clear()
+            fast = chi_k_coefficients(g, spec)
+            # one probe on two isolated vertices, then connected blocks only
+            assert calls[0] == Multigraph(2, ())
+            assert all(oracles.is_connected(h) for h in calls[1:]), (g, spec.name)
+            for a, b in zip(fast, slow):
+                assert cmath.isclose(a, b[i], rel_tol=1e-9, abs_tol=1e-9), (g, spec.name)
+        pruned += not oracles.is_connected(g)
+    assert pruned > 60
+
+
+def test_chi_k_weighs_every_block_of_a_chi_that_does_not_vanish():
+    # chi = 1 on every block counts set partitions: chi_k = S(n, k)
+    stirling = {(0, 0): 1}
+    for n in range(1, 8):
+        for k in range(n + 1):
+            stirling[n, k] = (k * stirling.get((n - 1, k), 0)
+                              + stirling.get((n - 1, k - 1), 0))
+    const = ExpTypeSpec(chi=lambda g: 1.0, name="const-one")
+    rng = random.Random(67)
+    for n in range(1, 8):
+        loopy = Multigraph(n, tuple((rng.randrange(n), rng.randrange(n)) for _ in range(6)))
+        for g in (Multigraph(n, ()), generate(GraphFamilySpec("path", n)), loopy):
+            assert chi_k_coefficients(g, const) == [stirling[n, k] for k in range(1, n + 1)]
 
 
 def test_exp_type_poly_equals_random_cluster():
