@@ -266,12 +266,7 @@ def _log_series(p, order):
 
 
 def test_cluster_engine_matches_coefficient_dp():
-    rng = random.Random(83)
-    loopy = []
-    while len(loopy) < 12:
-        g = oracles.random_multigraph(rng, max_n=7, max_m=10)
-        if g.n >= 3 and len(set(g.edges)) < g.m and any(u == w for u, w in g.edges):
-            loopy.append(g)
+    loopy = _loopy_multigraphs(random.Random(83), 12, 7, 10)
     specs = (tutte_spec(1.0), tutte_spec(-0.5), chromatic_spec())
     checked = 0
     for g in oracles.graphs_up_to(6) + loopy:
