@@ -17,15 +17,16 @@ The recursion weighs each block by chi of its induced subgraph.  When chi
 vanishes on two isolated vertices, as the random-cluster weight does, only
 connected blocks are weighed and a disconnected one counts 0 unbuilt.  The
 random-cluster weight of a block of b vertices is a subset sieve over its
-2^b vertex sets (3^b terms, refused past the budget), however many edges
-the block has.
+2^b vertex sets, 3^b terms however many edges the block has; the
+recursion and the cluster engine charge 3^b against the caller's budget
+before any block or shape of b vertices is weighed.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
 
@@ -44,25 +45,30 @@ class ExpTypeSpec:
     marks radii that were estimated rather than proven, and is propagated
     to certificates.
 
-    ``chi`` must be 1 on K_1.  Two paths rely on chi vanishing on
-    disconnected graphs, as the random-cluster weight does, and both probe
-    it on two isolated vertices: :func:`chi_k_coefficients` then weighs
-    only connected blocks (any other chi is evaluated on every block), and
-    the cluster path of :func:`eval_exp_type`, which needs the polynomial
-    to factor over components, refuses a chi that does not vanish there.
-    Such a probe stands for every disconnected graph, so a chi that
-    vanishes on two isolated vertices must vanish on all of them.
+    ``chi`` must be 1 on K_1.  Construction also probes chi on two isolated
+    vertices and keeps whether it vanishes there as ``vanishes_disconnected``.
+    Two paths rely on chi vanishing on disconnected graphs, as the
+    random-cluster weight does, and both read that flag:
+    :func:`chi_k_coefficients` then weighs only connected blocks (any other
+    chi is evaluated on every block), and the cluster path of
+    :func:`eval_exp_type`, which needs the polynomial to factor over
+    components, refuses a chi that does not vanish there.  The probe stands
+    for every disconnected graph, so a chi that vanishes on two isolated
+    vertices must vanish on all of them.
     """
 
     chi: Callable[[Multigraph], complex]
     name: str
     root_radius: float | None = None
     root_radius_heuristic: bool = False
+    vanishes_disconnected: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         probe = complex(self.chi(Multigraph(1, ())))
         if abs(probe - 1.0) > 1e-9:
             raise ValueError(f"chi(K_1) = {probe} but must be 1")
+        object.__setattr__(self, "vanishes_disconnected",
+                           self.chi(Multigraph(2, ())) == 0)
 
     def with_root_radius(self, c: float, heuristic: bool = True) -> "ExpTypeSpec":
         return replace(self, root_radius=float(c), root_radius_heuristic=heuristic)
@@ -123,9 +129,13 @@ def _chi_tutte_sieve(g: Multigraph, v: complex) -> complex:
 
 def tutte_spec(v: complex, root_radius: float | None = None,
                heuristic: bool = False) -> ExpTypeSpec:
-    """Random-cluster family member at edge weight ``v``."""
+    """Random-cluster family member at edge weight ``v``.
+
+    Its chi sieves under no budget of its own: every caller charges
+    3^|block| against the caller's budget before weighing a block.
+    """
     v = complex(v)
-    return ExpTypeSpec(lambda h: chi_tutte(h, v), f"tutte:v={v.real:g},{v.imag:g}",
+    return ExpTypeSpec(lambda h: chi_tutte(h, v, math.inf), f"tutte:v={v.real:g},{v.imag:g}",
                        root_radius, heuristic)
 
 
@@ -174,10 +184,10 @@ def chi_k_coefficients(g: Multigraph, spec: ExpTypeSpec,
     Anchored recursion over vertex bitmasks: the block containing the
     lowest remaining vertex is chosen, chi of its induced subgraph weighs
     it, and the rest recurses; results are memoized per mask.  Charges
-    3^|V| first.  When chi vanishes on two isolated vertices (a probe made
-    once per call), a disconnected block weighs 0 without chi being called
-    or its subgraph built, so only connected blocks are weighed; any other
-    chi is evaluated on every block.
+    3^|V| first.  When the spec's chi vanishes on disconnected graphs
+    (``vanishes_disconnected``), a disconnected block weighs 0 without chi
+    being called or its subgraph built, so only connected blocks are
+    weighed; any other chi is evaluated on every block.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     n = g.n
@@ -185,8 +195,9 @@ def chi_k_coefficients(g: Multigraph, spec: ExpTypeSpec,
         return []
     if 3 ** n > budget:
         raise BudgetExceededError(f"3^{n} anchored blocks exceed the budget")
-    prune = spec.chi(Multigraph(2, ())) == 0
-    # neighbour bitmask of each vertex bit, loops left out
+    prune = spec.vanishes_disconnected
+    # neighbour bitmask of each vertex bit; a loop's own bit is never
+    # flooded, as it is already reached
     nbrs = {1 << i: 0 for i in range(n)}
     for u, w in g.edges:
         nbrs[1 << u] |= 1 << w
@@ -360,7 +371,7 @@ def eval_exp_type(g: Multigraph, spec: ExpTypeSpec, x: complex, eps: float,
         qhat = chi_k_coefficients(g, spec, budget)[::-1] or [1.0 + 0j]
         logs = _normalized_log(qhat, order)
     else:
-        if spec.chi(Multigraph(2, ())) != 0:
+        if not spec.vanishes_disconnected:
             raise ValueError(
                 f"chi of {spec.name} is nonzero on two isolated vertices; the "
                 "cluster expansion needs it to vanish on disconnected graphs"

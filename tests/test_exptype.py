@@ -82,12 +82,36 @@ def test_chi_tutte_refuses_past_the_budget_before_sieving():
     assert chi_tutte(TRIANGLE, 1.0, budget=27) == 4.0
 
 
+def test_tutte_spec_leaves_the_charge_to_the_caller(monkeypatch):
+    # the 17-vertex block passes chi_tutte's default budget, not the caller's
+    sieved = []
+
+    def stub(h, v):
+        # every connected block of a path is a path: one spanning tree
+        sieved.append(h.n)
+        return 1.0 + 0j
+
+    spec = tutte_spec(1.0)
+    monkeypatch.setattr(exptype, "_chi_tutte_sieve", stub)
+    path = Multigraph(17, tuple((i, i + 1) for i in range(16)))
+    chis = chi_k_coefficients(path, spec, budget=math.inf)
+    # k blocks of a path are its compositions into k intervals
+    assert chis == [math.comb(16, k - 1) for k in range(1, 18)]
+    assert max(sieved) == 17
+    with pytest.raises(BudgetExceededError, match="3\\^17 anchored"):
+        chi_k_coefficients(path, spec)
+
+
 def test_spec_probes_single_vertex_normalization():
     with pytest.raises(ValueError):
         ExpTypeSpec(chi=lambda g: 2.0, name="bad")
     ok = ExpTypeSpec(chi=lambda g: 1.0, name="const-one")
     assert ok.root_radius is None
     assert not ok.root_radius_heuristic
+    # the disconnected-graph probe is made once, at construction
+    assert not ok.vanishes_disconnected
+    assert tutte_spec(0.5).vanishes_disconnected
+    assert chromatic_spec().with_root_radius(3.0).vanishes_disconnected
 
 
 def test_spec_radius_resolution():
@@ -148,9 +172,9 @@ def test_chi_k_weighs_only_connected_blocks():
         for i, spec in enumerate(specs):
             calls.clear()
             fast = chi_k_coefficients(g, spec)
-            # one probe on two isolated vertices, then connected blocks only
-            assert calls[0] == Multigraph(2, ())
-            assert all(oracles.is_connected(h) for h in calls[1:]), (g, spec.name)
+            # the spec was probed at construction: connected blocks only
+            assert spec.vanishes_disconnected
+            assert all(oracles.is_connected(h) for h in calls), (g, spec.name)
             for a, b in zip(fast, slow):
                 assert cmath.isclose(a, b[i], rel_tol=1e-9, abs_tol=1e-9), (g, spec.name)
         pruned += not oracles.is_connected(g)
@@ -293,6 +317,8 @@ def test_eval_exp_type_computes_chi_once_per_shape(monkeypatch):
     calls = []
     counted = ExpTypeSpec(lambda h: calls.append(h) or chi_tutte(h, 1.0), "counted",
                           root_radius=10.0)
+    # construction probes K_1 and two isolated vertices
+    assert calls == [Multigraph(1, ()), Multigraph(2, ())]
     calls.clear()
     engines = []
     real_init = approx._ClusterEngine.__init__
@@ -304,10 +330,9 @@ def test_eval_exp_type_computes_chi_once_per_shape(monkeypatch):
     monkeypatch.setattr(approx._ClusterEngine, "__init__", record)
     cert = eval_exp_type(g, counted, 60.0, eps=1e-3)
     assert cert.order + 1 < g.n and len(engines) == 1
-    # the first call is the disconnected-graph probe, then one per shape
-    assert calls[0] == Multigraph(2, ())
+    # then one call per shape, and no second probe
     sets = list(connected_subsets(g, cert.order + 1))
-    assert len(calls) - 1 == len(engines[0].shapes) < len(sets)
+    assert len(calls) == len(engines[0].shapes) < len(sets)
 
 
 def test_eval_exp_type_rooted_on_generated_torus(monkeypatch):
