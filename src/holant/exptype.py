@@ -13,18 +13,20 @@ fits in one cluster, and otherwise from the connected-set engine that the
 edge models use (:class:`holant.approx._ClusterEngine`), which computes
 one local reversed polynomial per labelled shape of connected set.
 
-The recursion weighs each block by chi of its induced subgraph.  When chi
-vanishes on two isolated vertices, as the random-cluster weight does, only
-connected blocks are weighed and a disconnected one counts 0 unbuilt.  The
-random-cluster weight of a block of b vertices is a subset sieve over its
-2^b vertex sets, 3^b terms however many edges the block has; the
-recursion and the cluster engine charge 3^b against the caller's budget
-before any block or shape of b vertices is weighed.
+The recursion weighs each block by chi of its induced subgraph, calling chi
+once per distinct block graph.  When chi vanishes on two isolated vertices,
+as the random-cluster weight does, only connected blocks are weighed and a
+disconnected one counts 0 unbuilt.  The random-cluster weight of a block of
+b vertices is a subset sieve over its 2^b vertex sets, 3^b terms however
+many edges the block has; the recursion and the cluster engine charge 3^b
+against the caller's budget before any block or shape of b vertices is
+weighed.
 """
 
 from __future__ import annotations
 
 import cmath
+import copy
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -34,7 +36,7 @@ from .approx import (ApproxCertificate, _ClusterEngine, _exp_or_inf, _series_log
                      taylor_error_bound, taylor_order)
 from .errors import BudgetExceededError, OutsideRegionError
 from .exact import DEFAULT_BUDGET, ComplexPoly, poly_roots
-from .graphs import Multigraph, component_count, induced_subgraph
+from .graphs import Multigraph, component_count
 
 @dataclass(frozen=True)
 class ExpTypeSpec:
@@ -55,6 +57,11 @@ class ExpTypeSpec:
     components, refuses a chi that does not vanish there.  The probe stands
     for every disconnected graph, so a chi that vanishes on two isolated
     vertices must vanish on all of them.
+
+    chi must be a function of the vertex count and the edge multiset, not
+    of the order of the edges: :func:`chi_k_coefficients` calls it once per
+    distinct block graph and the cluster path once per shape, and every
+    block or set with that graph or shape shares the value.
     """
 
     chi: Callable[[Multigraph], complex]
@@ -71,7 +78,11 @@ class ExpTypeSpec:
                            self.chi(Multigraph(2, ())) == 0)
 
     def with_root_radius(self, c: float, heuristic: bool = True) -> "ExpTypeSpec":
-        return replace(self, root_radius=float(c), root_radius_heuristic=heuristic)
+        """This spec with root radius ``c``; chi is not probed again."""
+        out = copy.copy(self)
+        object.__setattr__(out, "root_radius", float(c))
+        object.__setattr__(out, "root_radius_heuristic", heuristic)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +188,37 @@ def tutte_direct(g: Multigraph, q: complex, v: complex,
 # partition coefficients
 
 
+def _block_graphs(g: Multigraph) -> Callable[[int], tuple]:
+    """The map from a vertex bitmask of ``g`` to its induced graph's key.
+
+    The key is (vertex count, edge pairs): the block's edges relabelled by
+    rank in the block, as (min, max) pairs, sorted, loops and multiplicities
+    kept.  ``Multigraph._trusted(*key)`` is the induced subgraph with its
+    edges sorted.
+    """
+    # per vertex bit: the bit of the upper end of each edge whose lower end
+    # it is, once per edge, ascending
+    ups: dict[int, list[int]] = {1 << i: [] for i in range(g.n)}
+    for u, w in sorted(g.edges):
+        ups[1 << u].append(1 << w)
+
+    def key(block: int) -> tuple:
+        # vertices ascending, each one's upper ends ascending: sorted pairs
+        pairs = []
+        rest = block
+        rank = 0
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            for up in ups[bit]:
+                if block & up:
+                    pairs.append((rank, (block & (up - 1)).bit_count()))
+            rank += 1
+        return rank, tuple(pairs)
+
+    return key
+
+
 def chi_k_coefficients(g: Multigraph, spec: ExpTypeSpec,
                        budget: float | None = None) -> list[complex]:
     """[chi_1, ..., chi_n]: partition sums with exactly k induced blocks.
@@ -187,7 +229,11 @@ def chi_k_coefficients(g: Multigraph, spec: ExpTypeSpec,
     3^|V| first.  When the spec's chi vanishes on disconnected graphs
     (``vanishes_disconnected``), a disconnected block weighs 0 without chi
     being called or its subgraph built, so only connected blocks are
-    weighed; any other chi is evaluated on every block.
+    weighed; any other chi is evaluated on every block.  A block's induced
+    subgraph, relabelled by rank with its edges sorted, is built from
+    per-graph bitmask tables without re-validation, and chi runs once per
+    distinct such graph in a call: blocks with equal graphs share the
+    value.  Nothing is kept across calls.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     n = g.n
@@ -202,7 +248,11 @@ def chi_k_coefficients(g: Multigraph, spec: ExpTypeSpec,
     for u, w in g.edges:
         nbrs[1 << u] |= 1 << w
         nbrs[1 << w] |= 1 << u
+    block_graph = _block_graphs(g)
+    # chi per block bitmask, and per relabelled block graph: blocks whose
+    # graphs are equal share one chi call
     chi_of: dict[int, complex] = {}
+    chi_of_graph: dict[tuple, complex] = {}
     memo: dict[int, dict[int, complex]] = {0: {0: 1.0 + 0j}}
 
     def weigh(block: int) -> complex:
@@ -216,7 +266,11 @@ def chi_k_coefficients(g: Multigraph, spec: ExpTypeSpec,
                 frontier = (frontier ^ bit) | grown
             if reached != block:
                 return 0j
-        return complex(spec.chi(induced_subgraph(g, [i for i in range(n) if block >> i & 1])))
+        key = block_graph(block)
+        w = chi_of_graph.get(key)
+        if w is None:
+            w = chi_of_graph[key] = complex(spec.chi(Multigraph._trusted(*key)))
+        return w
 
     def solve(mask: int) -> dict[int, complex]:
         found = memo.get(mask)
@@ -315,7 +369,7 @@ def _exp_shape(spec: ExpTypeSpec, engine, layout, order: int):
     # position i as vertex i: the loops by position, then the other edges
     pairs = [(i, i) for i, (_, loops) in enumerate(labels) for _ in range(loops)]
     pairs += [(i, j) for i, j, m in edges for _ in range(m)]
-    chi = complex(spec.chi(Multigraph(size, pairs)))
+    chi = complex(spec.chi(Multigraph._trusted(size, tuple(pairs))))
     full = (1 << size) - 1
     qhat = [[1.0 + 0j]] + [None] * full
     poly = [0j] * size

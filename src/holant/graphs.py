@@ -52,6 +52,24 @@ class Multigraph:
         object.__setattr__(self, "edges", tuple(normalized))
         object.__setattr__(self, "_degrees", tuple(degs))
 
+    @classmethod
+    def _trusted(cls, n: int, edges: tuple[tuple[int, int], ...]) -> "Multigraph":
+        """The graph on ``n`` vertices with ``edges``, not re-validated.
+
+        For callers that build ``edges`` themselves as a tuple of in-range
+        ``(min, max)`` pairs; only the degrees are computed.
+        """
+        g = object.__new__(cls)
+        degs = [0] * n
+        for u, w in edges:
+            degs[u] += 1
+            degs[w] += 1
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        object.__setattr__(g, "_degrees", tuple(degs))
+        object.__setattr__(g, "vertex_transitive", False)
+        return g
+
     @property
     def m(self) -> int:
         return len(self.edges)

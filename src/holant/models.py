@@ -155,12 +155,14 @@ def perturbed_ones(k: int, radius: float, seed: int | None = None,
         raise ValueError("radius must be nonnegative")
     import numpy as np
 
-    rng = np.random.default_rng(seed)
+    alphas = list(vectors_up_to(max_degree, k))
+    # one draw of two uniforms per vector, in the order of one scalar
+    # uniform(0, 1) and one uniform(0, 2 pi) per vector; uniform(0, b) is b U
+    draws = np.random.default_rng(seed).random(2 * len(alphas)).tolist()
     entries = {}
-    for alpha in vectors_up_to(max_degree, k):
-        rho = radius * math.sqrt(rng.uniform(0.0, 1.0))
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        entries[alpha] = 1.0 + rho * cmath.exp(1j * phi)
+    for alpha, u, w in zip(alphas, draws[::2], draws[1::2]):
+        rho = radius * math.sqrt(u)
+        entries[alpha] = 1.0 + rho * cmath.exp(1j * (2.0 * math.pi * w))
     return EdgeColoringModel(k, entries, 1.0 + 0j, f"ones+uniform:{radius}", max_degree)
 
 

@@ -3,15 +3,21 @@
 Everything here is written directly from definitions with no shared code
 paths: matchings by deletion recursion, partition sums by full coloring
 enumeration via itertools, random-cluster sums by subset BFS, and graph
-canonicalization by explicit permutation minimization.
+canonicalization by explicit permutation minimization.  Two functions are
+instead frozen copies of earlier package code, kept to pin results that a
+faster version must reproduce bit for bit: ``anchored_chi_k`` and
+``perturbed_ones_entries``.
 """
 
+import cmath
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
 
 from holant import Multigraph
+from holant.models import vectors_up_to
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +191,51 @@ def brute_chi_k(g: Multigraph, chi) -> list:
     return out
 
 
+def anchored_chi_k(g: Multigraph, chi, prune: bool) -> list:
+    """chi_1..chi_n by the anchored recursion, frozen as it was before chi
+    values were shared between blocks with equal graphs.
+
+    Every block goes through ``induced_subgraph``; with ``prune`` a
+    disconnected block weighs 0 without chi.  The summation order is the
+    package's, so its coefficients must equal these bit for bit.
+    """
+    from holant import induced_subgraph
+
+    n = g.n
+    chi_of = {}
+    memo = {0: {0: 1.0 + 0j}}
+
+    def weigh(block):
+        sub = induced_subgraph(g, [i for i in range(n) if block >> i & 1])
+        if prune and not is_connected(sub):
+            return 0j
+        return complex(chi(sub))
+
+    def solve(mask):
+        if mask in memo:
+            return memo[mask]
+        anchor = mask & -mask
+        others = mask ^ anchor
+        out = {}
+        sub = others
+        while True:
+            block = sub | anchor
+            if block not in chi_of:
+                chi_of[block] = weigh(block)
+            w = chi_of[block]
+            if w != 0:
+                for blocks, val in solve(others ^ sub).items():
+                    out[blocks + 1] = out.get(blocks + 1, 0j) + w * val
+            if not sub:
+                break
+            sub = (sub - 1) & others
+        memo[mask] = out
+        return out
+
+    top = solve((1 << n) - 1) if n else {}
+    return [top.get(k, 0j) for k in range(1, n + 1)]
+
+
 # ---------------------------------------------------------------------------
 # connected subsets
 
@@ -354,3 +405,19 @@ def canonical_layout(layout):
     return (tuple(labels[i] for i in perm),
             tuple(sorted((min(pos[i], pos[j]), max(pos[i], pos[j]), m)
                          for i, j, m in edges)))
+
+
+# ---------------------------------------------------------------------------
+# models
+
+
+def perturbed_ones_entries(k: int, radius: float, seed: int, max_degree: int) -> dict:
+    """The table of ``perturbed_ones``, frozen as it was drawn before: two
+    scalar uniforms per vector, in vector order."""
+    rng = np.random.default_rng(seed)
+    entries = {}
+    for alpha in vectors_up_to(max_degree, k):
+        rho = radius * math.sqrt(rng.uniform(0.0, 1.0))
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        entries[alpha] = 1.0 + rho * cmath.exp(1j * phi)
+    return entries

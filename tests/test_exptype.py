@@ -12,7 +12,7 @@ import oracles
 from holant import (BudgetExceededError, ExpTypeSpec, GraphFamilySpec, Multigraph,
                     OutsideRegionError, chi_tutte, chi_k_coefficients, chromatic_spec, connected_subsets,
                     estimate_root_radius, eval_exp_type, exp_type_poly, generate,
-                    poly_roots, qhat_derivative, tutte_direct, tutte_spec)
+                    induced_subgraph, poly_roots, qhat_derivative, tutte_direct, tutte_spec)
 from holant.exptype import random_cluster_profile, tutte_from_profile
 
 K1 = Multigraph(1, ())
@@ -114,6 +114,23 @@ def test_spec_probes_single_vertex_normalization():
     assert chromatic_spec().with_root_radius(3.0).vanishes_disconnected
 
 
+def test_with_root_radius_keeps_the_probe():
+    calls = []
+    spec = ExpTypeSpec(lambda h: calls.append(h) or chi_tutte(h, 1.0), "counted")
+    calls.clear()
+    tagged = spec.with_root_radius(7, heuristic=False)
+    estimated = spec.with_root_radius(3.0)
+    # the copy carries the construction probe: chi is not called again
+    assert calls == []
+    assert tagged.vanishes_disconnected and estimated.vanishes_disconnected
+    assert (tagged.root_radius, tagged.root_radius_heuristic) == (7.0, False)
+    assert type(tagged.root_radius) is float
+    assert (estimated.root_radius, estimated.root_radius_heuristic) == (3.0, True)
+    assert (tagged.chi, tagged.name) == (spec.chi, spec.name)
+    assert spec.root_radius is None
+    assert not ExpTypeSpec(lambda h: 1.0, "const-one").with_root_radius(2.0).vanishes_disconnected
+
+
 def test_spec_radius_resolution():
     s = ExpTypeSpec(chi=lambda g: 1.0, name="x", root_radius=3.0)
     assert s.root_radius == 3.0
@@ -194,6 +211,44 @@ def test_chi_k_weighs_every_block_of_a_chi_that_does_not_vanish():
         loopy = Multigraph(n, tuple((rng.randrange(n), rng.randrange(n)) for _ in range(6)))
         for g in (Multigraph(n, ()), generate(GraphFamilySpec("path", n)), loopy):
             assert chi_k_coefficients(g, const) == [stirling[n, k] for k in range(1, n + 1)]
+
+
+def test_chi_k_calls_chi_once_per_distinct_block_graph():
+    graphs = oracles.graphs_up_to(6) + _loopy_multigraphs(random.Random(71), 12, 7, 10)
+    calls = []
+    shared = 0
+    for v in (1.0, -1.0, 0.3 + 0.4j):
+        spec = ExpTypeSpec(lambda h, v=v: calls.append(h) or chi_tutte(h, v), f"counted:{v}")
+        for g in graphs:
+            calls.clear()
+            fast = chi_k_coefficients(g, spec)
+            first = list(calls)
+            keys = [(h.n, tuple(sorted(h.edges))) for h in first]
+            assert all(oracles.is_connected(h) for h in first), (g, v)
+            # the frozen recursion weighs every connected block it reaches;
+            # the DP weighs each distinct graph among them exactly once
+            weighed = []
+            slow = oracles.anchored_chi_k(g, lambda h: weighed.append(h) or chi_tutte(h, v),
+                                          prune=True)
+            assert repr(fast) == repr(slow), (g, v)
+            assert sorted(keys) == sorted({(h.n, tuple(sorted(h.edges))) for h in weighed})
+            shared += len(weighed) - len(first)
+            # nothing is kept across calls: a second call asks chi again
+            calls.clear()
+            assert repr(chi_k_coefficients(g, spec)) == repr(fast)
+            assert calls == first, (g, v)
+    assert shared > 1000
+
+
+def test_block_graphs_match_induced_subgraph():
+    for g in _loopy_multigraphs(random.Random(73), 10, 8, 14):
+        block_graph = exptype._block_graphs(g)
+        for mask in range(1, 1 << g.n):
+            h = Multigraph._trusted(*block_graph(mask))
+            ref = induced_subgraph(g, [i for i in range(g.n) if mask >> i & 1])
+            assert (h.n, h.edges, h.degrees()) == \
+                (ref.n, tuple(sorted(ref.edges)), ref.degrees()), (g, mask)
+            assert h == Multigraph(h.n, h.edges) and not h.vertex_transitive
 
 
 def test_exp_type_poly_equals_random_cluster():

@@ -24,6 +24,17 @@ def test_value_and_default():
     assert h.value((4, 4)) == 5.0
 
 
+def test_perturbed_ones_matches_the_scalar_draws():
+    # one vector draw gives the values of two scalar draws per vector, bit for bit
+    for k in (1, 2, 3):
+        for max_degree in (0, 1, 5, 12):
+            for seed in (0, 1, 99):
+                h = perturbed_ones(k, 0.3, seed=seed, max_degree=max_degree)
+                want = oracles.perturbed_ones_entries(k, 0.3, seed, max_degree)
+                assert repr(list(h.entries.items())) == repr(list(want.items()))
+                assert h.max_norm == max_degree
+
+
 def test_value_rejects_wrong_arity_and_negatives():
     h = all_ones(2)
     with pytest.raises(ValueError):
