@@ -10,7 +10,8 @@ connected set C of at most n vertices contributes the log of its own local
 polynomial once, weighted by a signed binomial sum over the outer boundary
 of C.  The model is the same at every vertex, so that polynomial depends
 only on the labelled shape of C (its internal multigraph and the number of
-edges leaving each vertex), and its series log is computed once per shape.
+edges leaving each vertex): it is computed once per shape, and its series
+log once per shape and expansion.
 The sets are streamed as they grow, and each carries a layout id derived
 from its parent's id and its last vertex, so recognising a set's shape
 costs one table lookup; only a new id is refined to its shape.  Per-vertex
@@ -91,6 +92,18 @@ def zero_free_constants() -> ZeroFreeConstants:
 def certified_radius(d: int) -> float:
     """Deviation radius x / (1 + x/(2d)) below which the blend stays nonzero."""
     return zero_free_constants().radius(d)
+
+
+def blend_radius(max_degree: int, deviation: float) -> float:
+    """Zero-free radius in z of the blend of a model with this deviation.
+
+    certified_radius(max_degree + 1) / (2 (max_degree + 1) deviation), and
+    infinite at deviation 0; the Taylor expansion is feasible when it
+    exceeds 1.
+    """
+    if deviation == 0:
+        return math.inf
+    return certified_radius(max_degree + 1) / (2.0 * (max_degree + 1) * deviation)
 
 
 def magnitude_lower_bound(g: Multigraph, k: int, params: RegionParams) -> float:
@@ -184,8 +197,8 @@ def q_derivative(g: Multigraph, h: EdgeColoringModel, m: int,
 def _series_log(coeffs, order: int) -> list[complex]:
     """Coefficients of log(P) up to ``order`` for P with constant term 1.
 
-    The one series-log routine of the package: the cluster expansion here
-    and ``exptype.eval_exp_type`` both call it.
+    The one series-log routine of the package, reached through
+    :func:`_normalized_log`.
     """
     p = list(coeffs) + [0j] * (order + 1 - len(coeffs))
     if p[0] != 1:
@@ -199,13 +212,31 @@ def _series_log(coeffs, order: int) -> list[complex]:
     return out
 
 
+def _normalized_log(poly, order: int) -> list[complex]:
+    """Series log of poly / poly(0) through ``order``, entry 0 set to ln poly(0).
+
+    The cluster engine takes one per shape; an edge shape's polynomial has
+    constant term exactly 1, and an exponential-type one the product of chi
+    over the single vertices, 1 without loops.
+    """
+    lead = poly[0]
+    if lead == 0:
+        raise OutsideRegionError(
+            "chi vanishes on a single vertex (a loop under chromatic), so the "
+            "reversed polynomial is 0 at the origin and has no log expansion there"
+        )
+    logs = _series_log([1.0 + 0j] + [a / lead for a in poly[1:]], order)
+    logs[0] = cmath.log(lead)
+    return logs
+
+
 class _ClusterEngine:
     """Connected-set expansion of one graph, shared by both expansions.
 
-    The oracle maps the layout of a new shape to the shape's value and the
-    series log of its local polynomial (:class:`_EdgeOracle`,
-    ``exptype._exp_shape``); the reach is 0 for edge models and 1 for
-    exponential-type polynomials.
+    The oracle maps the layout of a new shape to the shape's local
+    polynomial (:class:`_EdgeOracle`, ``exptype._exp_shape``), whose top
+    coefficient is the shape's value; the reach is 0 for edge models and 1
+    for exponential-type polynomials.
 
     A layout describes a connected set exactly, its vertices in growth order
     (each adjacent to an earlier one): ``labels[i]`` is (edges leaving the
@@ -224,8 +255,6 @@ class _ClusterEngine:
         self.budget = budget
         self.streamed = 0
         self.shape_terms = 0.0
-        # the order of the first expansion, through which shapes keep logs
-        self.order: int | None = None
         # loop counts and the distinct other neighbors with multiplicities
         self.loops = [0] * g.n
         mult = [{} for _ in range(g.n)]
@@ -249,9 +278,9 @@ class _ClusterEngine:
         self._intern: dict[tuple[int, int], int] = {}
         self._layouts: list[tuple] = [((), ())]
         self._id_shape: list[int | None] = [None]
-        # canonical layout -> shape id; shapes[id] = (size, value, series log)
+        # canonical layout -> shape id; shapes[id] = (size, local polynomial)
         self._shape_of: dict[tuple, int] = {}
-        self.shapes: list[tuple[int, object, list[complex]]] = []
+        self.shapes: list[tuple[int, list[complex]]] = []
 
     def charge(self, terms: float, size: int) -> None:
         """Spend ``terms`` at a set of ``size``; refuse once past the budget.
@@ -290,19 +319,6 @@ class _ClusterEngine:
         self._id_shape.append(None)
         return cid
 
-    def _resolve(self, cid: int, order: int) -> int:
-        """Shape id of the layout with id ``cid``, computing a new shape."""
-        sid = self._id_shape[cid]
-        if sid is None:
-            layout = self._layouts[cid]
-            # ids and layouts are one to one, so only a layout that is
-            # itself canonical can be known already
-            sid = self._shape_of.get(layout)
-            if sid is None:
-                sid = self._shape_id(layout, order)
-            self._id_shape[cid] = sid
-        return sid
-
     def _settle(self, pid: int, code: int, v: int, pairs, streamed: int) -> int:
         """Id of the set with id ``pid`` plus ``v``, whose row packs to ``code``.
 
@@ -315,7 +331,7 @@ class _ClusterEngine:
             cid = self._new_id(pid, code, self.loops[v], self.g.degree(v), pairs)
         if self._id_shape[cid] is None:
             self.streamed = streamed
-            self._resolve(cid, self.order)
+            self._shape(cid)
         return cid
 
     def _canonical(self, layout) -> tuple:
@@ -364,30 +380,35 @@ class _ClusterEngine:
         out.sort()
         return tuple([labels[i] for i in perm]), tuple(out)
 
-    def _shape_id(self, layout, order: int) -> int:
-        """Id of the shape of a layout that has not been seen yet.
+    def _shape(self, cid: int) -> int:
+        """Shape id of the layout with id ``cid``, computing a new shape.
 
-        If the layout's canonical form (:meth:`_canonical`) is new too, the
-        oracle computes the shape.  A tie that the refinement leaves open
-        costs one more shape, never a wrong one.
+        A layout met for the first time is looked up by its canonical form
+        (:meth:`_canonical`), and if that is new too, the oracle computes the
+        shape.  A tie that the refinement leaves open costs one more shape,
+        never a wrong one.
         """
-        canonical = self._canonical(layout)
-        sid = self._shape_of.get(canonical)
+        sid = self._id_shape[cid]
         if sid is None:
-            # the oracle resolves smaller shapes first, so append after it
-            value, logs = self.oracle(self, layout, order)
-            sid = self._shape_of[canonical] = len(self.shapes)
-            self.shapes.append((len(layout[0]), value, logs))
+            layout = self._layouts[cid]
+            canonical = self._canonical(layout)
+            sid = self._shape_of.get(canonical)
+            if sid is None:
+                # the oracle resolves smaller shapes first, so append after it
+                poly = self.oracle(self, layout)
+                sid = self._shape_of[canonical] = len(self.shapes)
+                self.shapes.append((len(layout[0]), poly))
+            self._id_shape[cid] = sid
         return sid
 
-    def subsets(self, layout, order: int):
-        """Yield (mask, comp, value) for the nonempty masks of a new shape.
+    def subsets(self, layout):
+        """Yield (mask, comp, poly) for the nonempty masks of a new shape.
 
-        Only the exponential-type oracle reads these values; the edge oracle
-        gets every sub-mask from one blend run.  Masks are over the layout's
-        positions, in increasing order.  ``comp`` is the component of the
-        mask's lowest position, grown from that of the mask minus its
-        highest position v; ``value`` is the shape value of a proper
+        Only the exponential-type oracle reads these polynomials; the edge
+        oracle gets every sub-mask from one blend run.  Masks are over the
+        layout's positions, in increasing order.  ``comp`` is the component
+        of the mask's lowest position, grown from that of the mask minus its
+        highest position v; ``poly`` is the local polynomial of a proper
         connected mask, None for a disconnected mask and for the whole set.
         A connected mask's vertex order is the order of the mask minus its
         highest position that leaves it connected, then that position, so
@@ -452,7 +473,7 @@ class _ClusterEngine:
             fold_seq[mask] = seq + (v,)
             sid = id_shape[cid]
             if sid is None:
-                sid = self._resolve(cid, order)
+                sid = self._shape(cid)
             yield mask, comp, shapes[sid][1]
 
     # -- one series log per shape --
@@ -505,17 +526,9 @@ class _ClusterEngine:
         (the sets containing vertex 0) and weighs each tally by n / |C|
         once, at the end.  Each set is charged 1, in stream order, and each
         new shape its oracle's charge, refusing once the total passes the
-        budget.  Shapes keep their series logs through the order of the
-        engine's first call, so a later call at a higher order raises
-        ValueError.
+        budget.  Shapes keep their local polynomials, and each call takes
+        one series log per shape at its own order (:func:`_normalized_log`).
         """
-        if self.order is None:
-            self.order = order
-        elif order > self.order:
-            raise ValueError(
-                f"the engine's shapes hold series logs through order {self.order}, "
-                f"the order of its first call, so it cannot expand to order {order}"
-            )
         reach = self.reach
         g = self.g
         top = order + reach
@@ -656,14 +669,15 @@ class _ClusterEngine:
             # may split one class of sets over two shape ids
             return count * g.n / size if rooted else count
 
+        logs = [_normalized_log(poly, order) for _, poly in self.shapes]
         coeffs = [0j] * (order + 1)
         for (sid, boundary), count in tally.items():
-            size, _, logs = self.shapes[sid]
+            size, series = self.shapes[sid][0], logs[sid]
             count = weight(count, size)
             for j in range(size - reach, order + 1):
-                coeffs[j] += count * _boundary_sign(boundary, j + reach - size) * logs[j]
+                coeffs[j] += count * _boundary_sign(boundary, j + reach - size) * series[j]
         for sid, count in top_tally.items():
-            coeffs[order] += weight(count, top) * self.shapes[sid][2][order]
+            coeffs[order] += weight(count, top) * logs[sid][order]
         return coeffs
 
 
@@ -717,15 +731,16 @@ class _EdgeOracle:
         self._marginal_cache[key] = dense
         return dense
 
-    def __call__(self, engine: _ClusterEngine, layout, order: int):
-        """(lambda(C), series log of Q_C) from one blend run of the piece.
+    def __call__(self, engine: _ClusterEngine, layout) -> list[complex]:
+        """Q_C, whose top coefficient is lambda(C), from one blend run of the piece.
 
         Charges k^|internal edges|, the piece's colorings, before the run.
         The piece is contracted in its growth order, each position's loops
         and then its edges to earlier positions, and its degrees are read
         from the layout.  The run's constant term counts its colorings, so
-        dividing by it applies k^-|E(C)|, and Q_C(0) is set to exactly 1,
-        which :func:`_series_log` requires (3^m * 3.0^-m need not be 1).
+        dividing by it applies k^-|E(C)|, and Q_C(0) is set to exactly 1, so
+        that its normalized log divides by 1 exactly (3^m * 3.0^-m need not
+        be 1).
         """
         labels, edges = layout
         size = len(labels)
@@ -743,8 +758,7 @@ class _EdgeOracle:
         plan = _plan_in_order(self.k, list(enumerate(growth)), range(size))
         coeffs = _run_blend(plan, [self._marginal_table(degree[i], b)
                                    for i, (b, _) in enumerate(labels)])
-        poly = [1.0 + 0j] + [c / coeffs[0] for c in coeffs[1:]]
-        return poly[-1], _series_log(poly, order)
+        return [1.0 + 0j] + [c / coeffs[0] for c in coeffs[1:]]
 
 
 def _boundary_sign(b: int, t: int) -> int:
@@ -762,10 +776,10 @@ def cluster_log_derivatives(g: Multigraph, h: EdgeColoringModel, order: int,
 
     The derivatives that the series log of :func:`q_derivative` gives, from
     the local work of the cluster engine: one series log per shape of
-    connected set of at most ``order`` vertices, each from one blend run of
-    the shape's piece (:class:`_EdgeOracle`).  Entry 0 is |E| ln k.  Each
-    streamed set charges 1 and each new shape k^|internal edges|, the
-    colorings its blend run sums over.
+    connected set of at most ``order`` vertices, of the polynomial from one
+    blend run of the shape's piece (:class:`_EdgeOracle`).  Entry 0 is
+    |E| ln k.  Each streamed set charges 1 and each new shape
+    k^|internal edges|, the colorings its blend run sums over.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     coeffs = _ClusterEngine(g, _EdgeOracle(h), 0, budget).log_coefficients(order)
@@ -838,8 +852,9 @@ def approx_partition(g: Multigraph, h: EdgeColoringModel, eps: float,
 
     Requires the deviation r = sup |h(alpha) - 1| over count vectors up to
     the maximum degree to satisfy r < radius / (2 * (max_degree + 1)), so
-    that the zero-free disk of the blend strictly contains z = 1.  Raises
-    OutsideRegionError otherwise; never silently degrades.
+    that the zero-free disk of the blend (:func:`blend_radius`) strictly
+    contains z = 1.  Raises OutsideRegionError otherwise; never silently
+    degrades.
 
     The cluster expansion is the only engine.  ``mode`` is accepted for
     callers that still name it: ``"cluster"`` and the former default
@@ -858,7 +873,7 @@ def approx_partition(g: Multigraph, h: EdgeColoringModel, eps: float,
         return ApproxCertificate(_exp_or_inf(log_value), log_value, math.inf, 0.0,
                                  0, 0.0, 0.0, "exact")
 
-    radius = certified_radius(delta + 1) / (2.0 * (delta + 1) * r)
+    radius = blend_radius(delta, r)
     if radius <= 1.0:
         raise OutsideRegionError(
             f"deviation {r:.6g} leaves the certified radius at {radius:.6g} <= 1"
@@ -867,10 +882,11 @@ def approx_partition(g: Multigraph, h: EdgeColoringModel, eps: float,
     order = taylor_order(g.n, q0, eps)
     bound = taylor_error_bound(g.n, q0, order)
 
-    f = cluster_log_derivatives(g, h, order, budget)
-    log_value = f[0]
-    for m in range(1, order + 1):
-        log_value += f[m] / math.factorial(m)
+    budget = DEFAULT_BUDGET if budget is None else budget
+    # the Taylor coefficients of ln q summed at z = 1, entry 0 being 0
+    log_value = complex(g.m * math.log(k))
+    for c in _ClusterEngine(g, _EdgeOracle(h), 0, budget).log_coefficients(order):
+        log_value += c
     return ApproxCertificate(_exp_or_inf(log_value), log_value, radius, q0,
                              order, bound, r, "cluster")
 

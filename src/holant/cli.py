@@ -161,10 +161,6 @@ def _emit_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _cpx(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag}
-
-
 def _fmt_value_text(z: complex) -> str:
     if z.imag == 0 or abs(z.imag) <= 1e-12 * abs(z.real):
         return f"{z.real:.17g}"
@@ -177,10 +173,6 @@ def _print(args, payload: dict, text_lines) -> None:
     else:
         for line in text_lines:
             sys.stdout.write(line + "\n")
-
-
-def _cert_payload(cert) -> dict:
-    return cert.to_json_dict()
 
 
 def _cert_text(cert, mode: str):
@@ -208,7 +200,7 @@ def _cmd_exact(args) -> int:
     h = _load_model(args)
     budget = _resolve_budget(args.budget)
     value = exact.exact_partition(g, h, budget)
-    _print(args, {"value": _cpx(value), "vertices": g.n, "edges": g.m, "k": h.k},
+    _print(args, {"value": value, "vertices": g.n, "edges": g.m, "k": h.k},
            [_fmt_value_text(value)])
     return 0
 
@@ -218,7 +210,7 @@ def _cmd_approx(args) -> int:
     h = _load_model(args)
     budget = _resolve_budget(args.budget)
     cert = approx.approx_partition(g, h, args.eps, budget)
-    payload = _cert_payload(cert)
+    payload = cert.to_json_dict()
     payload["requested_mode"] = args.mode
     _print(args, payload, _cert_text(cert, args.mode))
     return 0
@@ -230,7 +222,7 @@ def _cmd_tutte(args) -> int:
     q = _parse_complex(args.q)
     v = _parse_complex(args.v)
     value = exptype.tutte_direct(g, q, v, budget)
-    _print(args, {"value": _cpx(value), "q": _cpx(q), "v": _cpx(v)},
+    _print(args, {"value": value, "q": q, "v": v},
            [_fmt_value_text(value)])
     return 0
 
@@ -256,9 +248,9 @@ def _cmd_exptype(args) -> int:
         spec = spec.with_root_radius(c, heuristic=True)
     x = _parse_complex(args.x)
     cert = exptype.eval_exp_type(g, spec, x, args.eps, args.mode, budget)
-    payload = _cert_payload(cert)
+    payload = cert.to_json_dict()
     payload["chi"] = spec.name
-    payload["x"] = _cpx(x)
+    payload["x"] = x
     payload["root_radius"] = spec.root_radius
     _print(args, payload, _cert_text(cert, args.mode))
     return 0
@@ -310,8 +302,8 @@ def _cmd_roots(args) -> int:
     roots = exact.poly_roots(poly)
     payload = {
         "degree": poly.degree,
-        "coefficients": [_cpx(c) for c in poly.coeffs],
-        "roots": [_cpx(r) for r in roots],
+        "coefficients": list(poly.coeffs),
+        "roots": list(roots),
     }
     _print(args, payload, [_fmt_value_text(r) for r in roots])
     return 0
@@ -361,7 +353,7 @@ def _cmd_region_check(args) -> int:
         [h.value(a) for a in models.vectors_up_to(delta_g, h.k)],
         params.delta, params.eta)
     r = h.deviation(delta_g)
-    radius = approx.certified_radius(delta_g + 1) / (2.0 * (delta_g + 1) * r) if r > 0 else math.inf
+    radius = approx.blend_radius(delta_g, r)
     payload = {
         "model": h.name or "custom",
         "max_degree": delta_g,
@@ -481,9 +473,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--budget", type=float, default=None,
                         help="term budget (default 1e8; env HOLANT_BUDGET overrides)")
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--threads", type=int, default=None,
-                        help="accepted for compatibility; evaluation is deterministic "
-                             "and single-threaded")
 
     graphy = argparse.ArgumentParser(add_help=False)
     graphy.add_argument("--graph", help="edge-list file: 'n m' header then 'u v' lines")

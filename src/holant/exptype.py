@@ -18,9 +18,9 @@ once per distinct block graph.  When chi vanishes on two isolated vertices,
 as the random-cluster weight does, only connected blocks are weighed and a
 disconnected one counts 0 unbuilt.  The random-cluster weight of a block of
 b vertices is a subset sieve over its 2^b vertex sets, 3^b terms however
-many edges the block has; the recursion and the cluster engine charge 3^b
-against the caller's budget before any block or shape of b vertices is
-weighed.
+many edges the block has.  The cluster engine charges 3^b against the
+caller's budget before any shape of b vertices is weighed; the recursion
+charges 3^|V| once, which does not count its per-block sieves.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
 
-from .approx import (ApproxCertificate, _ClusterEngine, _exp_or_inf, _series_log,
+from .approx import (ApproxCertificate, _ClusterEngine, _exp_or_inf, _normalized_log,
                      taylor_error_bound, taylor_order)
 from .errors import BudgetExceededError, OutsideRegionError
 from .exact import DEFAULT_BUDGET, ComplexPoly, poly_roots
@@ -142,8 +142,11 @@ def tutte_spec(v: complex, root_radius: float | None = None,
                heuristic: bool = False) -> ExpTypeSpec:
     """Random-cluster family member at edge weight ``v``.
 
-    Its chi sieves under no budget of its own: every caller charges
-    3^|block| against the caller's budget before weighing a block.
+    Its chi sieves under no budget of its own.  The cluster engine charges
+    3^|C| against the caller's budget before it weighs a shape C, but
+    :func:`chi_k_coefficients` charges 3^|V| once, and its per-block
+    sieves, which can reach 4^|V| together, are not counted (ROADMAP
+    item 2).
     """
     v = complex(v)
     return ExpTypeSpec(lambda h: chi_tutte(h, v, math.inf), f"tutte:v={v.real:g},{v.imag:g}",
@@ -330,22 +333,6 @@ def qhat_derivative(g: Multigraph, spec: ExpTypeSpec, m: int,
 # certified evaluation outside the root disk
 
 
-def _normalized_log(qhat, order: int) -> list[complex]:
-    """Series log of qhat / qhat(0) through ``order``, entry 0 set to ln qhat(0).
-
-    qhat(0) is the product of chi over single vertices, 1 without loops.
-    """
-    lead = qhat[0]
-    if lead == 0:
-        raise OutsideRegionError(
-            "chi vanishes on a single vertex (a loop under chromatic), so the "
-            "reversed polynomial is 0 at the origin and has no log expansion there"
-        )
-    logs = _series_log([1.0 + 0j] + [a / lead for a in qhat[1:]], order)
-    logs[0] = cmath.log(lead)
-    return logs
-
-
 def _poly_mul(a, b) -> list[complex]:
     out = [0j] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -354,14 +341,16 @@ def _poly_mul(a, b) -> list[complex]:
     return out
 
 
-def _exp_shape(spec: ExpTypeSpec, engine, layout, order: int):
+def _exp_shape(spec: ExpTypeSpec, engine, layout) -> list[complex]:
     """Cluster-engine oracle of an exponential-type polynomial.
 
-    A shape's value is (chi(C), qhat(C)), qhat(C) the reversed polynomial of
-    the multigraph on C: the sum over connected blocks B holding position 0
-    of chi(B) t^(|B|-1) qhat(C minus B), where qhat factors over the
-    components of C minus B.  Both come from the engine's shapes, so chi
-    runs once per shape, on the shape itself.  Charges 3^|C| first.
+    A shape's polynomial is qhat(C), the reversed polynomial of the
+    multigraph on C: the sum over connected blocks B holding position 0 of
+    chi(B) t^(|B|-1) qhat(C minus B), where qhat factors over the components
+    of C minus B.  Its top coefficient is chi(C), from the block B = C
+    alone.  The qhat of each proper block comes from the engine's shapes,
+    and chi(B) is its top coefficient, so chi runs once per shape, on the
+    shape itself.  Charges 3^|C| first.
     """
     labels, edges = layout
     size = len(labels)
@@ -374,17 +363,17 @@ def _exp_shape(spec: ExpTypeSpec, engine, layout, order: int):
     qhat = [[1.0 + 0j]] + [None] * full
     poly = [0j] * size
     anchored = []
-    for mask, comp, value in engine.subsets(layout, order):
+    for mask, comp, local in engine.subsets(layout):
         if comp != mask:
             qhat[mask] = _poly_mul(qhat[comp], qhat[mask ^ comp])
             continue
-        chi_b, qhat[mask] = (chi, None) if value is None else value
+        qhat[mask] = local
         if mask & 1:
-            anchored.append((mask, chi_b))
+            anchored.append((mask, chi if local is None else local[-1]))
     for mask, chi_b in anchored:
         for i, a in enumerate(qhat[full ^ mask], mask.bit_count() - 1):
             poly[i] += chi_b * a
-    return (chi, poly), _normalized_log(poly, order)
+    return poly
 
 
 def eval_exp_type(g: Multigraph, spec: ExpTypeSpec, x: complex, eps: float,

@@ -300,13 +300,13 @@ def test_cluster_refines_few_layouts(monkeypatch):
     g = edge_list_copy(generate(GraphFamilySpec("torus", 6, size2=6)))
     h = perturbed_ones(2, 0.02, seed=1, max_degree=4)
     refined = []
-    real = approx_module._ClusterEngine._shape_id
+    real = approx_module._ClusterEngine._canonical
 
-    def counting(self, layout, order):
+    def counting(self, layout):
         refined.append(layout)
-        return real(self, layout, order)
+        return real(self, layout)
 
-    monkeypatch.setattr(approx_module._ClusterEngine, "_shape_id", counting)
+    monkeypatch.setattr(approx_module._ClusterEngine, "_canonical", counting)
     engine = approx_module._ClusterEngine(g, approx_module._EdgeOracle(h), 0, 1e8)
     engine.log_coefficients(6)
     assert engine.streamed == sum(1 for _ in connected_subsets(g, 6))
@@ -375,17 +375,17 @@ def test_cluster_counts_top_size_sets_without_streaming_them(monkeypatch):
     assert cmath.isclose(cluster_log_derivatives(g, h, 1)[1], want[1], rel_tol=1e-12)
 
 
-def test_cluster_engine_refuses_a_higher_order_than_its_first():
-    # shapes keep their series logs through the first call's order
-    g = generate(GraphFamilySpec("torus", 4, size2=4))
+def test_reused_cluster_engine_matches_a_fresh_one():
+    # shapes keep their local polynomials and each call takes their series
+    # logs at its own order, so a reused engine called at order 3, then 5,
+    # then 2 answers each, bit for bit, as a fresh engine does
+    torus = generate(GraphFamilySpec("torus", 4, size2=4))
     h = perturbed_ones(2, 0.02, seed=1, max_degree=4)
-    engine = approx_module._ClusterEngine(g, approx_module._EdgeOracle(h), 0, 1e8)
-    engine.log_coefficients(3)
-    with pytest.raises(ValueError, match=r"through order 3.*to order 5"):
-        engine.log_coefficients(5)
-    # a lower order reuses the shapes and gives a fresh engine's answer
-    fresh = approx_module._ClusterEngine(g, approx_module._EdgeOracle(h), 0, 1e8)
-    assert engine.log_coefficients(2) == fresh.log_coefficients(2)
+    for g in (torus, edge_list_copy(torus)):
+        engine = approx_module._ClusterEngine(g, approx_module._EdgeOracle(h), 0, 1e8)
+        for order in (3, 5, 2):
+            fresh = approx_module._ClusterEngine(g, approx_module._EdgeOracle(h), 0, 1e8)
+            assert engine.log_coefficients(order) == fresh.log_coefficients(order), order
 
 
 def test_marginal_tables_average_the_leaving_edges():
@@ -448,7 +448,7 @@ def test_growth_order_blend_matches_the_greedy_plan(monkeypatch):
             degree[j] += m
         h = perturbed_ones(k, 0.5, seed=trial, max_degree=max(degree))
         engine = approx_module._ClusterEngine(Multigraph(1, ()), None, 0, math.inf)
-        approx_module._EdgeOracle(h)(engine, layout, size)
+        approx_module._EdgeOracle(h)(engine, layout)
         plan, tables = runs.pop()
         pairs = [(i, i) for i, (_, loops) in enumerate(labels) for _ in range(loops)]
         pairs += [(i, j) for i, j, m in edges for _ in range(m)]
@@ -466,14 +466,14 @@ def test_canonical_layout_matches_its_first_version(monkeypatch):
     # every layout the engine refines gets the key of the tuple-colored
     # refinement kept in oracles, and its shape is filed under that key
     refined = []
-    real = approx_module._ClusterEngine._shape_id
+    real = approx_module._ClusterEngine._shape
 
-    def recording(self, layout, order):
-        sid = real(self, layout, order)
-        refined.append((layout, sid))
+    def recording(self, cid):
+        sid = real(self, cid)
+        refined.append((self._layouts[cid], sid))
         return sid
 
-    monkeypatch.setattr(approx_module._ClusterEngine, "_shape_id", recording)
+    monkeypatch.setattr(approx_module._ClusterEngine, "_shape", recording)
 
     def check(engine):
         assert refined
@@ -614,6 +614,16 @@ def test_approx_mode_argument_only_names_the_cluster_engine():
         assert approx_partition(TRIANGLE, h, 1e-3, None, mode) == default
     with pytest.raises(ValueError):
         approx_partition(TRIANGLE, h, 1e-3, mode="direct")
+
+
+def test_approx_certifies_orders_past_170():
+    # near the boundary the Taylor order passes 170, where j! leaves the
+    # float range; the log coefficients are summed as they are
+    g = generate(GraphFamilySpec("cycle", 3))
+    h = perturbed_ones(2, 0.15, seed=4)
+    cert = approx_partition(g, h, 1e-9)
+    assert cert.order == 308 and cert.error_bound <= 1e-9
+    assert abs(cert.log_value - cmath.log(exact_partition(g, h))) <= cert.error_bound
 
 
 def test_approx_zero_deviation_shortcut():

@@ -104,6 +104,18 @@ def test_approx_certificate_json(capsys):
     assert {key: obj[key] for key in expected} == expected
 
 
+def test_approx_near_the_boundary_past_order_170(capsys):
+    code, out, _ = invoke(capsys, "approx", "--family", "cycle:3",
+                          "--model", "ones+-uniform:0.15:4", "--eps", "1e-9")
+    assert code == 0
+    obj = json.loads(out)
+    cert = approx_partition(generate(GraphFamilySpec("cycle", 3)),
+                            perturbed_ones(2, 0.15, seed=4), 1e-9)
+    assert obj["n"] == cert.order == 308
+    expected = json.loads(json.dumps(cert.to_json_dict()))
+    assert {key: obj[key] for key in expected} == expected
+
+
 def test_approx_outside_region_exit_code(capsys):
     code, _, err = invoke(capsys, "approx", "--family", "cycle:6",
                           "--model", "ones+-uniform:0.9:1", "--eps", "1e-3")
