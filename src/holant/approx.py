@@ -18,11 +18,12 @@ costs one table lookup; only a new id is refined to its shape.  Per-vertex
 arrays for the current prefix, undone when the next set is shorter, give a
 set's row and boundary in time set by its last vertex's degree, not by the
 size of the graph.  A set of the top size enters only the last
-coefficient, with boundary weight 1, so it is never streamed: the engine
-streams the smaller sets, and counts the top-size children of each set one
-size below under (that set's id, row of the added vertex), reading them
-from the vertices offered after its last vertex in the stream's frontier
-order; its shape is looked up once per such pair.  On a graph that
+coefficient, with boundary weight 1, so unless it is a single vertex it is
+never streamed: the engine streams the smaller sets, and counts the
+top-size children of each set one size below under (that set's id, row of
+the added vertex), reading them from the vertices offered after its last
+vertex in the stream's frontier order; its shape is looked up once per
+such pair.  On a graph that
 :func:`holant.graphs.generate` marks vertex-transitive, the sum over all sets
 equals n times the sum over the sets containing vertex 0 of the same term
 divided by |C| (every term depends only on the shape and the boundary,
@@ -132,7 +133,10 @@ def taylor_error_bound(d: int, q0: float, n: int) -> float:
     return d * q0 ** (n + 1) / ((n + 1) * (1.0 - q0))
 
 
-def taylor_order(d: int, q0: float, eps: float, max_order: int = 10_000) -> int:
+MAX_ORDER = 10_000  # taylor_order refuses a bound that needs more terms
+
+
+def taylor_order(d: int, q0: float, eps: float) -> int:
     """Smallest truncation order whose tail bound drops below ``eps``."""
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -142,11 +146,11 @@ def taylor_order(d: int, q0: float, eps: float, max_order: int = 10_000) -> int:
         raise OutsideRegionError(f"q0 = {q0:g} is not inside the unit disk")
     if d == 0 or q0 == 0:
         return 1
-    for n in range(1, max_order + 1):
+    for n in range(1, MAX_ORDER + 1):
         if taylor_error_bound(d, q0, n) <= eps:
             return n
     raise OutsideRegionError(
-        f"tail bound stays above eps={eps:g} through order {max_order}"
+        f"tail bound stays above eps={eps:g} through order {MAX_ORDER}"
     )
 
 
@@ -299,38 +303,29 @@ class _ClusterEngine:
 
     # -- layout ids --
 
-    def _new_id(self, parent: int, code: int, loops: int, degree: int, pairs) -> int:
-        """Intern the parent's set plus a vertex whose row packs to ``code``.
+    def _settle(self, pid: int, code: int, loops: int, degree: int, pairs) -> int:
+        """Id of the set with id ``pid`` plus a vertex whose row packs to ``code``.
 
-        Called for a (parent, code) pair not interned yet.  ``pairs`` lists
-        the (position, multiplicity) of the vertex's edges into the parent's
-        set; the new layout follows from the parent's.
-        """
-        labels, edges = self._layouts[parent]
-        labels = list(labels)
-        size = len(labels)
-        for p, m in pairs:
-            leaving, at = labels[p]
-            labels[p] = (leaving - m, at)
-        labels.append((degree - 2 * loops - sum(m for _, m in pairs), loops))
-        edges += tuple((p, size, m) for p, m in sorted(pairs))
-        cid = self._intern[parent, code] = len(self._layouts)
-        self._layouts.append((tuple(labels), edges))
-        self._id_shape.append(None)
-        return cid
-
-    def _settle(self, pid: int, code: int, v: int, pairs, streamed: int) -> int:
-        """Id of the set with id ``pid`` plus ``v``, whose row packs to ``code``.
-
-        Interns the id if it is new (``pairs`` as in :meth:`_new_id`) and
-        resolves its shape if that is new too, with ``streamed`` sets
-        charged so far.
+        The vertex has ``loops`` loops and ``degree``, and ``pairs`` lists
+        the (position, multiplicity) of its edges into the parent's set.  A
+        new (pid, code) pair is interned, its layout following from the
+        parent's, and a new id's shape is resolved (:meth:`_shape`), charged
+        after the ``self.streamed`` sets that the caller has recorded.
         """
         cid = self._intern.get((pid, code))
         if cid is None:
-            cid = self._new_id(pid, code, self.loops[v], self.g.degree(v), pairs)
+            labels, edges = self._layouts[pid]
+            labels = list(labels)
+            size = len(labels)
+            for p, m in pairs:
+                leaving, at = labels[p]
+                labels[p] = (leaving - m, at)
+            labels.append((degree - 2 * loops - sum(m for _, m in pairs), loops))
+            edges += tuple((p, size, m) for p, m in sorted(pairs))
+            cid = self._intern[pid, code] = len(self._layouts)
+            self._layouts.append((tuple(labels), edges))
+            self._id_shape.append(None)
         if self._id_shape[cid] is None:
-            self.streamed = streamed
             self._shape(cid)
         return cid
 
@@ -429,8 +424,7 @@ class _ClusterEngine:
             degree[i] += m
             degree[j] += m
         kind = [self._kind[loops, degree[i]] for i, (_, loops) in enumerate(labels)]
-        place, intern, id_shape, shapes = (self._place, self._intern,
-                                           self._id_shape, self.shapes)
+        place, id_shape, shapes = self._place, self._id_shape, self.shapes
         full = (1 << size) - 1
         comp_of = [0] * (full + 1)
         # per connected proper mask: its layout id and its vertex order
@@ -461,20 +455,13 @@ class _ClusterEngine:
                 v = (mask & (1 << v) - 1).bit_length() - 1
                 rest = mask ^ 1 << v
             seq = fold_seq[rest]
+            pairs = [(seq.index(w), m) for w, m in links[v] if rest >> w & 1]
             code = kind[v]
-            for w, m in links[v]:
-                if rest >> w & 1:
-                    code += m * place[seq.index(w)]
-            cid = intern.get((fold_id[rest], code))
-            if cid is None:
-                pairs = [(seq.index(w), m) for w, m in links[v] if rest >> w & 1]
-                cid = self._new_id(fold_id[rest], code, labels[v][1], degree[v], pairs)
-            fold_id[mask] = cid
+            for p, m in pairs:
+                code += m * place[p]
+            cid = fold_id[mask] = self._settle(fold_id[rest], code, labels[v][1], degree[v], pairs)
             fold_seq[mask] = seq + (v,)
-            sid = id_shape[cid]
-            if sid is None:
-                sid = self._shape(cid)
-            yield mask, comp, shapes[sid][1]
+            yield mask, comp, shapes[id_shape[cid]][1]
 
     # -- one series log per shape --
 
@@ -513,11 +500,12 @@ class _ClusterEngine:
         plus each vertex offered after u, then each of u's fresh offers;
         they enter only [z^order], where c(b, 0) = 1, so each child S + w
         costs one count under (id of S, code of w in S), the code being
-        ``kind[w] + row[w]`` plus w's edges to u at u's position.  At order
-        1 with reach 0 the single vertices are counted under the empty
-        prefix, with nothing streamed.  The first child of each such pair
-        resolves its id and shape, so shapes are charged when they are
-        first met; after the stream the pairs fold into a tally per shape.
+        ``kind[w] + row[w]`` plus w's edges to u at u's position.  The
+        first child of each such pair resolves its id and shape, so shapes
+        are charged when they are first met; after the stream the pairs
+        fold into a tally per shape.  At top size 1 (order 1, reach 0) there
+        is no such S: the single vertices are streamed and tallied like the
+        sets of any other order, with c(b, 0) = 1.
 
         On a graph marked ``vertex_transitive`` every term depends only on
         the shape and the boundary, which an automorphism keeps, so
@@ -559,25 +547,10 @@ class _ClusterEngine:
         first: list[tuple[int, int]] = []
         streamed = self.streamed
         room = self.budget - self.shape_terms
-        if top == 1:
-            counts = leaves[0] = {}
-            for u in range(min(g.n, 1) if rooted else g.n):
-                streamed += 1
-                if streamed > room:
-                    # this set's 1 passes the budget: charge() refuses
-                    self.streamed = streamed
-                    self.charge(0.0, top)
-                count = counts.get(kind[u])
-                if count is None:
-                    counts[kind[u]] = 1
-                    first.append((0, kind[u]))
-                    self._settle(0, kind[u], u, (), streamed)
-                    room = self.budget - self.shape_terms
-                else:
-                    counts[kind[u]] = count + 1
         leaf = top - 1
         root = 0
-        for members in connected_subsets(g, leaf) if leaf > 0 else ():
+        # at top size 1 no set has top-size children: the single vertices stream
+        for members in connected_subsets(g, leaf or top):
             size = len(members)
             u = members[-1]
             if size == 1:
@@ -586,6 +559,7 @@ class _ClusterEngine:
                 root = u
             streamed += 1
             if streamed > room:
+                # this set's 1 passes the budget: charge() refuses
                 self.streamed = streamed
                 self.charge(0.0, size)
             depth = size - 1
@@ -605,7 +579,8 @@ class _ClusterEngine:
             cid = intern.get((pid, code))
             if cid is None or id_shape[cid] is None:
                 pairs = [(pos[w], m) for w, m in link.items() if inside[w]]
-                cid = self._settle(pid, code, u, pairs, streamed)
+                self.streamed = streamed
+                cid = self._settle(pid, code, self.loops[u], g.degree(u), pairs)
                 room = self.budget - self.shape_terms
             # u leaves the boundary and its uncovered outside neighbors join;
             # those above the root are its fresh offers
@@ -627,7 +602,7 @@ class _ClusterEngine:
                 path.append(u)
                 ids[size] = cid
                 bounds[size] = boundary
-            else:
+            elif leaf:
                 fresh = []
                 for w in link:
                     if not cover[w]:
@@ -652,7 +627,8 @@ class _ClusterEngine:
                         pairs = [(pos[x], m) for x, m in neighbors[w].items() if inside[x]]
                         if w in link:
                             pairs.append((depth, link[w]))
-                        self._settle(cid, code, w, pairs, streamed)
+                        self.streamed = streamed
+                        self._settle(cid, code, self.loops[w], g.degree(w), pairs)
                         room = self.budget - self.shape_terms
                     else:
                         counts[code] = count + 1
@@ -779,13 +755,26 @@ def cluster_log_derivatives(g: Multigraph, h: EdgeColoringModel, order: int,
     connected set of at most ``order`` vertices, of the polynomial from one
     blend run of the shape's piece (:class:`_EdgeOracle`).  Entry 0 is
     |E| ln k.  Each streamed set charges 1 and each new shape
-    k^|internal edges|, the colorings its blend run sums over.
+    k^|internal edges|, the colorings its blend run sums over.  Raises
+    ArithmeticError at the first derivative past the float range.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     coeffs = _ClusterEngine(g, _EdgeOracle(h), 0, budget).log_coefficients(order)
     out = [complex(g.m * math.log(h.k))]
+    factorial = 1
     for j in range(1, order + 1):
-        out.append(coeffs[j] * math.factorial(j))
+        factorial *= j
+        # j! as a float below 2^1000 times 2^shift: no j! past 170 is
+        # converted to a float, and up to 170 the product is c_j * float(j!)
+        shift = max(0, factorial.bit_length() - 1000)
+        scaled = coeffs[j] * float(factorial >> shift)
+        try:
+            scaled = complex(math.ldexp(scaled.real, shift), math.ldexp(scaled.imag, shift))
+        except OverflowError:
+            scaled = complex(math.inf)
+        if cmath.isinf(scaled):
+            raise ArithmeticError(f"derivative {j} of ln q leaves the float range")
+        out.append(scaled)
     return out
 
 

@@ -135,9 +135,16 @@ class _Plan(NamedTuple):
     steps: tuple[tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]], ...]
 
 
-def _charge(k: int, free: int, budget: float | None) -> None:
-    """Refuse ``k ** free`` colorings over ``budget`` before any work."""
-    if budget is not None and free * math.log(k) > math.log(max(budget, 1.0)) + 1e-9:
+def _charge(k: int, free: int, budget: float) -> None:
+    """Refuse ``k ** free`` colorings over ``budget`` before any work.
+
+    Exactly when k ** free > max(budget, 1), with no power built for a
+    ``free`` past the cap's bit length; an inf or NaN budget bounds nothing.
+    """
+    if k < 2 or not budget < math.inf:
+        return
+    cap = int(max(budget, 1))
+    if free > cap.bit_length() or k ** free > cap:
         raise BudgetExceededError(
             f"{k}^{free} colorings exceed the budget of {budget:g} terms"
         )

@@ -350,7 +350,8 @@ def _exp_shape(spec: ExpTypeSpec, engine, layout) -> list[complex]:
     of C minus B.  Its top coefficient is chi(C), from the block B = C
     alone.  The qhat of each proper block comes from the engine's shapes,
     and chi(B) is its top coefficient, so chi runs once per shape, on the
-    shape itself.  Charges 3^|C| first.
+    shape itself.  Only masks without position 0 get a qhat: the sum reads
+    it at C minus B, and their products at such masks.  Charges 3^|C| first.
     """
     labels, edges = layout
     size = len(labels)
@@ -364,11 +365,9 @@ def _exp_shape(spec: ExpTypeSpec, engine, layout) -> list[complex]:
     poly = [0j] * size
     anchored = []
     for mask, comp, local in engine.subsets(layout):
-        if comp != mask:
-            qhat[mask] = _poly_mul(qhat[comp], qhat[mask ^ comp])
-            continue
-        qhat[mask] = local
-        if mask & 1:
+        if not mask & 1:
+            qhat[mask] = local if comp == mask else _poly_mul(qhat[comp], qhat[mask ^ comp])
+        elif comp == mask:
             anchored.append((mask, chi if local is None else local[-1]))
     for mask, chi_b in anchored:
         for i, a in enumerate(qhat[full ^ mask], mask.bit_count() - 1):

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -71,6 +72,9 @@ def test_taylor_order_basic():
         taylor_order(10, 1.0, 1e-3)
     with pytest.raises(OutsideRegionError):
         taylor_order(10, -0.1, 1e-3)
+    # a tail bound that needs more than MAX_ORDER terms is refused by name
+    with pytest.raises(OutsideRegionError, match=f"through order {approx_module.MAX_ORDER}$"):
+        taylor_order(10, 0.999, 1e-12)
 
 
 def test_taylor_order_matches_error_bound():
@@ -332,7 +336,7 @@ def test_cluster_streams_only_root_sets_on_transitive_graphs():
 def test_cluster_counts_top_size_sets_without_streaming_them(monkeypatch):
     # the engine streams the sets below the top size order + reach and
     # counts each top-size set from its prefix's offers; at order 1 with
-    # reach 0 it counts the single vertices and streams nothing
+    # reach 0 it streams the single vertices like the sets of any order
     calls = []
     real = approx_module.connected_subsets
 
@@ -352,7 +356,8 @@ def test_cluster_counts_top_size_sets_without_streaming_them(monkeypatch):
             engine = approx_module._ClusterEngine(g, approx_module._EdgeOracle(h), 0, 1e8)
             got = engine.log_coefficients(order)
             if order == 1:
-                assert calls == []
+                assert [size for size, _ in calls] == [1]
+                assert set(calls[0][1]) == {1}
                 assert engine.streamed == (1 if g.vertex_transitive else g.n)
             else:
                 assert [size for size, _ in calls] == [order - 1]
@@ -373,6 +378,46 @@ def test_cluster_counts_top_size_sets_without_streaming_them(monkeypatch):
     h = perturbed_ones(3, 0.3, seed=4, max_degree=g.max_degree())
     want = reference_log_derivatives(g, h, 1)
     assert cmath.isclose(cluster_log_derivatives(g, h, 1)[1], want[1], rel_tol=1e-12)
+
+
+def test_cluster_set_count_refusals_name_the_set_size():
+    # the edge-list 4-cycle: each set charges 1, and the first shape, a
+    # single vertex, charges 2^0; order 1 refuses at the fourth single
+    # vertex, order 2 at the first top-size child counted from (0,)
+    g = Multigraph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
+    h = perturbed_ones(2, 0.02, seed=1, max_degree=2)
+    with pytest.raises(BudgetExceededError,
+                       match="5 terms spent against a budget of 4, after 4 sets "
+                             "streamed and 1 shapes computed, at a set of size 1$"):
+        cluster_log_derivatives(g, h, 1, budget=4)
+    with pytest.raises(BudgetExceededError,
+                       match="3 terms spent against a budget of 2, after 2 sets "
+                             "streamed and 1 shapes computed, at a set of size 2$"):
+        cluster_log_derivatives(g, h, 2, budget=2)
+
+
+def test_cluster_log_derivatives_past_order_170():
+    # 171! leaves the float range, but every derivative through order 200
+    # is finite: |171! c_171| is about 10^183.7 and |200! c_200| 10^228.5
+    g = generate(GraphFamilySpec("cycle", 3))
+    h = perturbed_ones(2, 0.15, seed=4)
+    got = cluster_log_derivatives(g, h, 200)
+    coeffs = approx_module._ClusterEngine(g, approx_module._EdgeOracle(h), 0,
+                                          math.inf).log_coefficients(200)
+    for j in range(1, 201):
+        assert cmath.isfinite(got[j])
+        # the modulus in log space, the relative error in exact rationals:
+        # a log-space reference near 10^228 carries 1e-13 of its own rounding
+        log_want = math.log(abs(coeffs[j])) + math.log(math.factorial(j))
+        assert abs(math.log(abs(got[j])) - log_want) <= 1e-12
+        want = [Fraction(part) * math.factorial(j) for part in (coeffs[j].real, coeffs[j].imag)]
+        err = [Fraction(part) - w for part, w in zip((got[j].real, got[j].imag), want)]
+        assert 10**26 * (err[0] ** 2 + err[1] ** 2) <= want[0] ** 2 + want[1] ** 2
+    assert 183.6 < math.log10(abs(got[171])) < 183.8
+    assert 228.4 < math.log10(abs(got[200])) < 228.6
+    # |249! c_249| is about 10^308.3, the first derivative past the float range
+    with pytest.raises(ArithmeticError, match="^derivative 249 of ln q leaves the float range$"):
+        cluster_log_derivatives(g, h, 300)
 
 
 def test_reused_cluster_engine_matches_a_fresh_one():

@@ -136,6 +136,26 @@ def test_values_past_float_range_print_inf(capsys):
     assert obj["value"]["re"] == "inf" and math.isfinite(obj["log_value"]["re"])
 
 
+def test_additive_mode_prints_the_log_modulus(capsys):
+    # --mode add prints log|p| in place of the value, for both evaluators
+    code, out, _ = invoke(capsys, "approx", "--family", "cycle:5",
+                          "--model", "ones+-uniform:0.01:2", "--eps", "0.05",
+                          "--format", "text", "--mode", "add")
+    assert code == 0
+    cert = approx_partition(generate(GraphFamilySpec("cycle", 5)),
+                            perturbed_ones(2, 0.01, seed=2), 0.05)
+    assert cert.order == 1
+    assert out.splitlines()[0] == f"log|p| = {cert.log_value.real:.17g}"
+    assert "order = 1" in out.splitlines()
+    code, out, _ = invoke(capsys, "exptype", "--family", "complete:5",
+                          "--chi", "tutte:v=1", "--x", "40", "--radius", "10",
+                          "--format", "text", "--mode", "add")
+    assert code == 0
+    lines = out.splitlines()
+    assert re.fullmatch(r"log\|p\| = \S+", lines[0]) and "mode = exp-add" in lines
+    assert math.isfinite(float(lines[0].split(" = ")[1]))
+
+
 def test_tutte_value(capsys, tmp_path):
     graph = write_triangle(tmp_path)
     code, out, _ = invoke(capsys, "tutte", "--graph", graph,

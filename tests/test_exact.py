@@ -101,6 +101,19 @@ def test_budget_refusal():
         exact_partition(big, all_ones(3), budget=10**6)
 
 
+def test_charge_compares_the_coloring_count_exactly():
+    # ln 3^30 and ln(3^30 - 1) differ by 5e-15, so a comparison of logs with
+    # any slack lets one coloring too many through
+    with pytest.raises(BudgetExceededError, match="3\\^30 colorings"):
+        holant.exact._charge(3, 30, 3**30 - 1)
+    holant.exact._charge(3, 30, 3**30)
+    holant.exact._charge(3, 30, math.inf)
+    # one color never refuses, and a huge count refuses without being built
+    holant.exact._charge(1, 10**6, 1)
+    with pytest.raises(BudgetExceededError):
+        holant.exact._charge(2, 10**12, 1e300)
+
+
 def test_contract_network_matches_brute():
     rng = random.Random(7)
     for trial in range(10):
