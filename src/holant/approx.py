@@ -185,10 +185,10 @@ def q_derivative(g: Multigraph, h: EdgeColoringModel, m: int,
         )
 
     total = 0j
+    deviations = _degree_tables(g, k, lambda a: h.value(a) - 1.0)
     for subset in combinations(range(g.n), m):
         touched = edges_touching(g, subset)
-        tables = {v: _vertex_table(g.degree(v), k, lambda a: h.value(a) - 1.0)
-                  for v in subset}
+        tables = {v: deviations[v] for v in subset}
         inner = _colored_sum(g, k, touched, {}, tables, budget)
         total += inner * float(k) ** (g.m - len(touched))
     return total * math.factorial(m)
@@ -502,10 +502,10 @@ class _ClusterEngine:
         costs one count under (id of S, code of w in S), the code being
         ``kind[w] + row[w]`` plus w's edges to u at u's position.  The
         first child of each such pair resolves its id and shape, so shapes
-        are charged when they are first met; after the stream the pairs
-        fold into a tally per shape.  At top size 1 (order 1, reach 0) there
-        is no such S: the single vertices are streamed and tallied like the
-        sets of any other order, with c(b, 0) = 1.
+        are charged when they are first met; after the stream each pair's
+        count joins the tally under (its shape, 0).  At top size 1 (order 1,
+        reach 0) there is no such S: the single vertices are streamed and
+        tallied like the sets of any other order, with c(b, 0) = 1.
 
         On a graph marked ``vertex_transitive`` every term depends only on
         the shape and the boundary, which an automorphism keeps, so
@@ -635,10 +635,10 @@ class _ClusterEngine:
             key = (id_shape[cid], boundary)
             tally[key] = tally.get(key, 0) + 1
         self.streamed = streamed
-        top_tally: dict[int, int] = {}
+        # no streamed set, being smaller, shares a top-size shape's key
         for pid, code in first:
-            sid = id_shape[intern[pid, code]]
-            top_tally[sid] = top_tally.get(sid, 0) + leaves[pid][code]
+            key = (id_shape[intern[pid, code]], 0)
+            tally[key] = tally.get(key, 0) + leaves[pid][code]
 
         def weight(count: int, size: int):
             # no exactness is claimed for n * count / size: a refinement tie
@@ -652,8 +652,6 @@ class _ClusterEngine:
             count = weight(count, size)
             for j in range(size - reach, order + 1):
                 coeffs[j] += count * _boundary_sign(boundary, j + reach - size) * series[j]
-        for sid, count in top_tally.items():
-            coeffs[order] += weight(count, top) * logs[sid][order]
         return coeffs
 
 
@@ -789,10 +787,10 @@ class ApproxCertificate:
     ``log_value`` approximates the principal-branch log of the partition sum
     with additive error at most ``error_bound``; ``value`` is its exponential.
     ``radius`` is the certified zero-free radius around the all-ones model
-    and ``q0`` its reciprocal.  ``mode`` records how the value was obtained:
+    and ``q0`` its reciprocal.  ``mode`` names the engine that ran:
     ``"cluster"`` for the cluster expansion, ``"exact"`` when the model is
-    all-ones (zero deviation), and ``"exp-mult"`` or ``"exp-add"`` for
-    exponential-type evaluations.
+    all-ones (zero deviation), and for :func:`holant.exptype.eval_exp_type`
+    ``"exp-coefficients"`` (the whole coefficient list) or ``"exp-cluster"``.
     """
 
     value: complex
@@ -899,8 +897,7 @@ class ZeroFreeReport:
         return not self.failures
 
 
-def sample_region_model(k: int, max_degree: int, params: RegionParams, rng,
-                        name: str = "") -> EdgeColoringModel:
+def sample_region_model(k: int, max_degree: int, params: RegionParams, rng) -> EdgeColoringModel:
     """Draw a table, up to norm ``max_degree``, of values in the (delta, eta) region."""
     delta, eta = params.delta, params.eta
     center_mod = eta + delta * (0.5 + 0.4 * rng.random())
@@ -911,8 +908,7 @@ def sample_region_model(k: int, max_degree: int, params: RegionParams, rng,
             rho = 0.49 * delta * math.sqrt(rng.random())
             phi = 2.0 * math.pi * rng.random()
             entries[alpha] = center + rho * cmath.exp(1j * phi)
-    return EdgeColoringModel(k, entries, center, name or f"region-sample:{delta:g}:{eta:g}",
-                             max_degree)
+    return EdgeColoringModel(k, entries, center, f"region-sample:{delta:g}:{eta:g}", max_degree)
 
 
 def verify_zero_free(g: Multigraph, params: RegionParams, samples: int = 100,

@@ -36,15 +36,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_budget(arg_value) -> float:
-    if arg_value is not None:
-        return float(arg_value)
     env = os.environ.get("HOLANT_BUDGET")
-    if env:
-        try:
-            return float(env)
-        except ValueError:
-            raise _ParseFailure(f"HOLANT_BUDGET={env!r} is not a number")
-    return float(DEFAULT_BUDGET)
+    try:
+        budget = float(arg_value if arg_value is not None else env or DEFAULT_BUDGET)
+    except ValueError:
+        raise _ParseFailure(f"HOLANT_BUDGET={env!r} is not a number")
+    if math.isnan(budget):
+        # every comparison with NaN is false, so it would bound nothing
+        source = "--budget" if arg_value is not None else "HOLANT_BUDGET"
+        raise _ParseFailure(f"{source} is NaN; give a number or inf")
+    return budget
 
 
 def _parse_family(text: str, seed) -> graphs.GraphFamilySpec:
@@ -247,8 +248,9 @@ def _cmd_exptype(args) -> int:
         c = exptype.estimate_root_radius(spec, g.max_degree(), [g], budget)
         spec = spec.with_root_radius(c, heuristic=True)
     x = _parse_complex(args.x)
-    cert = exptype.eval_exp_type(g, spec, x, args.eps, args.mode, budget)
+    cert = exptype.eval_exp_type(g, spec, x, args.eps, budget)
     payload = cert.to_json_dict()
+    payload["requested_mode"] = args.mode
     payload["chi"] = spec.name
     payload["x"] = x
     payload["root_radius"] = spec.root_radius
@@ -468,8 +470,9 @@ def _cmd_selftest(args) -> int:
 @lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     """The argument parser, built once per process and reused by every run."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "text"), default="json")
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument("--format", choices=("json", "text"), default="json")
+    common = argparse.ArgumentParser(add_help=False, parents=[formatted])
     common.add_argument("--budget", type=float, default=None,
                         help="term budget (default 1e8; env HOLANT_BUDGET overrides)")
     common.add_argument("--seed", type=int, default=None)
@@ -523,8 +526,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-degree", type=int, default=4,
                    help="degree bound for the model-membership check")
 
-    sub.add_parser("constants", parents=[common])
-    sub.add_parser("selftest", parents=[common])
+    sub.add_parser("constants", parents=[formatted])
+    sub.add_parser("selftest")
     return parser
 
 

@@ -376,7 +376,7 @@ def _exp_shape(spec: ExpTypeSpec, engine, layout) -> list[complex]:
 
 
 def eval_exp_type(g: Multigraph, spec: ExpTypeSpec, x: complex, eps: float,
-                  mode: str = "mult", budget: float | None = None) -> ApproxCertificate:
+                  budget: float | None = None) -> ApproxCertificate:
     """Evaluate the partition polynomial at ``x`` with certified log error.
 
     Requires |x| strictly beyond the spec's root radius c.  The reversed
@@ -384,15 +384,14 @@ def eval_exp_type(g: Multigraph, spec: ExpTypeSpec, x: complex, eps: float,
     1/c, so ln(qhat / qhat(0)) is Taylor-expanded there and evaluated at
     t = 1/x; the log of the result adds n ln x + ln qhat(0).  When
     n <= order + 1 the whole graph is one cluster and one
-    :func:`chi_k_coefficients` call gives the coefficients; otherwise the
-    cluster engine of :mod:`holant.approx` runs with reach 1, which needs
+    :func:`chi_k_coefficients` call gives the coefficients (certificate mode
+    ``"exp-coefficients"``); otherwise the cluster engine of
+    :mod:`holant.approx` runs with reach 1 (``"exp-cluster"``), which needs
     chi to vanish on disconnected graphs (ValueError if it does not).
     Certificates inherit the heuristic flag when c was estimated.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if mode not in ("mult", "add"):
-        raise ValueError(f"unknown mode {mode!r}")
     budget = DEFAULT_BUDGET if budget is None else budget
     x = complex(x)
     c = spec.root_radius
@@ -412,6 +411,7 @@ def eval_exp_type(g: Multigraph, spec: ExpTypeSpec, x: complex, eps: float,
     if n <= order + 1:
         qhat = chi_k_coefficients(g, spec, budget)[::-1] or [1.0 + 0j]
         logs = _normalized_log(qhat, order)
+        mode = "exp-coefficients"
     else:
         if not spec.vanishes_disconnected:
             raise ValueError(
@@ -419,6 +419,7 @@ def eval_exp_type(g: Multigraph, spec: ExpTypeSpec, x: complex, eps: float,
                 "cluster expansion needs it to vanish on disconnected graphs"
             )
         logs = _ClusterEngine(g, partial(_exp_shape, spec), 1, budget).log_coefficients(order)
+        mode = "exp-cluster"
 
     t = 1.0 / x
     series = 0j
@@ -426,8 +427,7 @@ def eval_exp_type(g: Multigraph, spec: ExpTypeSpec, x: complex, eps: float,
         series = series * t + logs[m]
     log_value = n * cmath.log(x) + logs[0] + series * t
     return ApproxCertificate(_exp_or_inf(log_value), log_value,
-                             math.inf if c == 0 else 1.0 / c, q0, order, bound, 0.0,
-                             "exp-mult" if mode == "mult" else "exp-add",
+                             math.inf if c == 0 else 1.0 / c, q0, order, bound, 0.0, mode,
                              spec.root_radius_heuristic)
 
 

@@ -116,15 +116,13 @@ def all_ones(k: int) -> EdgeColoringModel:
     return EdgeColoringModel(k, {}, 1.0 + 0j, name="ones")
 
 
-def model_from_predicate(kind: str, k: int = 2) -> EdgeColoringModel:
+def model_from_predicate(kind: str) -> EdgeColoringModel:
     """0/1 models keyed on the count of the first color.
 
     ``matching``: value 1 when at most one incident edge has color 0 (graph
     edges picked into the matching), else 0.  ``dregular:<d>``: value 1 when
     exactly d incident edges have color 0.  Both use two colors.
     """
-    if k != 2:
-        raise ValueError("predicate models are two-colored")
     kind = kind.strip().lower()
     if kind == "matching":
         return EdgeColoringModel(2, {}, name="matching", rule=lambda alpha: float(alpha[0] <= 1))

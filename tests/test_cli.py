@@ -87,6 +87,19 @@ def test_budget_env_override(capsys, monkeypatch):
     assert code == 0
 
 
+def test_nan_budget_is_an_argument_error(capsys, monkeypatch):
+    code, out, err = invoke(capsys, "exact", "--family", "cycle:4",
+                            "--model", "matching", "--budget", "nan")
+    assert (code, out) == (3, "") and "--budget is NaN" in err
+    monkeypatch.setenv("HOLANT_BUDGET", "nan")
+    code, out, err = invoke(capsys, "exact", "--family", "cycle:4", "--model", "matching")
+    assert (code, out) == (3, "") and "HOLANT_BUDGET is NaN" in err
+    # an infinite budget stays legal, and the flag still beats the environment
+    code, out, _ = invoke(capsys, "exact", "--family", "cycle:4",
+                          "--model", "matching", "--budget", "inf")
+    assert code == 0 and json.loads(out)["value"] == {"re": 7.0, "im": 0.0}
+
+
 def test_approx_certificate_json(capsys):
     code, out, _ = invoke(capsys, "approx", "--family", "torus:4x4",
                           "--model", "ones+-uniform:0.02:5", "--eps", "1e-3")
@@ -152,7 +165,7 @@ def test_additive_mode_prints_the_log_modulus(capsys):
                           "--format", "text", "--mode", "add")
     assert code == 0
     lines = out.splitlines()
-    assert re.fullmatch(r"log\|p\| = \S+", lines[0]) and "mode = exp-add" in lines
+    assert re.fullmatch(r"log\|p\| = \S+", lines[0]) and "mode = exp-coefficients" in lines
     assert math.isfinite(float(lines[0].split(" = ")[1]))
 
 
@@ -171,7 +184,8 @@ def test_exptype_eval_and_estimate(capsys, tmp_path):
                           "--radius", "2.5", "--eps", "1e-4")
     assert code == 0
     obj = json.loads(out)
-    assert obj["mode"] == "exp-mult"
+    assert obj["mode"] == "exp-coefficients"
+    assert obj["requested_mode"] == "mult"
     assert obj["heuristic"] is False
     code, out, _ = invoke(capsys, "exptype", "--graph", graph,
                           "--chi", "tutte:v=1", "--x", "40",
@@ -184,6 +198,16 @@ def test_exptype_eval_and_estimate(capsys, tmp_path):
                           "--chi", "tutte:v=1", "--x", "10")
     assert code == 1
     assert "radius" in err
+
+
+def test_exptype_json_keys(capsys):
+    code, out, _ = invoke(capsys, "exptype", "--family", "cycle:12", "--chi", "tutte:v=1",
+                          "--x", "40", "--radius", "10")
+    assert code == 0
+    obj = json.loads(out)
+    assert list(obj) == ["value", "log_value", "M", "q0", "n", "bound", "deviation",
+                         "mode", "heuristic", "requested_mode", "chi", "x", "root_radius"]
+    assert (obj["mode"], obj["requested_mode"]) == ("exp-cluster", "mult")
 
 
 def test_exptype_chromatic_inside_region_refuses(capsys, tmp_path):
@@ -294,9 +318,19 @@ def test_constants_output(capsys):
 
 
 def test_selftest_passes(capsys):
-    code, out, _ = invoke(capsys, "selftest", "--format", "text")
+    code, out, _ = invoke(capsys, "selftest")
     assert code == 0
     assert "ok" in out.lower() or "pass" in out.lower()
+
+
+def test_constants_and_selftest_refuse_options_they_ignore(capsys):
+    # constants takes only --format, selftest no option at all
+    assert invoke(capsys, "constants", "--format", "text")[0] == 0
+    for argv in (("constants", "--budget", "5"), ("constants", "--seed", "1"),
+                 ("selftest", "--format", "text")):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("argument error: ")
 
 
 def test_float_format_17_digits(capsys):

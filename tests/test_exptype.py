@@ -312,7 +312,7 @@ def test_eval_exp_type_matches_direct():
     cert = eval_exp_type(g, spec, x, eps=1e-4)
     expected = tutte_direct(g, x, 1.0)
     assert abs(cmath.log(cert.value / expected)) <= cert.error_bound + 1e-12
-    assert cert.mode == "exp-mult"
+    assert cert.mode == "exp-coefficients"
     assert not cert.heuristic
 
 
@@ -455,26 +455,41 @@ def test_eval_exp_type_k2_hand_case():
     assert cmath.isclose(cert.value, 110.0, rel_tol=1e-5)
 
 
-def test_eval_exp_type_add_mode_and_flags():
+def test_eval_exp_type_flags_and_errors():
     spec = tutte_spec(1.0, root_radius=2.0, heuristic=True)
-    cert = eval_exp_type(TRIANGLE, spec, 9.0, eps=1e-3, mode="add")
-    assert cert.mode == "exp-add"
+    cert = eval_exp_type(TRIANGLE, spec, 9.0, eps=1e-3)
     assert cert.heuristic
     assert cmath.isclose(cmath.exp(cert.log_value), cert.value, rel_tol=1e-9)
-    with pytest.raises(ValueError):
-        eval_exp_type(TRIANGLE, spec, 9.0, eps=1e-3, mode="fancy")
     with pytest.raises(ValueError):
         eval_exp_type(TRIANGLE, spec, 9.0, eps=-1.0)
 
 
 def test_eval_exp_type_certificates_share_their_mode_string():
     # the mode is one of two constants, not a string built per certificate
-    spec = tutte_spec(1.0, root_radius=2.0)
-    for mode in ("mult", "add"):
-        first, second = (eval_exp_type(TRIANGLE, spec, x, eps=1e-3, mode=mode)
-                         for x in (9.0, 11.0))
-        assert first.mode == second.mode == f"exp-{mode}"
+    spec = tutte_spec(1.0, root_radius=10.0)
+    cycle = generate(GraphFamilySpec("cycle", 12))
+    for g, mode in ((TRIANGLE, "exp-coefficients"), (cycle, "exp-cluster")):
+        first, second = (eval_exp_type(g, spec, x, eps=1e-3) for x in (40.0, 50.0))
+        assert first.mode == second.mode == mode
         assert first.mode is second.mode
+
+
+def test_eval_exp_type_mode_names_the_path_that_ran():
+    # the coefficient list is read exactly when the whole graph is one cluster
+    spec = tutte_spec(1.0, root_radius=10.0)
+    for n, mode in ((12, "exp-cluster"), (6, "exp-coefficients")):
+        g = generate(GraphFamilySpec("cycle", n))
+        cert = eval_exp_type(g, spec, 40.0, eps=1e-3)
+        assert cert.mode == mode
+        assert (cert.mode == "exp-coefficients") == (g.n <= cert.order + 1)
+        expected = exp_type_poly(g, spec)(40.0)
+        assert abs(cmath.log(cert.value / expected)) <= cert.error_bound + 1e-12
+    # chi = 1 does not vanish on disconnected graphs, so only the list can run
+    const = ExpTypeSpec(chi=lambda g: 1.0, name="const-one", root_radius=10.0)
+    cert = eval_exp_type(TRIANGLE, const, 60.0, eps=1e-3)
+    assert cert.mode == "exp-coefficients"
+    expected = exp_type_poly(TRIANGLE, const)(60.0)
+    assert abs(cmath.log(cert.value / expected)) <= cert.error_bound + 1e-12
 
 
 def test_eval_exp_type_region_and_radius_errors():

@@ -140,8 +140,6 @@ def test_predicate_models():
     assert r.value((1, 4)) == 0.0
     with pytest.raises(ValueError):
         model_from_predicate("nonesuch")
-    with pytest.raises(ValueError):
-        model_from_predicate("matching", k=3)
 
 
 def test_closed_forms_answer_at_any_norm():
