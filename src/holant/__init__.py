@@ -57,8 +57,8 @@ __all__ = [
     "exp_type_poly", "generate", "induced_subgraph", "load_model",
     "log_potential_check", "magnitude_lower_bound", "model_from_predicate",
     "normalized_pf", "parse_edge_list", "perturbed_ones", "poly_roots",
-    "q_derivative", "random_orthogonal", "rank_one_model", "read_edge_list",
-    "restricted_partition", "sample_region_model", "save_model",
+    "q_derivative", "qhat_derivative", "random_orthogonal", "rank_one_model",
+    "read_edge_list", "restricted_partition", "sample_region_model", "save_model",
     "symmetric_decompose", "taylor_error_bound", "taylor_order",
     "transfer_log_growth", "tutte_direct", "tutte_spec", "values_in_region",
     "verify_zero_free", "vertex_to_edge", "write_edge_list",

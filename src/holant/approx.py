@@ -138,7 +138,7 @@ MAX_ORDER = 10_000  # taylor_order refuses a bound that needs more terms
 
 def taylor_order(d: int, q0: float, eps: float) -> int:
     """Smallest truncation order whose tail bound drops below ``eps``."""
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     if d < 0:
         raise ValueError("d must be nonnegative")
@@ -198,30 +198,13 @@ def q_derivative(g: Multigraph, h: EdgeColoringModel, m: int,
 # connected-subset expansion of the log derivatives
 
 
-def _series_log(coeffs, order: int) -> list[complex]:
-    """Coefficients of log(P) up to ``order`` for P with constant term 1.
-
-    The one series-log routine of the package, reached through
-    :func:`_normalized_log`.
-    """
-    p = list(coeffs) + [0j] * (order + 1 - len(coeffs))
-    if p[0] != 1:
-        raise ValueError("series log needs constant term 1")
-    out = [0j] * (order + 1)
-    for j in range(1, order + 1):
-        acc = p[j]
-        for i in range(1, j):
-            acc -= (i / j) * out[i] * p[j - i]
-        out[j] = acc
-    return out
-
-
 def _normalized_log(poly, order: int) -> list[complex]:
     """Series log of poly / poly(0) through ``order``, entry 0 set to ln poly(0).
 
-    The cluster engine takes one per shape; an edge shape's polynomial has
-    constant term exactly 1, and an exponential-type one the product of chi
-    over the single vertices, 1 without loops.
+    The one series-log routine of the package.  The cluster engine takes
+    one per shape; an edge shape's polynomial has constant term exactly 1,
+    and an exponential-type one the product of chi over the single
+    vertices, 1 without loops.
     """
     lead = poly[0]
     if lead == 0:
@@ -229,8 +212,13 @@ def _normalized_log(poly, order: int) -> list[complex]:
             "chi vanishes on a single vertex (a loop under chromatic), so the "
             "reversed polynomial is 0 at the origin and has no log expansion there"
         )
-    logs = _series_log([1.0 + 0j] + [a / lead for a in poly[1:]], order)
-    logs[0] = cmath.log(lead)
+    p = [1.0 + 0j] + [a / lead for a in poly[1:]] + [0j] * (order + 1 - len(poly))
+    logs = [cmath.log(lead)] + [0j] * order
+    for j in range(1, order + 1):
+        acc = p[j]
+        for i in range(1, j):
+            acc -= (i / j) * logs[i] * p[j - i]
+        logs[j] = acc
     return logs
 
 
@@ -252,11 +240,11 @@ class _ClusterEngine:
     an id fixes its layout.  Id 0 is the empty set.
     """
 
-    def __init__(self, g: Multigraph, oracle, reach: int, budget: float):
+    def __init__(self, g: Multigraph, oracle, reach: int, budget: float | None):
         self.g = g
         self.oracle = oracle
         self.reach = reach
-        self.budget = budget
+        self.budget = DEFAULT_BUDGET if budget is None else budget
         self.streamed = 0
         self.shape_terms = 0.0
         # loop counts and the distinct other neighbors with multiplicities
@@ -376,24 +364,21 @@ class _ClusterEngine:
         return tuple([labels[i] for i in perm]), tuple(out)
 
     def _shape(self, cid: int) -> int:
-        """Shape id of the layout with id ``cid``, computing a new shape.
+        """Shape id of the layout with id ``cid``, met for the first time.
 
-        A layout met for the first time is looked up by its canonical form
-        (:meth:`_canonical`), and if that is new too, the oracle computes the
-        shape.  A tie that the refinement leaves open costs one more shape,
-        never a wrong one.
+        The layout is looked up by its canonical form (:meth:`_canonical`),
+        and if that is new too, the oracle computes the shape.  A tie that
+        the refinement leaves open costs one more shape, never a wrong one.
         """
-        sid = self._id_shape[cid]
+        layout = self._layouts[cid]
+        canonical = self._canonical(layout)
+        sid = self._shape_of.get(canonical)
         if sid is None:
-            layout = self._layouts[cid]
-            canonical = self._canonical(layout)
-            sid = self._shape_of.get(canonical)
-            if sid is None:
-                # the oracle resolves smaller shapes first, so append after it
-                poly = self.oracle(self, layout)
-                sid = self._shape_of[canonical] = len(self.shapes)
-                self.shapes.append((len(layout[0]), poly))
-            self._id_shape[cid] = sid
+            # the oracle resolves smaller shapes first, so append after it
+            poly = self.oracle(self, layout)
+            sid = self._shape_of[canonical] = len(self.shapes)
+            self.shapes.append((len(layout[0]), poly))
+        self._id_shape[cid] = sid
         return sid
 
     def subsets(self, layout):
@@ -756,7 +741,6 @@ def cluster_log_derivatives(g: Multigraph, h: EdgeColoringModel, order: int,
     k^|internal edges|, the colorings its blend run sums over.  Raises
     ArithmeticError at the first derivative past the float range.
     """
-    budget = DEFAULT_BUDGET if budget is None else budget
     coeffs = _ClusterEngine(g, _EdgeOracle(h), 0, budget).log_coefficients(order)
     out = [complex(g.m * math.log(h.k))]
     factorial = 1
@@ -847,7 +831,7 @@ def approx_partition(g: Multigraph, h: EdgeColoringModel, eps: float,
     callers that still name it: ``"cluster"`` and the former default
     ``"auto"`` both run it, and anything else raises ValueError.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     if mode not in ("auto", "cluster"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -869,7 +853,6 @@ def approx_partition(g: Multigraph, h: EdgeColoringModel, eps: float,
     order = taylor_order(g.n, q0, eps)
     bound = taylor_error_bound(g.n, q0, order)
 
-    budget = DEFAULT_BUDGET if budget is None else budget
     # the Taylor coefficients of ln q summed at z = 1, entry 0 being 0
     log_value = complex(g.m * math.log(k))
     for c in _ClusterEngine(g, _EdgeOracle(h), 0, budget).log_coefficients(order):
@@ -918,12 +901,15 @@ def verify_zero_free(g: Multigraph, params: RegionParams, samples: int = 100,
     Every sampled system is evaluated exactly, by one contraction plan run
     over each sample's tables; a sample index is recorded as a failure if
     the modulus of its partition sum falls below the certified lower bound.
-    A healthy implementation returns no failures.
+    A healthy implementation returns no failures.  Fewer than one sample
+    or color is refused with ValueError before any work.
     """
+    if samples < 1 or k < 1:
+        raise ValueError(f"need at least one sample and one color, not samples={samples}, k={k}")
     params.validate_for_degree(g.max_degree())
     rng = random.Random(seed)
     bound = magnitude_lower_bound(g, k, params)
-    _charge(k, g.m, DEFAULT_BUDGET if budget is None else budget)
+    _charge(k, g.m, budget)
     plan = _plan(g.edges, k, range(g.m), range(g.n))
     min_abs = math.inf
     min_ratio = math.inf

@@ -19,8 +19,6 @@ from . import approx, exact, exptype, graphs, limits, models
 from .errors import (BudgetExceededError, GraphFormatError, HolantError,
                      OutsideRegionError)
 
-DEFAULT_BUDGET = exact.DEFAULT_BUDGET
-
 
 class _ParseFailure(Exception):
     pass
@@ -38,7 +36,7 @@ class _Parser(argparse.ArgumentParser):
 def _resolve_budget(arg_value) -> float:
     env = os.environ.get("HOLANT_BUDGET")
     try:
-        budget = float(arg_value if arg_value is not None else env or DEFAULT_BUDGET)
+        budget = float(arg_value if arg_value is not None else env or exact.DEFAULT_BUDGET)
     except ValueError:
         raise _ParseFailure(f"HOLANT_BUDGET={env!r} is not a number")
     if math.isnan(budget):

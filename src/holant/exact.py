@@ -135,12 +135,14 @@ class _Plan(NamedTuple):
     steps: tuple[tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]], ...]
 
 
-def _charge(k: int, free: int, budget: float) -> None:
+def _charge(k: int, free: int, budget: float | None) -> None:
     """Refuse ``k ** free`` colorings over ``budget`` before any work.
 
     Exactly when k ** free > max(budget, 1), with no power built for a
-    ``free`` past the cap's bit length; an inf or NaN budget bounds nothing.
+    ``free`` past the cap's bit length; None stands for ``DEFAULT_BUDGET``,
+    and an inf or NaN budget bounds nothing.
     """
+    budget = DEFAULT_BUDGET if budget is None else budget
     if k < 2 or not budget < math.inf:
         return
     cap = int(max(budget, 1))
@@ -381,7 +383,6 @@ def _degree_tables(g: Multigraph, k: int, value) -> dict[int, list[complex]]:
 
 def exact_partition(g: Multigraph, h: EdgeColoringModel, budget: float | None = None) -> complex:
     """Partition function of ``h`` on ``g``, summed exactly over every edge coloring."""
-    budget = DEFAULT_BUDGET if budget is None else budget
     return _colored_sum(g, h.k, range(g.m), {}, _degree_tables(g, h.k, h.value), budget)
 
 
@@ -389,7 +390,6 @@ def contract_network(g: Multigraph, t: TensorAssignment, budget: float | None = 
     """Contract a per-vertex tensor assignment over all edge colorings."""
     if t.graph != g:
         raise ValueError("tensor assignment was built for a different graph")
-    budget = DEFAULT_BUDGET if budget is None else budget
     tables = {v: _vertex_table(g.degree(v), t.k, partial(t.value, v)) for v in range(g.n)}
     return _colored_sum(g, t.k, range(g.m), {}, tables, budget)
 
@@ -400,7 +400,6 @@ def restricted_partition(g: Multigraph, t: TensorAssignment, restriction: Restri
     if t.graph != g:
         raise ValueError("tensor assignment was built for a different graph")
     restriction.validate(g, t.k)
-    budget = DEFAULT_BUDGET if budget is None else budget
     tables = {v: _vertex_table(g.degree(v), t.k, partial(t.value, v)) for v in range(g.n)}
     return _colored_sum(g, t.k, range(g.m), restriction.as_dict(), tables, budget)
 
@@ -414,7 +413,6 @@ def exact_poly_by_interpolation(g: Multigraph, h: EdgeColoringModel,
     most |V| and nothing is interpolated: the name is kept for its callers.
     The budget is charged ``k ** |E|`` and the contraction planned once.
     """
-    budget = DEFAULT_BUDGET if budget is None else budget
     _charge(h.k, g.m, budget)
     plan = _plan(g.edges, h.k, range(g.m), range(g.n))
     tables = _degree_tables(g, h.k, lambda alpha: h.value(alpha) - 1.0)

@@ -43,7 +43,8 @@ class ExpTypeSpec:
     """A block weight plus optional root-location knowledge.
 
     ``root_radius`` is a caller-supplied bound on root moduli of the
-    polynomial over the graph class of interest.  ``root_radius_heuristic``
+    polynomial over the graph class of interest; a negative or NaN one is
+    refused with ValueError.  ``root_radius_heuristic``
     marks radii that were estimated rather than proven, and is propagated
     to certificates.
 
@@ -71,6 +72,7 @@ class ExpTypeSpec:
     vanishes_disconnected: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_radius(self.root_radius)
         probe = complex(self.chi(Multigraph(1, ())))
         if abs(probe - 1.0) > 1e-9:
             raise ValueError(f"chi(K_1) = {probe} but must be 1")
@@ -79,10 +81,18 @@ class ExpTypeSpec:
 
     def with_root_radius(self, c: float, heuristic: bool = True) -> "ExpTypeSpec":
         """This spec with root radius ``c``; chi is not probed again."""
+        c = float(c)
+        _check_radius(c)
         out = copy.copy(self)
-        object.__setattr__(out, "root_radius", float(c))
+        object.__setattr__(out, "root_radius", c)
         object.__setattr__(out, "root_radius_heuristic", heuristic)
         return out
+
+
+def _check_radius(c: float | None) -> None:
+    """Refuse a root radius that is negative or NaN; None means no radius."""
+    if c is not None and not c >= 0:
+        raise ValueError(f"root radius must be nonnegative, not {c}")
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +400,8 @@ def eval_exp_type(g: Multigraph, spec: ExpTypeSpec, x: complex, eps: float,
     chi to vanish on disconnected graphs (ValueError if it does not).
     Certificates inherit the heuristic flag when c was estimated.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
-    budget = DEFAULT_BUDGET if budget is None else budget
     x = complex(x)
     c = spec.root_radius
     if c is None:

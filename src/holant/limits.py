@@ -16,8 +16,7 @@ from typing import TYPE_CHECKING
 
 from .approx import approx_partition
 from .errors import BudgetExceededError, OutsideRegionError
-from .exact import (DEFAULT_BUDGET, ComplexPoly, exact_partition,
-                    exact_poly_by_interpolation, poly_roots)
+from .exact import ComplexPoly, exact_partition, exact_poly_by_interpolation, poly_roots
 from .graphs import GraphFamilySpec, Multigraph, generate
 from .models import EdgeColoringModel
 
@@ -191,7 +190,6 @@ def log_potential_check(g: Multigraph, h: EdgeColoringModel,
     one contraction, so the two agree up to rounding and root-finding
     error; a root at 1 means the partition sum vanishes and raises.
     """
-    budget = DEFAULT_BUDGET if budget is None else budget
     if g.n == 0:
         raise ValueError("need at least one vertex")
     k = h.k

@@ -183,6 +183,8 @@ class VertexModel:
         n = self.a.shape[0]
         if self.B.shape != (n, n):
             raise ValueError("B must be square with side len(a)")
+        if not (np.isfinite(np.abs(self.a)).all() and np.isfinite(np.abs(self.B)).all()):
+            raise ValueError("vertex model weights and their moduli must be finite")
         if not np.allclose(self.B, self.B.T, atol=1e-12):
             raise ValueError("B must be symmetric")
 
@@ -198,8 +200,12 @@ def symmetric_decompose(B) -> np.ndarray:
     diagonal entry is negligible next to the off-diagonal mass, a 2x2 block
     pivot is eliminated instead, mixing the two rows through a quarter-turn
     rotation and complex square roots (the same trick that factors
-    [[0, b], [b, 0]] into rows proportional to (1, +-i)).  Raises
-    ``DecompositionError`` if no usable pivot remains.
+    [[0, b], [b, 0]] into rows proportional to (1, +-i)).  The block is that
+    of the largest off-diagonal entry w, and every diagonal entry is below
+    |w| / 100, so both square roots have modulus near sqrt(|w|) or more.
+    Raises ``DecompositionError`` for an input that is not square,
+    symmetric and finite (moduli included), or when |U^T U - B| passes
+    1e-10 of the scale.
     """
     import numpy as np
 
@@ -207,9 +213,11 @@ def symmetric_decompose(B) -> np.ndarray:
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise DecompositionError("input must be a square matrix")
     n = B.shape[0]
+    scale = max(np.max(np.abs(B)), 1.0)
+    if not math.isfinite(scale):
+        raise DecompositionError("matrix entries and their moduli must be finite")
     if not np.allclose(B, B.T, atol=1e-10):
         raise DecompositionError("input must be symmetric")
-    scale = max(np.max(np.abs(B)), 1.0)
     work = B.copy()
     active = list(range(n))
     rows = []
@@ -228,24 +236,17 @@ def symmetric_decompose(B) -> np.ndarray:
             work = work - np.outer(row, row)
             active.remove(p)
         else:
-            flat = int(np.argmax(off))
-            i_local, j_local = divmod(flat, len(active))
-            if i_local == j_local or off[i_local, j_local] <= 1e-13 * scale:
-                raise DecompositionError("no usable pivot (matrix is numerically degenerate)")
+            i_local, j_local = divmod(int(np.argmax(off)), len(active))
             p, q = active[i_local], active[j_local]
             block = np.array([[work[p, p], work[p, q]], [work[q, p], work[q, q]]], dtype=complex)
             # rotate by pi/4 so the block diagonal picks up the off-diagonal mass
             G = np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex) / math.sqrt(2.0)
             Mr = G @ block @ G.T
             s = cmath.sqrt(Mr[0, 0])
-            if abs(s) <= 1e-13 * math.sqrt(scale):
-                raise DecompositionError("degenerate 2x2 block pivot")
             l21 = Mr[1, 0] / s
             t = cmath.sqrt(Mr[1, 1] - l21 * l21)
             L = np.array([[s, 0.0], [l21, t]], dtype=complex)
             N = G.T @ L  # N @ N.T == block
-            if abs(t) <= 1e-13 * math.sqrt(scale):
-                raise DecompositionError("singular 2x2 block pivot")
             Ninv_T = np.linalg.inv(N).T
             X = work[:, [p, q]]
             W = X @ Ninv_T
@@ -277,6 +278,8 @@ def vertex_to_edge(model: VertexModel, U: np.ndarray | None = None) -> EdgeColor
     U = np.asarray(U, dtype=complex)
     if U.shape[1] != model.n:
         raise ValueError("U must have one column per vertex-model state")
+    if not np.isfinite(U).all():
+        raise ValueError("U must be finite")
     resid = np.max(np.abs(U.T @ U - model.B))
     if resid > 1e-8 * max(1.0, np.max(np.abs(model.B))):
         raise ValueError(f"U^T U differs from B by {resid:.3e}")
@@ -424,24 +427,17 @@ def apply_orthogonal(g: np.ndarray, target, max_degree: int | None = None):
     import numpy as np
 
     g = np.asarray(g, dtype=complex)
-    if isinstance(target, EdgeColoringModel):
-        if g.shape != (target.k, target.k):
-            raise ValueError("matrix size must match the color count")
-        cover = target.max_norm if max_degree is None else max_degree
-        return EdgeColoringModel(target.k, {}, 0j, target.name, cover,
-                                 partial(transformed_value, g, target.value))
+    if not isinstance(target, (EdgeColoringModel, TensorAssignment)):
+        raise TypeError(f"cannot transform {type(target).__name__}")
+    if g.shape != (target.k, target.k):
+        raise ValueError("matrix size must match the color count")
     if isinstance(target, TensorAssignment):
-        if g.shape != (target.k, target.k):
-            raise ValueError("matrix size must match the color count")
-        tensors = []
-        for v in range(target.graph.n):
-            d = target.graph.degree(v)
-            tensors.append({
-                alpha: transformed_value(g, lambda b, v=v: target.value(v, b), alpha)
-                for alpha in compositions(d, target.k)
-            })
-        return TensorAssignment(target.graph, target.k, tuple(tensors))
-    raise TypeError(f"cannot transform {type(target).__name__}")
+        return TensorAssignment.from_function(
+            target.graph, target.k,
+            lambda v, alpha: transformed_value(g, partial(target.value, v), alpha))
+    cover = target.max_norm if max_degree is None else max_degree
+    return EdgeColoringModel(target.k, {}, 0j, target.name, cover,
+                             partial(transformed_value, g, target.value))
 
 
 # ---------------------------------------------------------------------------

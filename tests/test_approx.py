@@ -19,7 +19,7 @@ from holant import (BudgetExceededError, EdgeColoringModel, GraphFamilySpec, Mul
                     q_derivative, sample_region_model, taylor_error_bound, taylor_order,
                     tutte_spec, verify_zero_free, zero_free_constants)
 import holant.approx as approx_module
-from holant.approx import _boundary_sign, _series_log, log_magnitude_lower_bound
+from holant.approx import _boundary_sign, _normalized_log, log_magnitude_lower_bound
 from holant.graphs import connected_subsets
 from holant.models import compositions
 
@@ -30,12 +30,12 @@ def reference_log_derivatives(g, h, order):
     """Derivatives of ln q through ``order`` from the global expansion.
 
     Taylor coefficients of q / k^|E| come from :func:`q_derivative`, their
-    series log from ``_series_log``; entry 0 is |E| ln k.
+    series log from ``_normalized_log``; entry 0 is |E| ln k.
     """
     scale = float(h.k) ** g.m
     coeffs = [1.0] + [q_derivative(g, h, m) / (math.factorial(m) * scale)
                       for m in range(1, order + 1)]
-    logs = _series_log(coeffs, order)
+    logs = _normalized_log(coeffs, order)
     return [complex(g.m * math.log(h.k))] + [logs[m] * math.factorial(m)
                                              for m in range(1, order + 1)]
 
@@ -94,23 +94,23 @@ def test_taylor_error_bound_formula():
 
 def test_log_derivatives_of_known_series():
     # p = exp: coefficients 1/m!, so ln p = z
-    f = _series_log([1.0 / math.factorial(m) for m in range(6)], 5)
+    f = _normalized_log([1.0 / math.factorial(m) for m in range(6)], 5)
     assert f[0] == 0.0
     assert f[1] == pytest.approx(1.0)
     assert all(abs(x) < 1e-12 for x in f[2:])
     # p = 1/(1-z): coefficients 1, ln p has [z^m] = 1/m
-    f = _series_log([1.0] * 6, 5)
+    f = _normalized_log([1.0] * 6, 5)
     for m in range(1, 6):
         assert f[m] == pytest.approx(1.0 / m)
     # p = 1 + z: [z^m] ln p = (-1)^(m+1) / m; missing coefficients are zero
-    f = _series_log([1.0, 1.0], 4)
+    f = _normalized_log([1.0, 1.0], 4)
     assert [round(x.real, 9) for x in f[1:]] == [1.0, -0.5, round(1 / 3, 9), -0.25]
 
 
 def test_series_log_round_trips_through_exp():
     rng = np.random.default_rng(2)
     coeffs = [1.0 + 0j] + list(rng.normal(size=5) + 1j * rng.normal(size=5))
-    logs = _series_log(coeffs, 5)
+    logs = _normalized_log(coeffs, 5)
     # exp of the log series: j p_j = sum over i <= j of i L_i p_(j-i)
     back = [1.0 + 0j]
     for j in range(1, 6):
@@ -119,10 +119,12 @@ def test_series_log_round_trips_through_exp():
 
 
 def test_log_derivatives_reject_vanishing_p0():
-    with pytest.raises(ValueError):
-        _series_log([0.0, 1.0], 3)
-    with pytest.raises(ValueError):
-        _series_log([2.0, 1.0], 3)
+    with pytest.raises(OutsideRegionError):
+        _normalized_log([0.0, 1.0], 3)
+    # any other constant term is divided out, its log kept in entry 0
+    logs = _normalized_log([2.0, 1.0], 3)
+    assert logs[0] == pytest.approx(math.log(2.0))
+    assert logs[1:] == pytest.approx([0.5, -0.125, 1 / 24])
 
 
 def test_q_derivative_edge_cases():
@@ -695,6 +697,17 @@ def test_approx_eps_validation_and_budget():
         approx_partition(big, hbig, eps=1e-12, budget=10.0)
 
 
+def test_nan_eps_is_refused_before_any_work():
+    # every comparison with NaN is false, so "eps <= 0" would let it through
+    h = perturbed_ones(2, 0.02, seed=2, max_degree=4)
+    spec = tutte_spec(1.0, root_radius=2.0)
+    for call in (lambda: approx_partition(TRIANGLE, h, math.nan),
+                 lambda: eval_exp_type(TRIANGLE, spec, 10.0, math.nan),
+                 lambda: taylor_order(3, 0.5, math.nan)):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            call()
+
+
 def test_certificate_json_keys():
     cert = approx_partition(TRIANGLE, perturbed_ones(2, 0.03, seed=6,
                                                      max_degree=2), eps=1e-3)
@@ -754,3 +767,14 @@ def test_verify_zero_free_quick():
         assert report.min_abs >= report.bound
         assert report.min_ratio >= 1.0
         assert report.failures == ()
+
+
+def test_verify_zero_free_refuses_no_samples_or_colors():
+    params = RegionParams.from_theorem(eta=0.9, theta=zero_free_constants().theta,
+                                       max_degree=2)
+    g = Multigraph(5, tuple((i, (i + 1) % 5) for i in range(5)))
+    with pytest.raises(ValueError, match="samples=0, k=2"):
+        verify_zero_free(g, params, samples=0)
+    with pytest.raises(ValueError, match="samples=100, k=0"):
+        verify_zero_free(g, params, k=0)
+    assert verify_zero_free(g, params, samples=1, k=1).samples == 1

@@ -308,6 +308,26 @@ def test_region_check_graph_sampling(capsys):
     assert obj["samples"] == 20
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("region-check", "--family", "cycle:5", "--samples", "0"), "samples=0, k=2"),
+    (("region-check", "--family", "cycle:5", "--k", "0"), "samples=100, k=0"),
+    (("approx", "--family", "cycle:5", "--model", "ones+-uniform:0.01:2", "--eps", "nan"),
+     "eps must be positive"),
+    (("limits", "--family", "torus", "--sizes", "4,5", "--model", "ones+-uniform:0.05:3",
+      "--eps", "nan"), "eps must be positive"),
+    (("exptype", "--family", "cycle:12", "--chi", "tutte:v=1", "--x", "40",
+      "--radius", "10", "--eps", "nan"), "eps must be positive"),
+    (("exptype", "--family", "cycle:12", "--chi", "tutte:v=1", "--x", "40",
+      "--radius", "-3"), "root radius must be nonnegative, not -3.0"),
+    (("exptype", "--family", "cycle:12", "--chi", "tutte:v=1", "--x", "40",
+      "--radius", "nan"), "root radius must be nonnegative, not nan"),
+])
+def test_inputs_that_certify_nothing_exit_1(capsys, argv, message):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and message in err
+
+
 def test_constants_output(capsys):
     code, out, _ = invoke(capsys, "constants")
     assert code == 0

@@ -12,12 +12,13 @@ import oracles
 from holant import (BudgetExceededError, ComplexPoly, EdgeColoringModel,
                     GraphFamilySpec, Multigraph, RegionParams,
                     RestrictedSpec, RootFindingError, TensorAssignment,
-                    all_ones, chromatic_spec, contract_network,
-                    exact_partition, exp_type_poly, generate,
-                    exact_poly_by_interpolation, model_from_predicate,
-                    perturbed_ones, poly_roots, q_derivative,
-                    restricted_partition, sample_region_model,
-                    verify_zero_free, zero_free_constants)
+                    all_ones, approx_partition, chromatic_spec,
+                    cluster_log_derivatives, contract_network,
+                    eval_exp_type, exact_partition, exp_type_poly, generate,
+                    exact_poly_by_interpolation, log_potential_check,
+                    model_from_predicate, perturbed_ones, poly_roots,
+                    q_derivative, restricted_partition, sample_region_model,
+                    tutte_spec, verify_zero_free, zero_free_constants)
 from holant.exact import _colored_sum, _plan, _vertex_table
 from holant.graphs import edges_touching
 
@@ -112,6 +113,37 @@ def test_charge_compares_the_coloring_count_exactly():
     holant.exact._charge(1, 10**6, 1)
     with pytest.raises(BudgetExceededError):
         holant.exact._charge(2, 10**12, 1e300)
+
+
+def test_default_budget_binds_every_function_that_passes_it_on():
+    # budget=None is DEFAULT_BUDGET = 1e8 wherever it lands: the 2^27
+    # matching colorings of cycle:27, the 3^21 colorings of the 7-vertex
+    # shape of complete:8 and the 3^17 anchored blocks of cycle:17 pass it
+    assert holant.exact.DEFAULT_BUDGET == 10 ** 8
+    g = generate(GraphFamilySpec("cycle", 27))
+    h = model_from_predicate("matching")
+    t = TensorAssignment.from_model(g, h)
+    params = RegionParams.from_theorem(0.9, zero_free_constants().theta, 2)
+    dense = generate(GraphFamilySpec("complete", 8))
+    near = perturbed_ones(3, 0.01, seed=1, max_degree=7)
+    spec = tutte_spec(1.0, root_radius=10.0)
+    calls = {
+        "exact_partition": lambda: exact_partition(g, h),
+        "contract_network": lambda: contract_network(g, t),
+        "restricted_partition": lambda: restricted_partition(g, t, RestrictedSpec(())),
+        "exact_poly_by_interpolation": lambda: exact_poly_by_interpolation(g, h),
+        "log_potential_check": lambda: log_potential_check(g, h),
+        "verify_zero_free": lambda: verify_zero_free(g, params, samples=1),
+        "cluster_log_derivatives": lambda: cluster_log_derivatives(dense, near, 7),
+        "approx_partition": lambda: approx_partition(dense, near, 1e-6),
+        "eval_exp_type": lambda: eval_exp_type(generate(GraphFamilySpec("cycle", 17)),
+                                               spec, 11.0, 1e-3),
+    }
+    for call in calls.values():
+        with pytest.raises(BudgetExceededError, match=r"2\^27|1e\+08|3\^17"):
+            call()
+    # one edge fewer fits: 2^26 colorings
+    assert exact_partition(generate(GraphFamilySpec("cycle", 26)), h) != 0
 
 
 def test_contract_network_matches_brute():

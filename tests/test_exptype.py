@@ -143,6 +143,17 @@ def test_spec_radius_resolution():
     assert (spec.root_radius, spec.root_radius_heuristic) == (4.0, True)
 
 
+def test_root_radius_must_be_nonnegative():
+    for bad in (-3.0, math.nan):
+        with pytest.raises(ValueError, match=f"nonnegative, not {bad}"):
+            tutte_spec(1.0, root_radius=bad)
+        with pytest.raises(ValueError, match=f"nonnegative, not {bad}"):
+            chromatic_spec().with_root_radius(bad)
+    # zero and inf are radii; None means none was given
+    assert chromatic_spec(0.0).with_root_radius(math.inf).root_radius == math.inf
+    assert tutte_spec(1.0).root_radius is None
+
+
 def test_chi_k_small_cases():
     spec = tutte_spec(1.0)
     assert chi_k_coefficients(K2, spec) == [pytest.approx(1.0), pytest.approx(1.0)]

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 
@@ -225,6 +226,41 @@ def test_symmetric_decompose_rejects_bad_input():
         symmetric_decompose(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(DecompositionError):
         symmetric_decompose(np.ones((2, 3)))
+
+
+def test_symmetric_decompose_small_entry_sweep():
+    # every symmetric 2x2 matrix and 500 seeded 3x3 ones over {0, +-1, +-i, 2}:
+    # each factors with one row per unit of rank (one row for the zero
+    # matrix), the 2x2 block pivot included
+    entries = [0, 1, -1, 1j, -1j, 2]
+    rng = random.Random(24)
+    upper = list(itertools.product(entries, repeat=3))
+    upper += [tuple(rng.choice(entries) for _ in range(6)) for _ in range(500)]
+    for values in upper:
+        n = 2 if len(values) == 3 else 3
+        B = np.zeros((n, n), dtype=complex)
+        B[np.triu_indices(n)] = values
+        B = B + np.triu(B, 1).T
+        U = symmetric_decompose(B)
+        assert U.shape == (max(np.linalg.matrix_rank(B), 1), n), B
+        assert np.max(np.abs(U.T @ U - B)) <= 1e-14, B
+
+
+def test_infinite_vertex_weights_are_refused():
+    big = 1.7e308 + 1.7e308j  # finite, but its modulus is not
+    for a, B in (([1, 1], [[1, math.inf], [math.inf, 0]]),
+                 ([1, math.nan], [[1, 1], [1, 0]]),
+                 ([1, 1], [[1, big], [big, 0]])):
+        with pytest.raises(ValueError, match="finite"):
+            VertexModel(a, B)
+    # a modulus past the float range would make the zero cutoff infinite,
+    # and every residual pass
+    for B in ([[math.inf]], [[1, math.nan], [math.nan, 1]], [[big]]):
+        with pytest.raises(DecompositionError, match="finite"):
+            symmetric_decompose(B)
+    vm = VertexModel([1, 1], [[1, 1], [1, 0]])
+    with pytest.raises(ValueError, match="finite"):
+        vertex_to_edge(vm, [[1, math.inf], [0, 1]])
 
 
 def test_random_orthogonal_is_orthogonal():

@@ -2,7 +2,8 @@
 
 Everything runs in one fresh interpreter, so the modules the test session
 has already imported do not hide an eager import.  The child prints one JSON
-object of what it saw; the assertions stay here.
+object of what it saw; the assertions stay here.  The package's
+``__all__`` must also name every public name that it imports.
 """
 
 import json
@@ -81,3 +82,14 @@ def test_numpy_loads_on_first_numeric_use():
     assert seen["orthogonality"] < 1e-12
     assert abs(seen["independent sets"] - 4.0) < 1e-9
     assert not seen["scipy"]
+
+
+def test_all_names_every_public_import():
+    import types
+
+    import holant
+
+    public = {name for name, value in vars(holant).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set(holant.__all__)
+    assert "qhat_derivative" in holant.__all__
