@@ -171,18 +171,15 @@ def q_derivative(g: Multigraph, h: EdgeColoringModel, m: int,
     """
     if m < 0:
         raise ValueError("derivative order must be nonnegative")
-    budget = DEFAULT_BUDGET if budget is None else budget
     k = h.k
     if m > g.n:
         return 0j
     if m == 0:
         return complex(k) ** g.m
 
-    terms = math.comb(g.n, m) * k ** min(m * g.max_degree(), g.m)
-    if terms > budget:
-        raise BudgetExceededError(
-            f"order-{m} direct expansion needs about 10^{math.log10(terms):.1f} terms"
-        )
+    free = min(m * g.max_degree(), g.m)
+    _charge(math.comb(g.n, m) * k ** free, budget,
+            f"C({g.n},{m})*{k}^{free} order-{m} direct expansion terms")
 
     total = 0j
     deviations = _degree_tables(g, k, lambda a: h.value(a) - 1.0)
@@ -909,7 +906,7 @@ def verify_zero_free(g: Multigraph, params: RegionParams, samples: int = 100,
     params.validate_for_degree(g.max_degree())
     rng = random.Random(seed)
     bound = magnitude_lower_bound(g, k, params)
-    _charge(k, g.m, budget)
+    _charge(k ** g.m, budget, f"{k}^{g.m} colorings")
     plan = _plan(g.edges, k, range(g.m), range(g.n))
     min_abs = math.inf
     min_ratio = math.inf

@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import approx, exact, exptype, graphs, limits, models
 from .errors import (BudgetExceededError, GraphFormatError, HolantError,
@@ -58,10 +58,10 @@ def _parse_family(text: str, seed) -> graphs.GraphFamilySpec:
             return graphs.GraphFamilySpec("torus", a, size2=b)
         if name in ("regular", "random-regular"):
             parts = [int(p) for p in rest.split(",")]
-            n, d = parts[0], parts[1]
-            s = parts[2] if len(parts) > 2 else (seed if seed is not None else 0)
-            return graphs.GraphFamilySpec("regular", n, degree=d, seed=s)
-    except (ValueError, IndexError):
+            if len(parts) in (2, 3):
+                s = parts[2] if len(parts) > 2 else (seed if seed is not None else 0)
+                return graphs.GraphFamilySpec("regular", parts[0], degree=parts[1], seed=s)
+    except ValueError:
         pass
     raise _ParseFailure(
         f"bad family {text!r}; try cycle:N, path:N, complete:N, torus:AxB, regular:N,D[,seed]"
@@ -82,25 +82,25 @@ def _load_graph(args) -> graphs.Multigraph:
 
 
 def _builtin_model(name: str, seed) -> models.EdgeColoringModel:
-    text = name.strip()
-    lowered = text.lower().replace("±", "+-")
-    if lowered == "ones":
-        return models.all_ones(2)
-    if lowered.startswith("ones:"):
-        return models.all_ones(int(lowered.split(":", 1)[1]))
-    if lowered == "matching":
-        return models.model_from_predicate("matching")
-    if lowered.startswith("dregular:"):
-        return models.model_from_predicate(lowered)
-    if lowered.startswith("ones+-uniform:"):
-        parts = lowered.split(":")
-        radius = float(parts[1])
-        s = int(parts[2]) if len(parts) > 2 else (seed if seed is not None else 0)
-        return models.perturbed_ones(2, radius, s)
-    raise _ParseFailure(
-        f"unknown model {name!r}; builtins: ones[:k], matching, dregular:<d>, "
-        "ones+-uniform:<r>[:<seed>], or a JSON file path"
-    )
+    """Builtin model ``name``: malformed is a _ParseFailure, refused a ValueError."""
+    kind, *fields = name.strip().lower().replace("±", "+-").split(":")
+    build = None
+    try:
+        if kind == "ones" and len(fields) < 2:
+            build = partial(models.all_ones, int(fields[0]) if fields else 2)
+        elif kind == "matching" and not fields:
+            build = partial(models.model_from_predicate, "matching")
+        elif kind == "dregular" and len(fields) == 1:
+            build = partial(models.model_from_predicate, f"dregular:{int(fields[0])}")
+        elif kind == "ones+-uniform" and len(fields) in (1, 2):
+            s = int(fields[1]) if len(fields) > 1 else (seed if seed is not None else 0)
+            build = partial(models.perturbed_ones, 2, float(fields[0]), s)
+    except ValueError:
+        pass
+    if build is None:
+        raise _ParseFailure(f"bad model {name!r}; builtins: ones[:k], matching, dregular:<d>, "
+                            "ones+-uniform:<r>[:<seed>], or a JSON file path")
+    return build()
 
 
 def _load_model(args) -> models.EdgeColoringModel:

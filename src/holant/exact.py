@@ -135,21 +135,18 @@ class _Plan(NamedTuple):
     steps: tuple[tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]], ...]
 
 
-def _charge(k: int, free: int, budget: float | None) -> None:
-    """Refuse ``k ** free`` colorings over ``budget`` before any work.
+def _charge(terms: int, budget: float | None, what: str) -> None:
+    """Refuse ``terms`` of work over ``budget`` before the work starts.
 
-    Exactly when k ** free > max(budget, 1), with no power built for a
-    ``free`` past the cap's bit length; None stands for ``DEFAULT_BUDGET``,
-    and an inf or NaN budget bounds nothing.
+    The one up-front budget rule of every engine: None stands for
+    ``DEFAULT_BUDGET``, an inf or NaN budget bounds nothing, and otherwise
+    the work is refused exactly when terms > max(budget, 1), an int compared
+    with a float, so nothing is rounded.  ``what`` names the terms, as in
+    ``"3^17 anchored blocks"``, and starts the message.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
-    if k < 2 or not budget < math.inf:
-        return
-    cap = int(max(budget, 1))
-    if free > cap.bit_length() or k ** free > cap:
-        raise BudgetExceededError(
-            f"{k}^{free} colorings exceed the budget of {budget:g} terms"
-        )
+    if terms > max(budget, 1):
+        raise BudgetExceededError(f"{what} exceed the budget of {budget:g} terms")
 
 
 def _greedy_order(edges, edge_indices, vertices) -> list[tuple[int, tuple]]:
@@ -367,7 +364,8 @@ def _colored_sum(g: Multigraph, k: int, edge_indices, fixed: dict[int, int],
     many weight systems over one edge set charge and plan once themselves.
     """
     edges = sorted(edge_indices)
-    _charge(k, sum(e not in fixed for e in edges), budget)
+    free = sum(e not in fixed for e in edges)
+    _charge(k ** free, budget, f"{k}^{free} colorings")
     return _run(_plan(g.edges, k, edges, tables), tables, fixed)
 
 
@@ -413,7 +411,7 @@ def exact_poly_by_interpolation(g: Multigraph, h: EdgeColoringModel,
     most |V| and nothing is interpolated: the name is kept for its callers.
     The budget is charged ``k ** |E|`` and the contraction planned once.
     """
-    _charge(h.k, g.m, budget)
+    _charge(h.k ** g.m, budget, f"{h.k}^{g.m} colorings")
     plan = _plan(g.edges, h.k, range(g.m), range(g.n))
     tables = _degree_tables(g, h.k, lambda alpha: h.value(alpha) - 1.0)
     return ComplexPoly(tuple(_run_blend(plan, tables)))

@@ -34,8 +34,8 @@ from typing import Callable
 
 from .approx import (ApproxCertificate, _ClusterEngine, _exp_or_inf, _normalized_log,
                      taylor_error_bound, taylor_order)
-from .errors import BudgetExceededError, OutsideRegionError
-from .exact import DEFAULT_BUDGET, ComplexPoly, poly_roots
+from .errors import OutsideRegionError
+from .exact import ComplexPoly, _charge, poly_roots
 from .graphs import Multigraph, component_count
 
 @dataclass(frozen=True)
@@ -109,13 +109,10 @@ def chi_tutte(g: Multigraph, v: complex, budget: float | None = None) -> complex
     when 3^|V| exceeds ``budget`` (at the default budget, graphs of 17 or
     more vertices).
     """
-    budget = DEFAULT_BUDGET if budget is None else budget
-    v = complex(v)
     if g.n == 0:
         return 1.0 + 0j
-    if 3 ** g.n > budget:
-        raise BudgetExceededError(f"3^{g.n} sieve terms for chi exceed the budget")
-    return _chi_tutte_sieve(g, v)
+    _charge(3 ** g.n, budget, f"3^{g.n} sieve terms for chi")
+    return _chi_tutte_sieve(g, complex(v))
 
 
 def _chi_tutte_sieve(g: Multigraph, v: complex) -> complex:
@@ -150,7 +147,7 @@ def _chi_tutte_sieve(g: Multigraph, v: complex) -> complex:
 
 def tutte_spec(v: complex, root_radius: float | None = None,
                heuristic: bool = False) -> ExpTypeSpec:
-    """Random-cluster family member at edge weight ``v``.
+    """Random-cluster family member at a finite edge weight ``v``.
 
     Its chi sieves under no budget of its own.  The cluster engine charges
     3^|C| against the caller's budget before it weighs a shape C, but
@@ -159,6 +156,8 @@ def tutte_spec(v: complex, root_radius: float | None = None,
     item 2).
     """
     v = complex(v)
+    if not cmath.isfinite(v):
+        raise ValueError(f"tutte edge weight v must be finite, not {v}")
     return ExpTypeSpec(lambda h: chi_tutte(h, v, math.inf), f"tutte:v={v.real:g},{v.imag:g}",
                        root_radius, heuristic)
 
@@ -176,9 +175,7 @@ def chromatic_spec(root_radius: float | None = None,
 
 def random_cluster_profile(g: Multigraph, budget: float | None = None) -> dict:
     """Histogram {(components, edges): count} over all edge subsets."""
-    budget = DEFAULT_BUDGET if budget is None else budget
-    if 2 ** g.m > budget:
-        raise BudgetExceededError(f"2^{g.m} edge subsets exceed the budget")
+    _charge(2 ** g.m, budget, f"2^{g.m} edge subsets")
     profile: dict[tuple[int, int], int] = {}
     for bits in range(1 << g.m):
         chosen = [g.edges[i] for i in range(g.m) if bits >> i & 1]
@@ -248,12 +245,10 @@ def chi_k_coefficients(g: Multigraph, spec: ExpTypeSpec,
     distinct such graph in a call: blocks with equal graphs share the
     value.  Nothing is kept across calls.
     """
-    budget = DEFAULT_BUDGET if budget is None else budget
     n = g.n
     if n == 0:
         return []
-    if 3 ** n > budget:
-        raise BudgetExceededError(f"3^{n} anchored blocks exceed the budget")
+    _charge(3 ** n, budget, f"3^{n} anchored blocks")
     prune = spec.vanishes_disconnected
     # neighbour bitmask of each vertex bit; a loop's own bit is never
     # flooded, as it is already reached
@@ -389,7 +384,7 @@ def eval_exp_type(g: Multigraph, spec: ExpTypeSpec, x: complex, eps: float,
                   budget: float | None = None) -> ApproxCertificate:
     """Evaluate the partition polynomial at ``x`` with certified log error.
 
-    Requires |x| strictly beyond the spec's root radius c.  The reversed
+    Requires a finite x with |x| strictly beyond the spec's root radius c.  The reversed
     polynomial qhat(t) = t^n p(1/t) has no roots inside the disk of radius
     1/c, so ln(qhat / qhat(0)) is Taylor-expanded there and evaluated at
     t = 1/x; the log of the result adds n ln x + ln qhat(0).  When
@@ -403,6 +398,8 @@ def eval_exp_type(g: Multigraph, spec: ExpTypeSpec, x: complex, eps: float,
     if not eps > 0:
         raise ValueError("eps must be positive")
     x = complex(x)
+    if not cmath.isfinite(x):
+        raise ValueError(f"evaluation point x must be finite, not {x}")
     c = spec.root_radius
     if c is None:
         raise ValueError(

@@ -472,15 +472,21 @@ class RegionParams:
     def from_theorem(cls, eta: float, theta: float, max_degree: int) -> "RegionParams":
         """Largest admissible beta and the matching delta for graphs of given degree."""
         beta = eta * theta * math.cos(theta / 2.0)
-        delta = min(eta, beta / (max_degree + 1))
-        return cls(delta=delta, eta=eta, theta=theta, beta=beta)
+        return cls(delta=_delta_cap(eta, beta, max_degree), eta=eta, theta=theta, beta=beta)
 
     def validate_for_degree(self, max_degree: int) -> None:
-        cap = min(self.eta, self.beta / (max_degree + 1))
+        cap = _delta_cap(self.eta, self.beta, max_degree)
         if self.delta > cap * (1.0 + 1e-12):
             raise ValueError(
                 f"delta={self.delta} exceeds min(eta, beta/(Delta+1))={cap} at Delta={max_degree}"
             )
+
+
+def _delta_cap(eta: float, beta: float, max_degree: int) -> float:
+    """min(eta, beta / (Delta + 1)), the largest delta at max degree Delta >= 0."""
+    if max_degree < 0:
+        raise ValueError(f"max degree must be nonnegative, not {max_degree}")
+    return min(eta, beta / (max_degree + 1))
 
 
 def values_in_region(values, delta: float, eta: float) -> bool:

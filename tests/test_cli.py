@@ -321,6 +321,16 @@ def test_region_check_graph_sampling(capsys):
       "--radius", "-3"), "root radius must be nonnegative, not -3.0"),
     (("exptype", "--family", "cycle:12", "--chi", "tutte:v=1", "--x", "40",
       "--radius", "nan"), "root radius must be nonnegative, not nan"),
+    (("exptype", "--family", "cycle:12", "--chi", "tutte:v=nan", "--x", "40",
+      "--radius", "10"), "tutte edge weight v must be finite, not (nan+0j)"),
+    (("exptype", "--family", "cycle:12", "--chi", "tutte:v=inf", "--x", "40",
+      "--radius", "10"), "tutte edge weight v must be finite, not (inf+0j)"),
+    (("exptype", "--family", "cycle:12", "--chi", "tutte:v=1", "--x", "inf",
+      "--radius", "10"), "evaluation point x must be finite, not (inf+0j)"),
+    (("exptype", "--family", "cycle:12", "--chi", "chromatic", "--x", "40,nan",
+      "--radius", "10"), "evaluation point x must be finite, not (40+nanj)"),
+    (("region-check", "--model", "matching", "--max-degree", "-1"),
+     "max degree must be nonnegative, not -1"),
 ])
 def test_inputs_that_certify_nothing_exit_1(capsys, argv, message):
     code, out, err = invoke(capsys, *argv)
@@ -423,3 +433,35 @@ def test_exact_refuses_a_sum_past_the_float_range(capsys, tmp_path):
     code, out, err = invoke(capsys, "exact", "--family", "cycle:6", "--model", str(model))
     assert code == 1
     assert out == "" and "float range" in err
+
+
+@pytest.mark.parametrize("model", ["ones:abc", "ones:", "ones:2:3", "dregular:x", "dregular",
+                                   "matching:1", "ones+-uniform:abc", "ones+-uniform:0.1:z",
+                                   "ones+-uniform:0.1:1:2"])
+def test_malformed_builtin_numbers_exit_3(capsys, model):
+    with pytest.raises(cli._ParseFailure, match="builtins: ones"):
+        cli._builtin_model(model, None)
+    code, out, err = invoke(capsys, "exact", "--family", "cycle:4", "--model", model)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"argument error: bad model {model!r}; builtins: ones[:k]")
+
+
+@pytest.mark.parametrize("model, message", [
+    ("ones:0", "at least one color"),
+    ("dregular:-1", "nonnegative degree"),
+    ("ones+-uniform:-0.1", "radius must be nonnegative"),
+])
+def test_builtin_models_refusing_their_numbers_exit_1(capsys, model, message):
+    with pytest.raises(ValueError, match=message):
+        cli._builtin_model(model, None)
+    code, out, err = invoke(capsys, "exact", "--family", "cycle:4", "--model", model)
+    assert (code, out) == (1, "") and message in err
+
+
+def test_regular_family_takes_at_most_three_fields(capsys):
+    assert cli._parse_family("regular:10,3,1", None).seed == 1
+    with pytest.raises(cli._ParseFailure, match="regular:N,D\\[,seed\\]"):
+        cli._parse_family("regular:10,3,1,9", None)
+    code, out, err = invoke(capsys, "exact", "--family", "regular:10,3,1,9",
+                            "--model", "matching")
+    assert (code, out) == (3, "") and "bad family 'regular:10,3,1,9'" in err

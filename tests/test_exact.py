@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import random
+import re
 import time
 
 import numpy as np
@@ -12,14 +13,15 @@ import oracles
 from holant import (BudgetExceededError, ComplexPoly, EdgeColoringModel,
                     GraphFamilySpec, Multigraph, RegionParams,
                     RestrictedSpec, RootFindingError, TensorAssignment,
-                    all_ones, approx_partition, chromatic_spec,
-                    cluster_log_derivatives, contract_network,
+                    all_ones, approx_partition, chi_k_coefficients, chi_tutte,
+                    chromatic_spec, cluster_log_derivatives, contract_network,
                     eval_exp_type, exact_partition, exp_type_poly, generate,
                     exact_poly_by_interpolation, log_potential_check,
                     model_from_predicate, perturbed_ones, poly_roots,
                     q_derivative, restricted_partition, sample_region_model,
                     tutte_spec, verify_zero_free, zero_free_constants)
 from holant.exact import _colored_sum, _plan, _vertex_table
+from holant.exptype import random_cluster_profile
 from holant.graphs import edges_touching
 
 TRIANGLE = Multigraph(3, ((0, 1), (1, 2), (0, 2)))
@@ -106,13 +108,13 @@ def test_charge_compares_the_coloring_count_exactly():
     # ln 3^30 and ln(3^30 - 1) differ by 5e-15, so a comparison of logs with
     # any slack lets one coloring too many through
     with pytest.raises(BudgetExceededError, match="3\\^30 colorings"):
-        holant.exact._charge(3, 30, 3**30 - 1)
-    holant.exact._charge(3, 30, 3**30)
-    holant.exact._charge(3, 30, math.inf)
-    # one color never refuses, and a huge count refuses without being built
-    holant.exact._charge(1, 10**6, 1)
+        holant.exact._charge(3**30, 3**30 - 1, "3^30 colorings")
+    holant.exact._charge(3**30, 3**30, "3^30 colorings")
+    holant.exact._charge(3**30, math.inf, "3^30 colorings")
+    # one color never refuses, and a count past every float still compares
+    holant.exact._charge(1**10**6, 1, "1^1000000 colorings")
     with pytest.raises(BudgetExceededError):
-        holant.exact._charge(2, 10**12, 1e300)
+        holant.exact._charge(2 ** 10**6, 1e300, "2^1000000 colorings")
 
 
 def test_default_budget_binds_every_function_that_passes_it_on():
@@ -144,6 +146,45 @@ def test_default_budget_binds_every_function_that_passes_it_on():
             call()
     # one edge fewer fits: 2^26 colorings
     assert exact_partition(generate(GraphFamilySpec("cycle", 26)), h) != 0
+
+
+# every up-front charge on the triangle: the call at a budget, its term
+# count and the power that its refusal names
+UP_FRONT_CHARGES = {
+    "exact_partition": (lambda b: exact_partition(TRIANGLE, all_ones(2), b), 8, "2^3"),
+    "exact_poly_by_interpolation":
+        (lambda b: exact_poly_by_interpolation(TRIANGLE, all_ones(2), b), 8, "2^3"),
+    "verify_zero_free": (lambda b: verify_zero_free(
+        TRIANGLE, RegionParams.from_theorem(0.9, 1.5, 2), samples=1, budget=b), 8, "2^3"),
+    "q_derivative": (lambda b: q_derivative(TRIANGLE, all_ones(2), 2, b), 3 * 8, "C(3,2)*2^3"),
+    "chi_tutte": (lambda b: chi_tutte(TRIANGLE, 1.0, b), 27, "3^3"),
+    "random_cluster_profile": (lambda b: random_cluster_profile(TRIANGLE, b), 8, "2^3"),
+    "chi_k_coefficients":
+        (lambda b: chi_k_coefficients(TRIANGLE, tutte_spec(1.0), b), 27, "3^3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UP_FRONT_CHARGES))
+def test_every_up_front_charge_follows_one_rule(name, monkeypatch):
+    call, terms, power = UP_FRONT_CHARGES[name]
+
+    def refused(budget):
+        return pytest.raises(BudgetExceededError, match=re.escape(power) + ".* exceed the "
+                             f"budget of {re.escape(f'{budget:g}')} terms$")
+
+    # a budget of exactly the charge runs and one term less refuses
+    call(terms)
+    with refused(terms - 1):
+        call(terms - 1)
+    # inf and NaN bound nothing
+    call(math.inf)
+    call(math.nan)
+    # None is DEFAULT_BUDGET, read when the call is made
+    monkeypatch.setattr(holant.exact, "DEFAULT_BUDGET", terms)
+    call(None)
+    monkeypatch.setattr(holant.exact, "DEFAULT_BUDGET", terms - 1)
+    with refused(terms - 1):
+        call(None)
 
 
 def test_contract_network_matches_brute():

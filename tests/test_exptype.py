@@ -512,6 +512,18 @@ def test_eval_exp_type_region_and_radius_errors():
         eval_exp_type(TRIANGLE, bare, 10.0, eps=1e-3)
 
 
+def test_non_finite_weight_and_point_are_refused():
+    # a NaN or infinite v or x would give a NaN log_value under a finite bound
+    for v in (math.nan, math.inf, complex(1.0, -math.inf)):
+        with pytest.raises(ValueError, match=r"tutte edge weight v must be finite, not \("):
+            tutte_spec(v)
+    spec = tutte_spec(1.0, root_radius=10.0)
+    cycle = generate(GraphFamilySpec("cycle", 12))
+    for x in (math.inf, math.nan, complex(40.0, math.nan)):
+        with pytest.raises(ValueError, match=r"evaluation point x must be finite, not \("):
+            eval_exp_type(cycle, spec, x, eps=1e-3)
+
+
 def test_estimate_root_radius_k2():
     # roots of q^2 + q are 0 and -1, so the padded estimate is 1.5
     spec = tutte_spec(1.0)

@@ -96,6 +96,15 @@ def test_region_params_from_theorem():
         p.validate_for_degree(9)
 
 
+def test_region_params_refuse_a_negative_degree():
+    # delta is capped by beta / (Delta + 1), which Delta = -1 divides by zero
+    with pytest.raises(ValueError, match="max degree must be nonnegative, not -1"):
+        RegionParams.from_theorem(eta=0.9, theta=1.5, max_degree=-1)
+    p = RegionParams.from_theorem(eta=0.9, theta=1.5, max_degree=0)
+    with pytest.raises(ValueError, match="max degree must be nonnegative, not -2"):
+        p.validate_for_degree(-2)
+
+
 def test_values_in_region():
     assert values_in_region([1.0, 1.05, 0.98 + 0.01j], delta=0.2, eta=0.5)
     # pairwise spread too wide
