@@ -23,7 +23,9 @@ never streamed: the engine streams the smaller sets, and counts the
 top-size children of each set one size below under (that set's id, row of
 the added vertex), reading them from the vertices offered after its last
 vertex in the stream's frontier order; its shape is looked up once per
-such pair.  On a graph that
+such pair.  A connected graph smaller than the top size is itself a
+streamed set whose local polynomial is q, so the stream stops there and
+that one shape's series log is the answer.  On a graph that
 :func:`holant.graphs.generate` marks vertex-transitive, the sum over all sets
 equals n times the sum over the sets containing vertex 0 of the same term
 divided by |C| (every term depends only on the shape and the boundary,
@@ -46,8 +48,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import BudgetExceededError, OutsideRegionError
-from .exact import (DEFAULT_BUDGET, _charge, _colored_sum, _degree_tables, _plan,
-                    _plan_in_order, _run, _run_blend, _vertex_table)
+from .exact import (DEFAULT_BUDGET, _budget_text, _charge, _colored_sum, _degree_tables,
+                    _plan, _plan_in_order, _run, _run_blend, _vertex_table)
 from .graphs import Multigraph, connected_subsets, edges_touching
 from .models import EdgeColoringModel, RegionParams, compositions
 
@@ -241,7 +243,13 @@ class _ClusterEngine:
         self.g = g
         self.oracle = oracle
         self.reach = reach
-        self.budget = DEFAULT_BUDGET if budget is None else budget
+        budget = DEFAULT_BUDGET if budget is None else budget
+        self._budget_text = _budget_text(budget)
+        try:
+            self.budget = float(budget)
+        except OverflowError:
+            # an int past the float range bounds the float sums as an infinity
+            self.budget = math.inf if budget > 0 else -math.inf
         self.streamed = 0
         self.shape_terms = 0.0
         # loop counts and the distinct other neighbors with multiplicities
@@ -281,7 +289,7 @@ class _ClusterEngine:
         if spent > self.budget:
             raise BudgetExceededError(
                 f"connected-set expansion exceeded the budget: "
-                f"{spent:g} terms spent against a budget of {self.budget:g}, "
+                f"{spent:g} terms spent against a budget of {self._budget_text}, "
                 f"after {self.streamed} sets streamed and {len(self.shapes)} "
                 f"shapes computed, at a set of size {size}"
             )
@@ -489,6 +497,16 @@ class _ClusterEngine:
         reach 0) there is no such S: the single vertices are streamed and
         tallied like the sets of any other order, with c(b, 0) = 1.
 
+        The stream stops at the whole graph.  A connected graph of at most
+        order + R - 1 vertices is itself a streamed set, with no boundary, and
+        its local polynomial is q (up to the constant k^|E| for edge models),
+        so ln Q_V alone gives every coefficient and the other sets add exactly
+        zero to the sum: once the stream yields a set of size n, after the
+        n - 1 proper prefixes of its growth path, the engine returns the
+        series log of that set's polynomial.  A graph of exactly order + R vertices is not
+        streamed at the top size, only counted from offers, so it keeps the
+        full stream.
+
         On a graph marked ``vertex_transitive`` every term depends only on
         the shape and the boundary, which an automorphism keeps, so
         sum over C of f(C) = n * sum over C containing 0 of f(C) / |C|: the
@@ -564,6 +582,10 @@ class _ClusterEngine:
                 self.streamed = streamed
                 cid = self._settle(pid, code, self.loops[u], g.degree(u), pairs)
                 room = self.budget - self.shape_terms
+            if size == g.n:
+                # the whole graph: its local polynomial is q itself
+                self.streamed = streamed
+                return _normalized_log(self.shapes[id_shape[cid]][1], order)
             # u leaves the boundary and its uncovered outside neighbors join;
             # those above the root are its fresh offers
             boundary = bounds[depth] - 1 if depth else 0
@@ -824,9 +846,16 @@ def approx_partition(g: Multigraph, h: EdgeColoringModel, eps: float,
     contains z = 1.  Raises OutsideRegionError otherwise; never silently
     degrades.
 
-    The cluster expansion is the only engine.  ``mode`` is accepted for
-    callers that still name it: ``"cluster"`` and the former default
-    ``"auto"`` both run it, and anything else raises ValueError.
+    The cluster expansion is the only engine.  On a connected graph with
+    fewer vertices than the order it stops at the whole graph, whose local
+    polynomial is the blend itself: the certificate takes the series log of
+    that one shape, after at most one blend run per prefix of its growth
+    path, in place of one run per shape of every connected set.  A graph of
+    exactly the order's size is counted, not streamed, at the top size, so
+    it takes the full expansion (:meth:`_ClusterEngine.log_coefficients`).
+    ``mode`` is accepted for callers that still name it: ``"cluster"`` and
+    the former default ``"auto"`` both run it, and anything else raises
+    ValueError.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")

@@ -146,7 +146,20 @@ def _charge(terms: int, budget: float | None, what: str) -> None:
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     if terms > max(budget, 1):
-        raise BudgetExceededError(f"{what} exceed the budget of {budget:g} terms")
+        raise BudgetExceededError(f"{what} exceed the budget of {_budget_text(budget)} terms")
+
+
+def _budget_text(budget: float) -> str:
+    """``budget`` as ``{:g}`` writes it, also for an int past the float range.
+
+    Such an int is rounded to six digits as a Decimal, never converted to a
+    float (which raises OverflowError): -(10**400) reads ``-1e+400``.
+    """
+    try:
+        return f"{budget:g}"
+    except OverflowError:
+        from decimal import Context
+        return f"{Context(prec=6).create_decimal(budget).normalize():g}"
 
 
 def _greedy_order(edges, edge_indices, vertices) -> list[tuple[int, tuple]]:

@@ -70,17 +70,21 @@ class EdgeColoringModel:
             raise ValueError("a closed-form model takes no entries")
         if self.max_norm is not None and self.max_norm < 0:
             raise ValueError("max_norm must be nonnegative")
-        cleaned = {}
-        for alpha, val in self.entries.items():
-            alpha = tuple(int(a) for a in alpha)
-            if len(alpha) != self.k or any(a < 0 for a in alpha):
-                raise ValueError(f"bad count vector {alpha!r} for k={self.k}")
-            if self.max_norm is not None and sum(alpha) > self.max_norm:
-                raise ValueError(f"entry {alpha!r} lies past max_norm={self.max_norm}")
-            cleaned[alpha] = complex(val)
-        self.entries = cleaned
+        # every vector is checked by C-level scans; only a refusal walks the
+        # entries again, to name the first bad one
+        k, top = self.k, self.max_norm
+        keys = [tuple(map(int, alpha)) for alpha in self.entries]
+        if keys and (set(map(len, keys)) != {k} or min(map(min, keys)) < 0
+                     or top is not None and max(map(sum, keys)) > top):
+            for alpha in keys:
+                # k >= 1, so a vector of length k has a min
+                if len(alpha) != k or min(alpha) < 0:
+                    raise ValueError(f"bad count vector {alpha!r} for k={k}")
+                if top is not None and sum(alpha) > top:
+                    raise ValueError(f"entry {alpha!r} lies past max_norm={top}")
+        self.entries = cleaned = dict(zip(keys, map(complex, self.entries.values())))
         self.default = complex(self.default)
-        if not all(cmath.isfinite(v) for v in (*cleaned.values(), self.default)):
+        if not (all(map(cmath.isfinite, cleaned.values())) and cmath.isfinite(self.default)):
             raise ValueError("model weights must be finite")
 
     def value(self, alpha) -> complex:

@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -13,13 +14,15 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from holant import (BudgetExceededError, EdgeColoringModel, GraphFamilySpec, Multigraph,
                     OutsideRegionError, RegionParams, all_ones,
-                    approx_partition, certified_radius,
+                    approx_partition, certified_radius, chi_k_coefficients,
                     cluster_log_derivatives, cycle_transfer_pf, eval_exp_type,
-                    exact_partition, generate, magnitude_lower_bound, perturbed_ones,
-                    q_derivative, sample_region_model, taylor_error_bound, taylor_order,
-                    tutte_spec, verify_zero_free, zero_free_constants)
+                    exact_partition, exact_poly_by_interpolation, generate,
+                    magnitude_lower_bound, perturbed_ones, q_derivative,
+                    sample_region_model, taylor_error_bound, taylor_order, tutte_spec,
+                    verify_zero_free, zero_free_constants)
 import holant.approx as approx_module
 from holant.approx import _boundary_sign, _normalized_log, log_magnitude_lower_bound
+from holant.exptype import _exp_shape
 from holant.graphs import connected_subsets
 from holant.models import compositions
 
@@ -615,6 +618,74 @@ def test_cluster_matches_reference_on_random_multigraphs(g, k, order, seed):
     assert len(got) == order + 1
     for m in range(order + 1):
         assert cmath.isclose(want[m], got[m], rel_tol=1e-8, abs_tol=1e-8), m
+
+
+@st.composite
+def small_connected_multigraphs(draw):
+    """Connected multigraphs of 1-6 vertices with loops and parallel edges, relabelled."""
+    n = draw(st.integers(1, 6))
+    vertex = st.integers(0, n - 1)
+    # a spanning tree, then loops and parallel or extra edges
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=4))
+    perm = draw(st.permutations(range(n)))
+    return Multigraph(n, tuple((perm[u], perm[w]) for u, w in edges))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(g=small_connected_multigraphs(), k=st.sampled_from((2, 3)),
+       eps=st.sampled_from((1e-12, 1e-14)), seed=st.integers(0, 10 ** 6))
+def test_cluster_stops_at_the_whole_graph(g, k, eps, seed):
+    # a connected graph smaller than the order is the stream's n-th set, the
+    # end of its first growth path, and its series log alone is ln q
+    h = perturbed_ones(k, 0.01, seed=seed, max_degree=max(1, g.max_degree()))
+    cert = approx_partition(g, h, eps)
+    assert cert.mode == "cluster" and g.n < cert.order
+    engine = approx_module._ClusterEngine(g, approx_module._EdgeOracle(h), 0, math.inf)
+    coeffs = engine.log_coefficients(cert.order)
+    assert engine.streamed == g.n
+    assert sum(coeffs, complex(g.m * math.log(k))) == cert.log_value
+    # the greedy-plan blend of the whole graph, an independent contraction
+    poly = exact_poly_by_interpolation(g, h).coeffs
+    want = sum(_normalized_log(poly, cert.order))
+    assert abs(cert.log_value - want) <= 1e-12
+    exact = exact_partition(g, h)
+    assert abs(cert.log_value - cmath.log(exact)) <= cert.error_bound + 1e-12
+
+
+def test_cluster_stop_needs_a_streamed_whole_graph():
+    h = perturbed_ones(2, 0.02, seed=3, max_degree=4)
+
+    def stream(g, order):
+        engine = approx_module._ClusterEngine(g, approx_module._EdgeOracle(h), 0, math.inf)
+        got = engine.log_coefficients(order)
+        want = reference_log_derivatives(g, h, order)
+        for j in range(1, order + 1):
+            assert cmath.isclose(got[j] * math.factorial(j), want[j],
+                                 rel_tol=1e-10, abs_tol=1e-12), (g, order, j)
+        return engine.streamed
+
+    # a disconnected graph smaller than the order has no set of size n
+    split = Multigraph(5, ((0, 1), (1, 1), (2, 3), (3, 4), (2, 4), (2, 4)))
+    assert stream(split, 6) == sum(1 for _ in connected_subsets(split, 5)) > split.n
+    # a graph of exactly the top size is counted from offers, not streamed,
+    # so every connected set is charged
+    path = Multigraph(4, ((0, 1), (1, 2), (2, 3), (3, 3)))
+    assert stream(path, 4) == sum(1 for _ in connected_subsets(path, 4)) > path.n
+    # one vertex fewer stops; a generated cycle streams only vertex 0's prefixes
+    assert stream(path, 5) == path.n
+    cycle = generate(GraphFamilySpec("cycle", 4))
+    assert cycle.vertex_transitive and stream(cycle, 5) == cycle.n
+    # the exp-type engine (reach 1) stops too, once n <= order; at n = order
+    # + 1 it streams the three single vertices and three pairs, and counts
+    # the triangle
+    spec = tutte_spec(1.0)
+    for order, streamed in ((2, 7), (3, 3)):
+        engine = approx_module._ClusterEngine(TRIANGLE, partial(_exp_shape, spec), 1, math.inf)
+        got = engine.log_coefficients(order)
+        want = _normalized_log(chi_k_coefficients(TRIANGLE, spec)[::-1], order)
+        assert all(cmath.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12) for a, b in zip(got, want))
+        assert engine.streamed == streamed
 
 
 def test_approx_value_overflows_to_inf():

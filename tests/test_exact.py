@@ -187,6 +187,26 @@ def test_every_up_front_charge_follows_one_rule(name, monkeypatch):
         call(None)
 
 
+def test_budget_past_the_float_range_is_named_not_converted():
+    # an int budget that no float holds is refused, or bounds nothing, in
+    # both engines; its message rounds it as {:g} would, without a float
+    h = perturbed_ones(2, 0.02, seed=1)
+    huge = 10 ** 400
+    for call, words in ((lambda b: exact_partition(TRIANGLE, h, b), "2^3 colorings exceed"),
+                        (lambda b: chi_tutte(TRIANGLE, 1.0, b), "3^3 sieve terms for chi exceed"),
+                        (lambda b: approx_partition(TRIANGLE, h, 1e-6, b),
+                         "connected-set expansion exceeded")):
+        with pytest.raises(BudgetExceededError, match=re.escape(words) + ".* budget of -1e\\+400"):
+            call(-huge)
+        with pytest.raises(BudgetExceededError, match="budget of -1.23457e\\+408"):
+            call(-123456789 * huge)
+        assert call(huge) == call(math.inf)
+    assert holant.exact._budget_text(10 ** 400 + 4) == "1e+400"
+    # in range, the text is {:g}'s
+    for budget in (4, 1e8, 2.5, 10 ** 20, -3, math.inf):
+        assert holant.exact._budget_text(budget) == f"{budget:g}"
+
+
 def test_contract_network_matches_brute():
     rng = random.Random(7)
     for trial in range(10):

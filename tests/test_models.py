@@ -196,6 +196,24 @@ def test_model_constructor_checks_coverage_and_rule():
                                   "max_norm": bad})
 
 
+def test_model_constructor_names_the_first_bad_vector():
+    # the vectors are scanned all at once, but a refusal names the first
+    # bad entry in entry order, as a check per entry would
+    good = {(0, 1): 1.0, (1, 1): 2.0}
+    cases = [({(3, 0): 1.0, (1, -1): 1.0}, r"entry \(3, 0\) lies past max_norm=2"),
+             ({(1, -1): 1.0, (3, 0): 1.0}, r"bad count vector \(1, -1\) for k=2"),
+             ({(1, 0, 0): 1.0, (3, 0): 1.0}, r"bad count vector \(1, 0, 0\) for k=2"),
+             ({(0,): 1.0}, r"bad count vector \(0,\) for k=2")]
+    for entries, message in cases:
+        with pytest.raises(ValueError, match=message):
+            EdgeColoringModel(2, {**good, **entries}, max_norm=2)
+    # keys are read as ints, and every entry is kept
+    h = EdgeColoringModel(2, {(1.0, np.int64(1)): 2, (0, 0): 1.5j}, max_norm=2)
+    assert h.entries == {(1, 1): 2 + 0j, (0, 0): 1.5j}
+    assert all(type(a) is int for alpha in h.entries for a in alpha)
+    assert EdgeColoringModel(2, {}).entries == {}
+
+
 def test_model_json_keeps_coverage_and_refuses_closed_forms(tmp_path):
     h = perturbed_ones(2, 0.1, seed=3, max_degree=2)
     path = tmp_path / "m.json"
