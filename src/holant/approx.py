@@ -30,12 +30,13 @@ that one shape's series log is the answer.  On a graph that
 equals n times the sum over the sets containing vertex 0 of the same term
 divided by |C| (every term depends only on the shape and the boundary,
 which automorphisms keep), so only those sets are streamed.  The budget is
-charged 1 per set, streamed or counted, plus each new shape's work.  Only
-local neighborhoods are touched, which scales to graphs with hundreds of
-vertices.  With another per-shape oracle the same engine expands the
-exponential-type polynomials of :mod:`holant.exptype`.  The direct
-vertex-subset formula for the derivatives of q stays as an independent
-reference (:func:`q_derivative`).
+charged 1 per set, streamed or counted, plus each new shape's work, as an
+exact int total that :func:`holant.exact._charge`, the one budget rule of
+every engine, refuses.  Only local neighborhoods are touched, which scales
+to graphs with hundreds of vertices.  With another per-shape oracle the
+same engine expands the exponential-type polynomials of
+:mod:`holant.exptype`.  The direct vertex-subset formula for the
+derivatives of q stays as an independent reference (:func:`q_derivative`).
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import BudgetExceededError, OutsideRegionError
-from .exact import (DEFAULT_BUDGET, _budget_text, _charge, _colored_sum, _degree_tables,
-                    _plan, _plan_in_order, _run, _run_blend, _vertex_table)
+from .errors import OutsideRegionError
+from .exact import (_charge, _colored_sum, _degree_tables, _plan, _plan_in_order, _room, _run,
+                    _run_blend, _vertex_table)
 from .graphs import Multigraph, connected_subsets, edges_touching
 from .models import EdgeColoringModel, RegionParams, compositions
 
@@ -243,15 +244,9 @@ class _ClusterEngine:
         self.g = g
         self.oracle = oracle
         self.reach = reach
-        budget = DEFAULT_BUDGET if budget is None else budget
-        self._budget_text = _budget_text(budget)
-        try:
-            self.budget = float(budget)
-        except OverflowError:
-            # an int past the float range bounds the float sums as an infinity
-            self.budget = math.inf if budget > 0 else -math.inf
+        self.budget = budget
         self.streamed = 0
-        self.shape_terms = 0.0
+        self.shape_terms = 0
         # loop counts and the distinct other neighbors with multiplicities
         self.loops = [0] * g.n
         mult = [{} for _ in range(g.n)]
@@ -279,20 +274,19 @@ class _ClusterEngine:
         self._shape_of: dict[tuple, int] = {}
         self.shapes: list[tuple[int, list[complex]]] = []
 
-    def charge(self, terms: float, size: int) -> None:
+    def charge(self, terms: int, size: int) -> None:
         """Spend ``terms`` at a set of ``size``; refuse once past the budget.
 
-        The total spent is 1 per streamed set plus the shape charges.
+        The total spent, an int, is 1 per streamed set plus the shape
+        charges, and :func:`holant.exact._charge` refuses it.
         """
         self.shape_terms += terms
         spent = self.streamed + self.shape_terms
-        if spent > self.budget:
-            raise BudgetExceededError(
-                f"connected-set expansion exceeded the budget: "
-                f"{spent:g} terms spent against a budget of {self._budget_text}, "
-                f"after {self.streamed} sets streamed and {len(self.shapes)} "
-                f"shapes computed, at a set of size {size}"
-            )
+        if spent > _room(self.budget):
+            _charge(spent, self.budget,
+                    f"{spent} connected-set expansion terms ({self.streamed} sets "
+                    f"streamed, {len(self.shapes)} shapes computed, stopped at a set "
+                    f"of size {size})")
 
     # -- layout ids --
 
@@ -513,8 +507,9 @@ class _ClusterEngine:
         engine streams only the first group of :func:`connected_subsets`
         (the sets containing vertex 0) and weighs each tally by n / |C|
         once, at the end.  Each set is charged 1, in stream order, and each
-        new shape its oracle's charge, refusing once the total passes the
-        budget.  Shapes keep their local polynomials, and each call takes
+        new shape its oracle's charge; the stream checks each set against
+        the room :func:`holant.exact._room` leaves and :meth:`charge`
+        refuses.  Shapes keep their local polynomials, and each call takes
         one series log per shape at its own order (:func:`_normalized_log`).
         """
         reach = self.reach
@@ -546,7 +541,7 @@ class _ClusterEngine:
         leaves: dict[int, dict[int, int]] = {}
         first: list[tuple[int, int]] = []
         streamed = self.streamed
-        room = self.budget - self.shape_terms
+        room = _room(self.budget, self.shape_terms)
         leaf = top - 1
         root = 0
         # at top size 1 no set has top-size children: the single vertices stream
@@ -561,7 +556,7 @@ class _ClusterEngine:
             if streamed > room:
                 # this set's 1 passes the budget: charge() refuses
                 self.streamed = streamed
-                self.charge(0.0, size)
+                self.charge(0, size)
             depth = size - 1
             if len(path) > depth:
                 # a shorter set: drop the path down to its prefix
@@ -581,7 +576,7 @@ class _ClusterEngine:
                 pairs = [(pos[w], m) for w, m in link.items() if inside[w]]
                 self.streamed = streamed
                 cid = self._settle(pid, code, self.loops[u], g.degree(u), pairs)
-                room = self.budget - self.shape_terms
+                room = _room(self.budget, self.shape_terms)
             if size == g.n:
                 # the whole graph: its local polynomial is q itself
                 self.streamed = streamed
@@ -622,7 +617,7 @@ class _ClusterEngine:
                     streamed += 1
                     if streamed > room:
                         self.streamed = streamed
-                        self.charge(0.0, top)
+                        self.charge(0, top)
                     code = kind[w] + row[w] + link.get(w, 0) * step
                     count = counts.get(code)
                     if count is None:
@@ -633,7 +628,7 @@ class _ClusterEngine:
                             pairs.append((depth, link[w]))
                         self.streamed = streamed
                         self._settle(cid, code, self.loops[w], g.degree(w), pairs)
-                        room = self.budget - self.shape_terms
+                        room = _room(self.budget, self.shape_terms)
                     else:
                         counts[code] = count + 1
             key = (id_shape[cid], boundary)
@@ -732,7 +727,7 @@ class _EdgeOracle:
         for j, (_, loops) in enumerate(labels):
             growth += [((j, 2),)] * loops
             growth += later[j]
-        engine.charge(float(self.k) ** len(growth), size)
+        engine.charge(self.k ** len(growth), size)
         plan = _plan_in_order(self.k, list(enumerate(growth)), range(size))
         coeffs = _run_blend(plan, [self._marginal_table(degree[i], b)
                                    for i, (b, _) in enumerate(labels)])

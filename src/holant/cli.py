@@ -197,8 +197,7 @@ def _cert_text(cert, mode: str):
 def _cmd_exact(args) -> int:
     g = _load_graph(args)
     h = _load_model(args)
-    budget = _resolve_budget(args.budget)
-    value = exact.exact_partition(g, h, budget)
+    value = exact.exact_partition(g, h, args.budget)
     _print(args, {"value": value, "vertices": g.n, "edges": g.m, "k": h.k},
            [_fmt_value_text(value)])
     return 0
@@ -207,8 +206,7 @@ def _cmd_exact(args) -> int:
 def _cmd_approx(args) -> int:
     g = _load_graph(args)
     h = _load_model(args)
-    budget = _resolve_budget(args.budget)
-    cert = approx.approx_partition(g, h, args.eps, budget)
+    cert = approx.approx_partition(g, h, args.eps, args.budget)
     payload = cert.to_json_dict()
     payload["requested_mode"] = args.mode
     _print(args, payload, _cert_text(cert, args.mode))
@@ -217,10 +215,9 @@ def _cmd_approx(args) -> int:
 
 def _cmd_tutte(args) -> int:
     g = _load_graph(args)
-    budget = _resolve_budget(args.budget)
     q = _parse_complex(args.q)
     v = _parse_complex(args.v)
-    value = exptype.tutte_direct(g, q, v, budget)
+    value = exptype.tutte_direct(g, q, v, args.budget)
     _print(args, {"value": value, "q": q, "v": v},
            [_fmt_value_text(value)])
     return 0
@@ -238,15 +235,14 @@ def _parse_chi_spec(text: str) -> exptype.ExpTypeSpec:
 
 def _cmd_exptype(args) -> int:
     g = _load_graph(args)
-    budget = _resolve_budget(args.budget)
     spec = _parse_chi_spec(args.chi)
     if args.radius is not None:
         spec = spec.with_root_radius(args.radius, heuristic=False)
     elif args.estimate_radius:
-        c = exptype.estimate_root_radius(spec, g.max_degree(), [g], budget)
+        c = exptype.estimate_root_radius(spec, g.max_degree(), [g], args.budget)
         spec = spec.with_root_radius(c, heuristic=True)
     x = _parse_complex(args.x)
-    cert = exptype.eval_exp_type(g, spec, x, args.eps, budget)
+    cert = exptype.eval_exp_type(g, spec, x, args.eps, args.budget)
     payload = cert.to_json_dict()
     payload["requested_mode"] = args.mode
     payload["chi"] = spec.name
@@ -278,7 +274,6 @@ def _limits_family(text: str, seed) -> graphs.GraphFamilySpec:
 
 def _cmd_limits(args) -> int:
     h = _load_model(args)
-    budget = _resolve_budget(args.budget)
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError:
@@ -289,7 +284,7 @@ def _cmd_limits(args) -> int:
     specs = [graphs.GraphFamilySpec(base.family, s, size2=base.size2,
                                     degree=base.degree, seed=base.seed)
              for s in sizes]
-    report = limits.convergence_run(specs, h, args.eps, args.tol, budget)
+    report = limits.convergence_run(specs, h, args.eps, args.tol, args.budget)
     _print(args, report.to_json_dict(), [report.table()])
     return 0
 
@@ -297,8 +292,7 @@ def _cmd_limits(args) -> int:
 def _cmd_roots(args) -> int:
     g = _load_graph(args)
     h = _load_model(args)
-    budget = _resolve_budget(args.budget)
-    poly = exact.exact_poly_by_interpolation(g, h, budget)
+    poly = exact.exact_poly_by_interpolation(g, h, args.budget)
     roots = exact.poly_roots(poly)
     payload = {
         "degree": poly.degree,
@@ -310,7 +304,6 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_region_check(args) -> int:
-    budget = _resolve_budget(args.budget)
     constants = approx.zero_free_constants()
     theta = args.theta if args.theta is not None else constants.theta
 
@@ -319,7 +312,7 @@ def _cmd_region_check(args) -> int:
         delta = g.max_degree()
         params = models.RegionParams.from_theorem(args.eta, theta, delta)
         report = approx.verify_zero_free(g, params, args.samples, args.seed or 0,
-                                         args.k, budget)
+                                         args.k, args.budget)
         payload = {
             "vertices": g.n,
             "edges": g.m,
@@ -546,6 +539,8 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if "budget" in vars(args):
+            args.budget = _resolve_budget(args.budget)
         return _COMMANDS[args.command](args)
     except _ParseFailure as exc:
         sys.stderr.write(f"argument error: {exc}\n")

@@ -135,17 +135,32 @@ class _Plan(NamedTuple):
     steps: tuple[tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]], ...]
 
 
-def _charge(terms: int, budget: float | None, what: str) -> None:
-    """Refuse ``terms`` of work over ``budget`` before the work starts.
+def _room(budget: float | None, spent: int = 0):
+    """Terms that ``budget`` leaves after ``spent``: max(budget, 1) - spent.
 
-    The one up-front budget rule of every engine: None stands for
-    ``DEFAULT_BUDGET``, an inf or NaN budget bounds nothing, and otherwise
-    the work is refused exactly when terms > max(budget, 1), an int compared
-    with a float, so nothing is rounded.  ``what`` names the terms, as in
+    None stands for ``DEFAULT_BUDGET``, read at the call, and an inf or NaN
+    budget leaves inf.  A finite budget is floored to an int, which changes
+    no comparison with an int term count, so no budget and no total is
+    ever converted to a float.
+    """
+    budget = max(DEFAULT_BUDGET if budget is None else budget, 1)
+    if budget == math.inf or budget != budget:
+        return math.inf
+    return math.floor(budget) - spent
+
+
+def _charge(terms: int, budget: float | None, what: str) -> None:
+    """Refuse ``terms`` of work over ``budget``.
+
+    The one budget rule of every engine: the work is refused exactly when
+    terms > :func:`_room` of the budget, so None stands for
+    ``DEFAULT_BUDGET`` and an inf or NaN budget bounds nothing.  The exact
+    engines charge up front; the cluster engine charges its running total
+    of sets and shape terms.  ``what`` names the terms, as in
     ``"3^17 anchored blocks"``, and starts the message.
     """
-    budget = DEFAULT_BUDGET if budget is None else budget
-    if terms > max(budget, 1):
+    if terms > _room(budget):
+        budget = DEFAULT_BUDGET if budget is None else budget
         raise BudgetExceededError(f"{what} exceed the budget of {_budget_text(budget)} terms")
 
 

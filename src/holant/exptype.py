@@ -360,7 +360,7 @@ def _exp_shape(spec: ExpTypeSpec, engine, layout) -> list[complex]:
     """
     labels, edges = layout
     size = len(labels)
-    engine.charge(3.0 ** size, size)
+    engine.charge(3 ** size, size)
     # position i as vertex i: the loops by position, then the other edges
     pairs = [(i, i) for i, (_, loops) in enumerate(labels) for _ in range(loops)]
     pairs += [(i, j) for i, j, m in edges for _ in range(m)]

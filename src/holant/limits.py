@@ -24,26 +24,14 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-def normalized_pf(g: Multigraph, h: EdgeColoringModel, engine: str = "exact",
-                  eps: float = 1e-3, budget: float | None = None) -> float:
-    """ln|partition sum| divided by the vertex count.
-
-    The approx engine inherits the additive guarantee: its certificate
-    bounds the log error by eps, so the normalized value is off by at most
-    eps / |V|.
-    """
+def normalized_pf(g: Multigraph, h: EdgeColoringModel, budget: float | None = None) -> float:
+    """ln|partition sum| divided by the vertex count, from the exact sum."""
     if g.n == 0:
         raise ValueError("normalization needs at least one vertex")
-    if engine == "exact":
-        value = exact_partition(g, h, budget)
-        mag = abs(value)
-        if mag == 0:
-            raise OutsideRegionError("the partition sum vanishes; no log to take")
-        return math.log(mag) / g.n
-    if engine == "approx":
-        cert = approx_partition(g, h, eps, budget)
-        return cert.log_value.real / g.n
-    raise ValueError(f"unknown engine {engine!r}")
+    mag = abs(exact_partition(g, h, budget))
+    if mag == 0:
+        raise OutsideRegionError("the partition sum vanishes; no log to take")
+    return math.log(mag) / g.n
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +148,9 @@ def convergence_run(specs, h: EdgeColoringModel, eps: float = 1e-3,
                 values.append(math.log(mag) / spec.size)
                 engines.append("transfer")
             else:
-                values.append(normalized_pf(generate(spec), h, "approx", eps, budget))
+                # the certificate bounds the log error by eps, so eps / |V| here
+                g = generate(spec)
+                values.append(approx_partition(g, h, eps, budget).log_value.real / g.n)
                 engines.append("approx")
         except (OutsideRegionError, BudgetExceededError, ArithmeticError) as exc:
             values.append(None)
@@ -207,5 +197,5 @@ def log_potential_check(g: Multigraph, h: EdgeColoringModel,
         lhs += math.log(gap)
     lhs /= g.n
 
-    rhs = normalized_pf(g, h, "exact", budget=budget) - (g.m / g.n) * math.log(k)
+    rhs = normalized_pf(g, h, budget) - (g.m / g.n) * math.log(k)
     return lhs, rhs, abs(lhs - rhs)

@@ -69,8 +69,9 @@ def test_cluster_budget_exit_code(capsys):
                           "--model", "ones+-uniform:0.02:1", "--eps", "1e-6",
                           "--budget", "1e5")
     assert code == 2
-    assert re.search(r"terms spent against a budget of 100000, after \d+ sets "
-                     r"streamed and \d+ shapes computed, at a set of size \d", err)
+    assert re.search(r"\d+ connected-set expansion terms \(\d+ sets streamed, \d+ shapes "
+                     r"computed, stopped at a set of size \d\) exceed the budget of 100000 "
+                     r"terms$", err.strip())
 
 
 def test_budget_env_override(capsys, monkeypatch):
@@ -93,6 +94,9 @@ def test_nan_budget_is_an_argument_error(capsys, monkeypatch):
     assert (code, out) == (3, "") and "--budget is NaN" in err
     monkeypatch.setenv("HOLANT_BUDGET", "nan")
     code, out, err = invoke(capsys, "exact", "--family", "cycle:4", "--model", "matching")
+    assert (code, out) == (3, "") and "HOLANT_BUDGET is NaN" in err
+    # the budget is read right after parsing, before the graph and the model
+    code, out, err = invoke(capsys, "exact", "--family", "bogus", "--model", "nope")
     assert (code, out) == (3, "") and "HOLANT_BUDGET is NaN" in err
     # an infinite budget stays legal, and the flag still beats the environment
     code, out, _ = invoke(capsys, "exact", "--family", "cycle:4",

@@ -187,6 +187,31 @@ def test_every_up_front_charge_follows_one_rule(name, monkeypatch):
         call(None)
 
 
+def test_cluster_engine_follows_the_one_budget_rule(monkeypatch):
+    # order 2 on the triangle spends 9 terms: 6 sets (3 vertices, 3 edges)
+    # plus 2^0 for the vertex shape and 2^1 for the edge shape
+    h = perturbed_ones(2, 0.05, seed=1, max_degree=2)
+
+    def call(budget):
+        return cluster_log_derivatives(TRIANGLE, h, 2, budget)
+
+    def refused():
+        return pytest.raises(BudgetExceededError,
+                             match=r"^9 connected-set expansion terms \(.*\) exceed the "
+                                   r"budget of 8 terms$")
+
+    free = call(9)
+    with refused():
+        call(8)
+    assert call(math.inf) == call(math.nan) == free
+    # None is DEFAULT_BUDGET, read when the call is made
+    monkeypatch.setattr(holant.exact, "DEFAULT_BUDGET", 9)
+    assert call(None) == free
+    monkeypatch.setattr(holant.exact, "DEFAULT_BUDGET", 8)
+    with refused():
+        call(None)
+
+
 def test_budget_past_the_float_range_is_named_not_converted():
     # an int budget that no float holds is refused, or bounds nothing, in
     # both engines; its message rounds it as {:g} would, without a float
@@ -195,7 +220,7 @@ def test_budget_past_the_float_range_is_named_not_converted():
     for call, words in ((lambda b: exact_partition(TRIANGLE, h, b), "2^3 colorings exceed"),
                         (lambda b: chi_tutte(TRIANGLE, 1.0, b), "3^3 sieve terms for chi exceed"),
                         (lambda b: approx_partition(TRIANGLE, h, 1e-6, b),
-                         "connected-set expansion exceeded")):
+                         "connected-set expansion terms")):
         with pytest.raises(BudgetExceededError, match=re.escape(words) + ".* budget of -1e\\+400"):
             call(-huge)
         with pytest.raises(BudgetExceededError, match="budget of -1.23457e\\+408"):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from holant import (GraphFamilySpec, Multigraph, OutsideRegionError, all_ones,
+from holant import (GraphFamilySpec, Multigraph, OutsideRegionError, all_ones, approx_partition,
                     convergence_run, cycle_transfer_pf, exact_partition,
                     generate, log_potential_check, model_from_predicate,
                     normalized_pf, perturbed_ones, transfer_log_growth)
@@ -75,12 +75,10 @@ def test_normalized_pf_zero_raises():
 def test_normalized_pf_approx_engine_close_to_exact():
     g = generate(GraphFamilySpec("torus", 3, size2=3))
     h = perturbed_ones(2, 0.02, seed=7, max_degree=4)
-    a = normalized_pf(g, h, engine="exact")
-    b = normalized_pf(g, h, engine="approx", eps=1e-3)
+    a = normalized_pf(g, h)
+    b = approx_partition(g, h, 1e-3).log_value.real / g.n
     # the eps guarantee is on the whole log, so per-vertex error is eps/|V|
     assert abs(a - b) < 1e-3 + 1e-9
-    with pytest.raises(ValueError):
-        normalized_pf(g, h, engine="magic")
 
 
 def test_convergence_run_cycles_all_ones():
