@@ -44,7 +44,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import combinations
 
@@ -778,12 +778,13 @@ def cluster_log_derivatives(g: Multigraph, h: EdgeColoringModel, order: int,
 # the certified evaluator
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class ApproxCertificate:
     """Result of a certified evaluation.
 
     ``log_value`` approximates the principal-branch log of the partition sum
-    with additive error at most ``error_bound``; ``value`` is its exponential.
+    with additive error at most ``error_bound``; ``value`` is its exponential,
+    computed when read and not stored, but printed first by ``repr``.
     ``radius`` is the certified zero-free radius around the all-ones model
     and ``q0`` its reciprocal.  ``mode`` names the engine that ran:
     ``"cluster"`` for the cluster expansion, ``"exact"`` when the model is
@@ -791,7 +792,6 @@ class ApproxCertificate:
     ``"exp-coefficients"`` (the whole coefficient list) or ``"exp-cluster"``.
     """
 
-    value: complex
     log_value: complex
     radius: float
     q0: float
@@ -801,9 +801,18 @@ class ApproxCertificate:
     mode: str
     heuristic: bool = False
 
+    @property
+    def value(self) -> complex:
+        return _exp_or_inf(self.log_value)
+
+    def __repr__(self) -> str:
+        rest = "".join(f", {f.name}={getattr(self, f.name)!r}" for f in fields(self))
+        return f"{type(self).__qualname__}(value={self.value!r}{rest})"
+
     def to_json_dict(self) -> dict:
+        value = self.value
         return {
-            "value": {"re": self.value.real, "im": self.value.imag},
+            "value": {"re": value.real, "im": value.imag},
             "log_value": {"re": self.log_value.real, "im": self.log_value.imag},
             "M": self.radius,
             "q0": self.q0,
@@ -862,8 +871,7 @@ def approx_partition(g: Multigraph, h: EdgeColoringModel, eps: float,
 
     if r == 0:
         log_value = complex(g.m * math.log(k))
-        return ApproxCertificate(_exp_or_inf(log_value), log_value, math.inf, 0.0,
-                                 0, 0.0, 0.0, "exact")
+        return ApproxCertificate(log_value, math.inf, 0.0, 0, 0.0, 0.0, "exact")
 
     radius = blend_radius(delta, r)
     if radius <= 1.0:
@@ -878,8 +886,7 @@ def approx_partition(g: Multigraph, h: EdgeColoringModel, eps: float,
     log_value = complex(g.m * math.log(k))
     for c in _ClusterEngine(g, _EdgeOracle(h), 0, budget).log_coefficients(order):
         log_value += c
-    return ApproxCertificate(_exp_or_inf(log_value), log_value, radius, q0,
-                             order, bound, r, "cluster")
+    return ApproxCertificate(log_value, radius, q0, order, bound, r, "cluster")
 
 
 # ---------------------------------------------------------------------------

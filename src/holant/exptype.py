@@ -13,14 +13,18 @@ fits in one cluster, and otherwise from the connected-set engine that the
 edge models use (:class:`holant.approx._ClusterEngine`), which computes
 one local reversed polynomial per labelled shape of connected set.
 
-The recursion weighs each block by chi of its induced subgraph, calling chi
-once per distinct block graph.  When chi vanishes on two isolated vertices,
-as the random-cluster weight does, only connected blocks are weighed and a
-disconnected one counts 0 unbuilt.  The random-cluster weight of a block of
-b vertices is a subset sieve over its 2^b vertex sets, 3^b terms however
-many edges the block has.  The cluster engine charges 3^b against the
-caller's budget before any shape of b vertices is weighed; the recursion
-charges 3^|V| once, which does not count its per-block sieves.
+The recursion weighs each block by chi of its induced subgraph.  When chi
+vanishes on two isolated vertices, as the random-cluster weight does, only
+connected blocks are weighed and a disconnected one counts 0 unbuilt.  The
+random-cluster weight of a graph on b vertices is a subset sieve over its
+2^b vertex sets, 3^b terms however many edges it has, and the sieve of the
+whole graph gives chi of every induced subgraph along the way.  So a spec
+may carry that table (``chi_table``, as tutte and chromatic do): the
+recursion then reads each block's chi from one sieve of the whole graph
+and charges 2 * 3^|V|, the sieve and itself.  A spec with chi alone is
+called once per distinct block graph, and the recursion charges 3^|V|,
+which does not count those calls.  The cluster engine charges 3^b against
+the caller's budget before any shape of b vertices is weighed.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
 
-from .approx import (ApproxCertificate, _ClusterEngine, _exp_or_inf, _normalized_log,
-                     taylor_error_bound, taylor_order)
+from .approx import (ApproxCertificate, _ClusterEngine, _normalized_log, taylor_error_bound,
+                     taylor_order)
 from .errors import OutsideRegionError
 from .exact import ComplexPoly, _charge, poly_roots
 from .graphs import Multigraph, component_count
@@ -63,12 +67,18 @@ class ExpTypeSpec:
     of the order of the edges: :func:`chi_k_coefficients` calls it once per
     distinct block graph and the cluster path once per shape, and every
     block or set with that graph or shape shares the value.
+
+    ``chi_table``, when given, maps a graph g to the list of chi of the
+    subgraph that each vertex bitmask of g induces, indexed by the mask;
+    :func:`chi_k_coefficients` then reads every block from that one list
+    and never calls chi.  The cluster path still calls chi.
     """
 
     chi: Callable[[Multigraph], complex]
     name: str
     root_radius: float | None = None
     root_radius_heuristic: bool = False
+    chi_table: Callable[[Multigraph], list[complex]] | None = None
     vanishes_disconnected: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -109,13 +119,18 @@ def chi_tutte(g: Multigraph, v: complex, budget: float | None = None) -> complex
     when 3^|V| exceeds ``budget`` (at the default budget, graphs of 17 or
     more vertices).
     """
-    if g.n == 0:
-        return 1.0 + 0j
     _charge(3 ** g.n, budget, f"3^{g.n} sieve terms for chi")
-    return _chi_tutte_sieve(g, complex(v))
+    return _chi_tutte_sieve(g, complex(v))[-1]
 
 
-def _chi_tutte_sieve(g: Multigraph, v: complex) -> complex:
+def _chi_tutte_sieve(g: Multigraph, v: complex) -> list[complex]:
+    """The sieve of :func:`chi_tutte` under no budget, as its whole table.
+
+    Entry ``mask`` is chi of the subgraph that ``mask`` induces, the empty
+    one being 1: each mask is sieved over its own subsets in the order
+    that the induced subgraph, relabelled by rank, would sieve them, so
+    every entry equals :func:`chi_tutte` of that subgraph bit for bit.
+    """
     n = g.n
     # per vertex t: its edges to each lower vertex, and at index t its loops
     links = [[0] * (t + 1) for t in range(n)]
@@ -131,7 +146,7 @@ def _chi_tutte_sieve(g: Multigraph, v: complex) -> complex:
         inner += [e + c for e, c in zip(inner, into)]
     powers = [(1.0 + v) ** e for e in range(g.m + 1)]
     full = [powers[e] for e in inner]
-    conn = [0j] * (1 << n)
+    conn = [full[0]] + [0j] * ((1 << n) - 1)
     for mask in range(1, 1 << n):
         anchor = mask & -mask
         others = mask ^ anchor
@@ -142,24 +157,24 @@ def _chi_tutte_sieve(g: Multigraph, v: complex) -> complex:
             sub = (sub - 1) & others
             acc -= conn[sub | anchor] * full[others ^ sub]
         conn[mask] = acc
-    return conn[-1]
+    return conn
 
 
 def tutte_spec(v: complex, root_radius: float | None = None,
                heuristic: bool = False) -> ExpTypeSpec:
     """Random-cluster family member at a finite edge weight ``v``.
 
-    Its chi sieves under no budget of its own.  The cluster engine charges
-    3^|C| against the caller's budget before it weighs a shape C, but
-    :func:`chi_k_coefficients` charges 3^|V| once, and its per-block
-    sieves, which can reach 4^|V| together, are not counted (ROADMAP
-    item 2).
+    Its chi and its ``chi_table`` sieve under no budget of their own; the
+    caller charges them.  The cluster engine charges 3^|C| against the
+    caller's budget before it weighs a shape C, and
+    :func:`chi_k_coefficients` charges 2 * 3^|V| before it sieves the
+    whole graph once for the table.
     """
     v = complex(v)
     if not cmath.isfinite(v):
         raise ValueError(f"tutte edge weight v must be finite, not {v}")
     return ExpTypeSpec(lambda h: chi_tutte(h, v, math.inf), f"tutte:v={v.real:g},{v.imag:g}",
-                       root_radius, heuristic)
+                       root_radius, heuristic, lambda h: _chi_tutte_sieve(h, v))
 
 
 def chromatic_spec(root_radius: float | None = None,
@@ -235,20 +250,37 @@ def chi_k_coefficients(g: Multigraph, spec: ExpTypeSpec,
 
     Anchored recursion over vertex bitmasks: the block containing the
     lowest remaining vertex is chosen, chi of its induced subgraph weighs
-    it, and the rest recurses; results are memoized per mask.  Charges
-    3^|V| first.  When the spec's chi vanishes on disconnected graphs
-    (``vanishes_disconnected``), a disconnected block weighs 0 without chi
-    being called or its subgraph built, so only connected blocks are
-    weighed; any other chi is evaluated on every block.  A block's induced
+    it, and the rest recurses; results are memoized per mask.  When the
+    spec's chi vanishes on disconnected graphs (``vanishes_disconnected``),
+    a disconnected block weighs 0 without its chi being read, so only
+    connected blocks are weighed; any other chi is read on every block.
+
+    A spec with a ``chi_table`` is charged 2 * 3^|V| first, the table's
+    sieve and the recursion, and each block's chi is read from that one
+    table.  A spec with chi alone is charged 3^|V| first: a block's induced
     subgraph, relabelled by rank with its edges sorted, is built from
     per-graph bitmask tables without re-validation, and chi runs once per
-    distinct such graph in a call: blocks with equal graphs share the
-    value.  Nothing is kept across calls.
+    distinct such graph in a call, so blocks with equal graphs share the
+    value.  Either way nothing is kept across calls.
     """
     n = g.n
     if n == 0:
         return []
-    _charge(3 ** n, budget, f"3^{n} anchored blocks")
+    if spec.chi_table is None:
+        _charge(3 ** n, budget, f"3^{n} anchored blocks")
+        block_graph = _block_graphs(g)
+        # blocks whose graphs are equal share one chi call
+        chi_of_graph: dict[tuple, complex] = {}
+
+        def chi_of_block(block: int) -> complex:
+            key = block_graph(block)
+            w = chi_of_graph.get(key)
+            if w is None:
+                w = chi_of_graph[key] = complex(spec.chi(Multigraph._trusted(*key)))
+            return w
+    else:
+        _charge(2 * 3 ** n, budget, f"2*3^{n} sieve terms and anchored blocks")
+        chi_of_block = spec.chi_table(g).__getitem__
     prune = spec.vanishes_disconnected
     # neighbour bitmask of each vertex bit; a loop's own bit is never
     # flooded, as it is already reached
@@ -256,11 +288,8 @@ def chi_k_coefficients(g: Multigraph, spec: ExpTypeSpec,
     for u, w in g.edges:
         nbrs[1 << u] |= 1 << w
         nbrs[1 << w] |= 1 << u
-    block_graph = _block_graphs(g)
-    # chi per block bitmask, and per relabelled block graph: blocks whose
-    # graphs are equal share one chi call
+    # the weight of each block bitmask
     chi_of: dict[int, complex] = {}
-    chi_of_graph: dict[tuple, complex] = {}
     memo: dict[int, dict[int, complex]] = {0: {0: 1.0 + 0j}}
 
     def weigh(block: int) -> complex:
@@ -274,11 +303,7 @@ def chi_k_coefficients(g: Multigraph, spec: ExpTypeSpec,
                 frontier = (frontier ^ bit) | grown
             if reached != block:
                 return 0j
-        key = block_graph(block)
-        w = chi_of_graph.get(key)
-        if w is None:
-            w = chi_of_graph[key] = complex(spec.chi(Multigraph._trusted(*key)))
-        return w
+        return chi_of_block(block)
 
     def solve(mask: int) -> dict[int, complex]:
         found = memo.get(mask)
@@ -432,9 +457,8 @@ def eval_exp_type(g: Multigraph, spec: ExpTypeSpec, x: complex, eps: float,
     for m in range(order, 0, -1):
         series = series * t + logs[m]
     log_value = n * cmath.log(x) + logs[0] + series * t
-    return ApproxCertificate(_exp_or_inf(log_value), log_value,
-                             math.inf if c == 0 else 1.0 / c, q0, order, bound, 0.0, mode,
-                             spec.root_radius_heuristic)
+    return ApproxCertificate(log_value, math.inf if c == 0 else 1.0 / c, q0, order, bound, 0.0,
+                             mode, spec.root_radius_heuristic)
 
 
 def estimate_root_radius(spec: ExpTypeSpec, max_degree: int, graphs,

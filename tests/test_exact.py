@@ -11,7 +11,7 @@ import pytest
 import holant.exact
 import oracles
 from holant import (BudgetExceededError, ComplexPoly, EdgeColoringModel,
-                    GraphFamilySpec, Multigraph, RegionParams,
+                    ExpTypeSpec, GraphFamilySpec, Multigraph, RegionParams,
                     RestrictedSpec, RootFindingError, TensorAssignment,
                     all_ones, approx_partition, chi_k_coefficients, chi_tutte,
                     chromatic_spec, cluster_log_derivatives, contract_network,
@@ -159,8 +159,12 @@ UP_FRONT_CHARGES = {
     "q_derivative": (lambda b: q_derivative(TRIANGLE, all_ones(2), 2, b), 3 * 8, "C(3,2)*2^3"),
     "chi_tutte": (lambda b: chi_tutte(TRIANGLE, 1.0, b), 27, "3^3"),
     "random_cluster_profile": (lambda b: random_cluster_profile(TRIANGLE, b), 8, "2^3"),
+    # a spec with a chi table: one sieve of the graph, then the recursion
     "chi_k_coefficients":
-        (lambda b: chi_k_coefficients(TRIANGLE, tutte_spec(1.0), b), 27, "3^3"),
+        (lambda b: chi_k_coefficients(TRIANGLE, tutte_spec(1.0), b), 2 * 27, "2*3^3"),
+    # a spec with chi alone: the recursion, its chi calls not counted
+    "chi_k_coefficients_chi_callable": (lambda b: chi_k_coefficients(
+        TRIANGLE, ExpTypeSpec(tutte_spec(1.0).chi, "chi-only"), b), 27, "3^3"),
 }
 
 

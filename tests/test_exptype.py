@@ -83,13 +83,14 @@ def test_chi_tutte_refuses_past_the_budget_before_sieving():
 
 
 def test_tutte_spec_leaves_the_charge_to_the_caller(monkeypatch):
-    # the 17-vertex block passes chi_tutte's default budget, not the caller's
+    # the 17-vertex table passes chi_tutte's default budget, not the caller's
     sieved = []
 
     def stub(h, v):
-        # every connected block of a path is a path: one spanning tree
+        # every connected block of a path is a path, with one spanning tree;
+        # the disconnected blocks are pruned before the table is read
         sieved.append(h.n)
-        return 1.0 + 0j
+        return [1.0 + 0j] * (1 << h.n)
 
     spec = tutte_spec(1.0)
     monkeypatch.setattr(exptype, "_chi_tutte_sieve", stub)
@@ -98,7 +99,7 @@ def test_tutte_spec_leaves_the_charge_to_the_caller(monkeypatch):
     # k blocks of a path are its compositions into k intervals
     assert chis == [math.comb(16, k - 1) for k in range(1, 18)]
     assert max(sieved) == 17
-    with pytest.raises(BudgetExceededError, match="3\\^17 anchored"):
+    with pytest.raises(BudgetExceededError, match="2\\*3\\^17 sieve terms and anchored"):
         chi_k_coefficients(path, spec)
 
 
@@ -249,6 +250,39 @@ def test_chi_k_calls_chi_once_per_distinct_block_graph():
             assert repr(chi_k_coefficients(g, spec)) == repr(fast)
             assert calls == first, (g, v)
     assert shared > 1000
+
+
+def test_chi_k_reads_chi_from_one_sieve_table_bit_for_bit():
+    graphs = oracles.graphs_up_to(6) + _loopy_multigraphs(random.Random(79), 12, 7, 10)
+    for v in (1.0, -1.0, -0.5, 0.3 + 0.4j):
+        spec = tutte_spec(v)
+        for g in graphs:
+            # the table path sums in the frozen recursion's order
+            slow = oracles.anchored_chi_k(g, lambda h: chi_tutte(h, v), prune=True)
+            assert repr(chi_k_coefficients(g, spec)) == repr(slow), (g, v)
+            # and each connected mask's entry is chi of the subgraph it induces
+            table = spec.chi_table(g)
+            assert len(table) == 1 << g.n
+            for mask in range(1, 1 << g.n):
+                h = induced_subgraph(g, [i for i in range(g.n) if mask >> i & 1])
+                if oracles.is_connected(h):
+                    assert repr(table[mask]) == repr(chi_tutte(h, v)), (g, v, mask)
+
+
+def test_chi_k_sieves_once_per_call_under_tutte_spec(monkeypatch):
+    sieved = []
+    real = exptype._chi_tutte_sieve
+
+    def counted(h, v):
+        sieved.append(h.n)
+        return real(h, v)
+
+    monkeypatch.setattr(exptype, "_chi_tutte_sieve", counted)
+    g = generate(GraphFamilySpec("regular", 10, degree=3, seed=1))
+    for spec in (tutte_spec(1.0), tutte_spec(-0.5), chromatic_spec()):
+        sieved.clear()
+        chi_k_coefficients(g, spec)
+        assert sieved == [g.n], spec.name
 
 
 def test_block_graphs_match_induced_subgraph():
