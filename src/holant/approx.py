@@ -23,9 +23,10 @@ never streamed: the engine streams the smaller sets, and counts the
 top-size children of each set one size below under (that set's id, row of
 the added vertex), reading them from the vertices offered after its last
 vertex in the stream's frontier order; its shape is looked up once per
-such pair.  A connected graph smaller than the top size is itself a
-streamed set whose local polynomial is q, so the stream stops there and
-that one shape's series log is the answer.  On a graph that
+such pair.  A connected graph of at most the top size is one cluster
+whose local polynomial is q: the stream runs only along the growth path
+of the whole graph, and that one shape's series log is the answer.  On a
+graph that
 :func:`holant.graphs.generate` marks vertex-transitive, the sum over all sets
 equals n times the sum over the sets containing vertex 0 of the same term
 divided by |C| (every term depends only on the shape and the boundary,
@@ -51,7 +52,7 @@ from itertools import combinations
 from .errors import OutsideRegionError
 from .exact import (_charge, _colored_sum, _degree_tables, _plan, _plan_in_order, _room, _run,
                     _run_blend, _vertex_table)
-from .graphs import Multigraph, connected_subsets, edges_touching
+from .graphs import Multigraph, component_count, connected_subsets, edges_touching
 from .models import EdgeColoringModel, RegionParams, compositions
 
 
@@ -491,15 +492,14 @@ class _ClusterEngine:
         reach 0) there is no such S: the single vertices are streamed and
         tallied like the sets of any other order, with c(b, 0) = 1.
 
-        The stream stops at the whole graph.  A connected graph of at most
-        order + R - 1 vertices is itself a streamed set, with no boundary, and
-        its local polynomial is q (up to the constant k^|E| for edge models),
-        so ln Q_V alone gives every coefficient and the other sets add exactly
-        zero to the sum: once the stream yields a set of size n, after the
-        n - 1 proper prefixes of its growth path, the engine returns the
-        series log of that set's polynomial.  A graph of exactly order + R vertices is not
-        streamed at the top size, only counted from offers, so it keeps the
-        full stream.
+        A connected graph of at most order + R vertices is one cluster: the
+        whole graph is a connected set with no boundary, and its local
+        polynomial is q (up to the constant k^|E| for edge models), so
+        ln Q_V alone gives every coefficient and the other sets add exactly
+        zero to the sum.  The engine then streams only the growth path of the
+        whole graph, its n - 1 prefixes and itself, and returns the series
+        log of that one shape's polynomial (:meth:`_whole_graph`).  A
+        disconnected graph and the empty graph keep the full stream.
 
         On a graph marked ``vertex_transitive`` every term depends only on
         the shape and the boundary, which an automorphism keeps, so
@@ -518,6 +518,8 @@ class _ClusterEngine:
         rooted = g.vertex_transitive
         if len(self._place) < top:
             self._place = [len(self._kind) * self._radix ** p for p in range(top)]
+        if 0 < g.n <= top and component_count(g.n, g.edges) == 1:
+            return self._whole_graph(order)
         neighbors, place, intern, id_shape = (self.neighbors, self._place,
                                               self._intern, self._id_shape)
         kind = [self._kind[self.loops[v], g.degree(v)] for v in range(g.n)]
@@ -577,10 +579,6 @@ class _ClusterEngine:
                 self.streamed = streamed
                 cid = self._settle(pid, code, self.loops[u], g.degree(u), pairs)
                 room = _room(self.budget, self.shape_terms)
-            if size == g.n:
-                # the whole graph: its local polynomial is q itself
-                self.streamed = streamed
-                return _normalized_log(self.shapes[id_shape[cid]][1], order)
             # u leaves the boundary and its uncovered outside neighbors join;
             # those above the root are its fresh offers
             boundary = bounds[depth] - 1 if depth else 0
@@ -652,6 +650,32 @@ class _ClusterEngine:
             for j in range(size - reach, order + 1):
                 coeffs[j] += count * _boundary_sign(boundary, j + reach - size) * series[j]
         return coeffs
+
+    def _whole_graph(self, order: int) -> list[complex]:
+        """Series log through ``order`` of a connected graph taken as one cluster.
+
+        The growth order is the stream's first set of size n, which follows
+        its n - 1 prefixes: the graph in breadth-first order from vertex 0.
+        Each set of that path is charged 1, and its layout, all of whose
+        edges are internal, is resolved by :meth:`_shape` without ids for
+        the prefixes.
+        """
+        g = self.g
+        room = _room(self.budget, self.shape_terms)
+        for members in connected_subsets(g, g.n):
+            self.streamed += 1
+            if self.streamed > room:
+                self.charge(0, len(members))
+            if len(members) == g.n:
+                break
+        pos = {v: p for p, v in enumerate(members)}
+        edges = [(i, j, m) for j, v in enumerate(members)
+                 for i, m in sorted([(pos[w], m) for w, m in self.neighbors[v].items()
+                                     if pos[w] < j])]
+        cid = len(self._layouts)
+        self._layouts.append((tuple([(0, self.loops[v]) for v in members]), tuple(edges)))
+        self._id_shape.append(None)
+        return _normalized_log(self.shapes[self._shape(cid)][1], order)
 
 
 class _EdgeOracle:
@@ -850,13 +874,11 @@ def approx_partition(g: Multigraph, h: EdgeColoringModel, eps: float,
     contains z = 1.  Raises OutsideRegionError otherwise; never silently
     degrades.
 
-    The cluster expansion is the only engine.  On a connected graph with
-    fewer vertices than the order it stops at the whole graph, whose local
-    polynomial is the blend itself: the certificate takes the series log of
-    that one shape, after at most one blend run per prefix of its growth
-    path, in place of one run per shape of every connected set.  A graph of
-    exactly the order's size is counted, not streamed, at the top size, so
-    it takes the full expansion (:meth:`_ClusterEngine.log_coefficients`).
+    The cluster expansion is the only engine.  A connected graph of at most
+    order vertices is one cluster, whose local polynomial is the blend
+    itself: the certificate takes the series log of that one shape, from
+    one blend run of the whole graph, in place of one run per shape of every
+    connected set (:meth:`_ClusterEngine.log_coefficients`).
     ``mode`` is accepted for callers that still name it: ``"cluster"`` and
     the former default ``"auto"`` both run it, and anything else raises
     ValueError.

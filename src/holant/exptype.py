@@ -417,7 +417,10 @@ def eval_exp_type(g: Multigraph, spec: ExpTypeSpec, x: complex, eps: float,
     :func:`chi_k_coefficients` call gives the coefficients (certificate mode
     ``"exp-coefficients"``); otherwise the cluster engine of
     :mod:`holant.approx` runs with reach 1 (``"exp-cluster"``), which needs
-    chi to vanish on disconnected graphs (ValueError if it does not).
+    chi to vanish on disconnected graphs (ValueError if it does not).  Both
+    expansions share the rule n <= order + reach: the edge models' engine,
+    with reach 0, takes a connected graph of at most order vertices as one
+    cluster too.
     Certificates inherit the heuristic flag when c was estimated.
     """
     if not eps > 0:

@@ -269,22 +269,30 @@ def test_cluster_budget_charges_sets_and_shapes():
 
 
 def test_cluster_shape_charge_names_its_cost():
-    # stream (0,), (0, 1), (1,): 1 per set; shape {0} charges 2^0, shape
-    # {0, 1} 2^5 (its edge and the four loops), and shape {1} 2^4
+    # at order 2 the graph is one cluster: its growth path (0,), (0, 1)
+    # charges 1 per set, and its one shape 2^5 (its edge and the four loops)
     g = Multigraph(2, ((0, 1),) + ((1, 1),) * 4)
     h = perturbed_ones(2, 0.3, seed=1, max_degree=g.max_degree())
     with pytest.raises(BudgetExceededError,
-                       match=r"35 connected-set expansion terms \(2 sets streamed, 1 shapes "
+                       match=r"34 connected-set expansion terms \(2 sets streamed, 0 shapes "
                              r"computed, stopped at a set of size 2\) exceed the budget "
-                             r"of 34 terms$"):
-        cluster_log_derivatives(g, h, 2, budget=34)
-    for budget in (40, 51):
+                             r"of 33 terms$"):
+        cluster_log_derivatives(g, h, 2, budget=33)
+    assert len(cluster_log_derivatives(g, h, 2, budget=34)) == 3
+    # at order 1 the stream runs: (0,), then (1,), 1 per set; shape {0}
+    # charges 2^0 and shape {1} 2^4
+    with pytest.raises(BudgetExceededError,
+                       match=r"3 connected-set expansion terms \(2 sets streamed, 1 shapes "
+                             r"computed, stopped at a set of size 1\) exceed the budget "
+                             r"of 2 terms$"):
+        cluster_log_derivatives(g, h, 1, budget=2)
+    for budget in (3, 18):
         with pytest.raises(BudgetExceededError,
-                           match=r"52 connected-set expansion terms \(3 sets streamed, 2 shapes "
+                           match=r"19 connected-set expansion terms \(2 sets streamed, 1 shapes "
                                  r"computed, stopped at a set of size 1\) exceed the budget of "
                                  f"{budget} terms$"):
-            cluster_log_derivatives(g, h, 2, budget=budget)
-    assert len(cluster_log_derivatives(g, h, 2, budget=52)) == 3
+            cluster_log_derivatives(g, h, 1, budget=budget)
+    assert len(cluster_log_derivatives(g, h, 1, budget=19)) == 2
 
 
 def test_cluster_weighs_long_paths_by_their_colorings(monkeypatch):
@@ -658,7 +666,7 @@ def test_cluster_stops_at_the_whole_graph(g, k, eps, seed):
     assert abs(cert.log_value - cmath.log(exact)) <= cert.error_bound + 1e-12
 
 
-def test_cluster_stop_needs_a_streamed_whole_graph():
+def test_cluster_stop_needs_a_connected_graph_of_the_top_size():
     h = perturbed_ones(2, 0.02, seed=3, max_degree=4)
 
     def stream(g, order):
@@ -673,24 +681,78 @@ def test_cluster_stop_needs_a_streamed_whole_graph():
     # a disconnected graph smaller than the order has no set of size n
     split = Multigraph(5, ((0, 1), (1, 1), (2, 3), (3, 4), (2, 4), (2, 4)))
     assert stream(split, 6) == sum(1 for _ in connected_subsets(split, 5)) > split.n
-    # a graph of exactly the top size is counted from offers, not streamed,
-    # so every connected set is charged
+    # a connected graph of at most the top size is one cluster: only its
+    # growth path is streamed; one vertex more keeps the full stream
     path = Multigraph(4, ((0, 1), (1, 2), (2, 3), (3, 3)))
-    assert stream(path, 4) == sum(1 for _ in connected_subsets(path, 4)) > path.n
-    # one vertex fewer stops; a generated cycle streams only vertex 0's prefixes
-    assert stream(path, 5) == path.n
+    assert stream(path, 4) == stream(path, 5) == path.n
+    assert stream(path, 3) == sum(1 for _ in connected_subsets(path, 3)) > path.n
+    # a generated cycle streams the same path from vertex 0
     cycle = generate(GraphFamilySpec("cycle", 4))
-    assert cycle.vertex_transitive and stream(cycle, 5) == cycle.n
-    # the exp-type engine (reach 1) stops too, once n <= order; at n = order
-    # + 1 it streams the three single vertices and three pairs, and counts
-    # the triangle
+    assert cycle.vertex_transitive and stream(cycle, 4) == stream(cycle, 5) == cycle.n
+    # the exp-type engine (reach 1) takes one cluster once n <= order + 1;
+    # at order 1 it streams the three single vertices and counts the pairs
     spec = tutte_spec(1.0)
-    for order, streamed in ((2, 7), (3, 3)):
+    for order, streamed in ((1, 6), (2, 3), (3, 3)):
         engine = approx_module._ClusterEngine(TRIANGLE, partial(_exp_shape, spec), 1, math.inf)
         got = engine.log_coefficients(order)
         want = _normalized_log(chi_k_coefficients(TRIANGLE, spec)[::-1], order)
         assert all(cmath.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12) for a, b in zip(got, want))
         assert engine.streamed == streamed
+
+
+def random_connected_multigraph(rng, max_n):
+    """A connected multigraph: a random tree, then loops and parallel or extra edges."""
+    n = rng.randint(1, max_n)
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3))]
+    perm = rng.sample(range(n), n)
+    return Multigraph(n, tuple((perm[u], perm[w]) for u, w in edges))
+
+
+def test_connected_graph_of_the_top_size_is_one_cluster():
+    # at order n and n + 2 a connected graph takes one oracle run on its
+    # growth path; at order n - 1, and on a disconnected graph of at most
+    # the top size, every connected set is still streamed
+    calls = []
+
+    class CountingOracle(approx_module._EdgeOracle):
+        def __call__(self, engine, layout):
+            calls.append(layout)
+            return super().__call__(engine, layout)
+
+    def run(g, h, order):
+        calls.clear()
+        engine = approx_module._ClusterEngine(g, CountingOracle(h), 0, math.inf)
+        got = engine.log_coefficients(order)
+        want = reference_log_derivatives(g, h, order)
+        for j in range(1, order + 1):
+            assert cmath.isclose(got[j] * math.factorial(j), want[j],
+                                 rel_tol=1e-10, abs_tol=1e-12), (g, order, j)
+        return engine
+
+    rng = random.Random(4242)
+    for trial in range(40):
+        k = 2 + trial % 2
+        g = random_connected_multigraph(rng, 6 if k == 2 else 5)
+        h = perturbed_ones(k, 0.02, seed=trial, max_degree=max(1, g.max_degree()))
+        q0 = 1.0 / approx_module.blend_radius(g.max_degree(), h.deviation(g.max_degree()))
+        for order in (g.n, g.n + 2):
+            engine = run(g, h, order)
+            assert len(calls) == 1 and engine.streamed == g.n and len(engine.shapes) == 1
+            # the certificate at this order, its bound against the exact sum
+            cert = approx_partition(g, h, taylor_error_bound(g.n, q0, order))
+            assert cert.order == order and cert.mode == "cluster"
+            exact = exact_partition(g, h)
+            assert abs(cert.log_value - cmath.log(exact)) <= cert.error_bound + 1e-12
+        if g.n > 1:
+            engine = run(g, h, g.n - 1)
+            assert engine.streamed == sum(1 for _ in connected_subsets(g, g.n - 1))
+            assert len(calls) == len(engine.shapes)
+            assert all(len(labels) < g.n for labels, _ in calls)
+        split = oracles.disjoint_union(g, random_connected_multigraph(rng, 2))
+        h = perturbed_ones(k, 0.02, seed=trial, max_degree=max(1, split.max_degree()))
+        engine = run(split, h, split.n)
+        assert engine.streamed == sum(1 for _ in connected_subsets(split, split.n))
 
 
 def test_approx_value_overflows_to_inf():
