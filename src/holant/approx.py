@@ -12,26 +12,26 @@ of C.  The model is the same at every vertex, so that polynomial depends
 only on the labelled shape of C (its internal multigraph and the number of
 edges leaving each vertex): it is computed once per shape, and its series
 log once per shape and expansion.
-The sets are streamed as they grow, and each carries a layout id derived
-from its parent's id and its last vertex, so recognising a set's shape
-costs one table lookup; only a new id is refined to its shape.  Per-vertex
-arrays for the current prefix, undone when the next set is shorter, give a
-set's row and boundary in time set by its last vertex's degree, not by the
-size of the graph.  A set of the top size enters only the last
-coefficient, with boundary weight 1, so unless it is a single vertex it is
-never streamed: the engine streams the smaller sets, and counts the
-top-size children of each set one size below under (that set's id, row of
-the added vertex), reading them from the vertices offered after its last
-vertex in the stream's frontier order; its shape is looked up once per
-such pair.  A connected graph of at most the top size is one cluster
-whose local polynomial is q: the stream runs only along the growth path
-of the whole graph, and that one shape's series log is the answer.  On a
-graph that
+The engine walks the sets itself, depth first by extension sets (each set
+its prefix plus one vertex offered by the prefix, above the root), and
+each set carries a layout id derived from its prefix's id and its last
+vertex, so recognising a set's shape costs one table lookup; only a new id
+is refined to its shape.  Per-vertex arrays for the current prefix, pushed
+and undone as the walk goes down and back, give a set's row and boundary
+in time set by its last vertex's degree, not by the size of the graph.  A
+set of the top size enters only the last coefficient, with boundary
+weight 1, so unless it is a single vertex it is never visited: the engine
+counts the top-size children of each set one size below under (that
+set's id, row of the added vertex), reading them from the vertices
+offered after its last vertex; its shape is looked up once per such pair.
+A connected graph of at most the top size is one cluster whose local
+polynomial is q: the walk runs only along the growth path of the whole
+graph, and that one shape's series log is the answer.  On a graph that
 :func:`holant.graphs.generate` marks vertex-transitive, the sum over all sets
 equals n times the sum over the sets containing vertex 0 of the same term
 divided by |C| (every term depends only on the shape and the boundary,
-which automorphisms keep), so only those sets are streamed.  The budget is
-charged 1 per set, streamed or counted, plus each new shape's work, as an
+which automorphisms keep), so only those sets are walked.  The budget is
+charged 1 per set, walked or counted, plus each new shape's work, as an
 exact int total that :func:`holant.exact._charge`, the one budget rule of
 every engine, refuses.  Only local neighborhoods are touched, which scales
 to graphs with hundreds of vertices.  With another per-shape oracle the
@@ -261,7 +261,7 @@ class _ClusterEngine:
         # a row is packed into one int: the index of (loops, degree) plus
         # len(kinds) * sum of multiplicity * radix^position, radix above
         # every multiplicity, so equal codes are equal rows; _place holds
-        # the positions of the largest set streamed so far
+        # the positions of the largest set walked so far
         kinds = sorted({(self.loops[v], g.degree(v)) for v in range(g.n)})
         self._kind = {kind: i for i, kind in enumerate(kinds)}
         self._radix = 1 + max((m for nb in self.neighbors for m in nb.values()), default=0)
@@ -278,7 +278,7 @@ class _ClusterEngine:
     def charge(self, terms: int, size: int) -> None:
         """Spend ``terms`` at a set of ``size``; refuse once past the budget.
 
-        The total spent, an int, is 1 per streamed set plus the shape
+        The total spent, an int, is 1 per connected set plus the shape
         charges, and :func:`holant.exact._charge` refuses it.
         """
         self.shape_terms += terms
@@ -460,57 +460,59 @@ class _ClusterEngine:
         where dC is the outer vertex boundary of C (:func:`_boundary_sign`).
         Q_C depends only on the labelled shape of C (internal multigraph and
         edges leaving each vertex), so the oracle runs once per shape.  The
-        sets below the top size order + R are streamed from
-        :func:`connected_subsets` in growth order, a set of size s > 1 being
-        the last set of size s - 1 plus one vertex u.  The engine keeps the
-        current prefix as a path (its vertices by position), per size its
-        layout id and boundary, and per vertex w four entries: ``row[w]``,
-        w's edges into the prefix packed by position; ``cover[w]``, the
-        number of prefix vertices adjacent to w; ``inside[w]``; and
-        ``pos[w]``.  Beside them it keeps ``offered``, the vertices above
-        the root offered so far on the path, in the frontier order of
-        :func:`connected_subsets` (a vertex above the root is offered once
-        a path vertex is adjacent to it, so ``cover`` tells which are), and
-        cuts it back whenever the path shrinks.  A shorter set first pops
-        the path down to its prefix, undoing those entries.  The code of u
-        is then ``kind[u] + row[u]`` and one intern lookup gives the set's
-        id; only an id seen for the first time builds a layout and looks up
-        its shape.  Pushing u adds its edges to the arrays and its fresh
-        offers to the list, and the boundary is the prefix's, minus u, plus
-        u's neighbors outside the prefix that no prefix vertex covers.
+        sets are walked depth first by extension sets (Wernicke's ESU), in
+        the order of :func:`connected_subsets`: from each root r in turn, a
+        set of size s > 1 is its prefix plus one vertex u above r.  The
+        engine keeps the prefix as a path (its vertices by position), per
+        size its layout id and boundary, and per vertex w four entries:
+        ``row[w]``, w's kind (loops and degree) plus its edges into the
+        prefix packed by position; ``cover[w]``, the number of prefix
+        vertices adjacent to w; ``inside[w]``; and ``pos[w]``.  ``offered``
+        lists the vertices above r adjacent to the path, in the order first
+        offered, and per path position the engine keeps the list's length
+        before that vertex's offers and the index of its next child.  The
+        children of a set whose last vertex sits at index i are the entries
+        above i, read live: pushing a child appends its fresh offers (its
+        neighbors above r that no path vertex covers), and backtracking pops
+        it, undoes its entries and cuts the list back.  One intern lookup of
+        (prefix id, ``row[u]``) gives the set's id; only a new id builds a
+        layout and looks up its shape.  The boundary is the prefix's, minus
+        u, plus u's neighbors outside the prefix that no prefix vertex
+        covers.
 
         A set S of size order + R - 1 is read only: one pass over the
         neighbors of its last vertex u gives its boundary and u's fresh
-        offers, and nothing is pushed.  Its children of the top size are S
-        plus each vertex offered after u, then each of u's fresh offers;
+        offers, appended for the count and then cut, and nothing is pushed.
+        Its children of the top size are S plus each vertex offered after u;
         they enter only [z^order], where c(b, 0) = 1, so each child S + w
         costs one count under (id of S, code of w in S), the code being
-        ``kind[w] + row[w]`` plus w's edges to u at u's position.  The
-        first child of each such pair resolves its id and shape, so shapes
-        are charged when they are first met; after the stream each pair's
-        count joins the tally under (its shape, 0).  At top size 1 (order 1,
-        reach 0) there is no such S: the single vertices are streamed and
-        tallied like the sets of any other order, with c(b, 0) = 1.
+        ``row[w]`` plus w's edges to u at u's position.  The first child of
+        each such pair resolves its id and shape, so shapes are charged when
+        they are first met; after the walk each pair's count joins the tally
+        under (its shape, 0).  At top size 1 (order 1, reach 0) there is no
+        such S: the single vertices are walked like the sets of any other
+        order, offer nothing and are tallied under boundary 0, as
+        c(b, 0) = 1 for every b.
 
         A connected graph of at most order + R vertices is one cluster: the
         whole graph is a connected set with no boundary, and its local
         polynomial is q (up to the constant k^|E| for edge models), so
         ln Q_V alone gives every coefficient and the other sets add exactly
-        zero to the sum.  The engine then streams only the growth path of the
+        zero to the sum.  The engine then walks only the growth path of the
         whole graph, its n - 1 prefixes and itself, and returns the series
         log of that one shape's polynomial (:meth:`_whole_graph`).  A
-        disconnected graph and the empty graph keep the full stream.
+        disconnected graph and the empty graph keep the full walk.
 
         On a graph marked ``vertex_transitive`` every term depends only on
         the shape and the boundary, which an automorphism keeps, so
         sum over C of f(C) = n * sum over C containing 0 of f(C) / |C|: the
-        engine streams only the first group of :func:`connected_subsets`
-        (the sets containing vertex 0) and weighs each tally by n / |C|
-        once, at the end.  Each set is charged 1, in stream order, and each
-        new shape its oracle's charge; the stream checks each set against
-        the room :func:`holant.exact._room` leaves and :meth:`charge`
-        refuses.  Shapes keep their local polynomials, and each call takes
-        one series log per shape at its own order (:func:`_normalized_log`).
+        engine walks only from root 0 (the sets containing vertex 0) and
+        weighs each tally by n / |C| once, at the end.  Each set is charged
+        1, in walk order, and each new shape its oracle's charge; the walk
+        checks each set against the room :func:`holant.exact._room` leaves
+        and :meth:`charge` refuses.  Shapes keep their local polynomials,
+        and each call takes one series log per shape at its own order
+        (:func:`_normalized_log`).
         """
         reach = self.reach
         g = self.g
@@ -522,18 +524,17 @@ class _ClusterEngine:
             return self._whole_graph(order)
         neighbors, place, intern, id_shape = (self.neighbors, self._place,
                                               self._intern, self._id_shape)
-        kind = [self._kind[self.loops[v], g.degree(v)] for v in range(g.n)]
         # the prefix by position, and the per-vertex arrays of the docstring
-        path: list[int] = []
-        row = [0] * g.n
+        path = [0] * top
+        row = [self._kind[self.loops[v], g.degree(v)] for v in range(g.n)]
         cover = [0] * g.n
         inside = [False] * g.n
         pos = [0] * g.n
-        # the offers in frontier order, each vertex's index there, and per
-        # path position the list's length before that vertex's offers
+        # the offers in frontier order; per path position the list's length
+        # before that vertex's offers, and the index there of the next child
         offered: list[int] = []
-        slot = [0] * g.n
         cut = [0] * top
+        nexts = [0] * top
         # layout id and outer boundary of the prefix of each size s < top
         ids = [0] * top
         bounds = [0] * top
@@ -545,94 +546,93 @@ class _ClusterEngine:
         streamed = self.streamed
         room = _room(self.budget, self.shape_terms)
         leaf = top - 1
-        root = 0
-        # at top size 1 no set has top-size children: the single vertices stream
-        for members in connected_subsets(g, leaf or top):
-            size = len(members)
-            u = members[-1]
-            if size == 1:
-                if u and rooted:
-                    break
-                root = u
-            streamed += 1
-            if streamed > room:
-                # this set's 1 passes the budget: charge() refuses
-                self.streamed = streamed
-                self.charge(0, size)
-            depth = size - 1
-            if len(path) > depth:
-                # a shorter set: drop the path down to its prefix
-                while len(path) > depth:
-                    v = path.pop()
-                    step = place[len(path)]
+        # a generated transitive graph has at least one vertex
+        for root in range(1 if rooted else g.n):
+            # the set is path[:depth] + (u,), u = offered[nxt - 1] or the root
+            u, depth, nxt = root, 0, 0
+            while True:
+                size = depth + 1
+                streamed += 1
+                if streamed > room:
+                    # this set's 1 passes the budget: charge() refuses
+                    self.streamed = streamed
+                    self.charge(0, size)
+                pid = ids[depth]
+                code = row[u]
+                link = neighbors[u]
+                cid = intern.get((pid, code))
+                if cid is None or id_shape[cid] is None:
+                    pairs = [(pos[w], m) for w, m in link.items() if inside[w]]
+                    self.streamed = streamed
+                    cid = self._settle(pid, code, self.loops[u], g.degree(u), pairs)
+                    room = _room(self.budget, self.shape_terms)
+                # u leaves the boundary and its uncovered outside neighbors
+                # join; those above the root are its fresh offers
+                boundary = bounds[depth] - 1 if depth else 0
+                step = place[depth]
+                cut[depth] = len(offered)
+                # at top size 1 a single vertex offers nothing (docstring)
+                for w in link if leaf else ():
+                    if not cover[w]:
+                        if w > root:
+                            offered.append(w)
+                        if not inside[w]:
+                            boundary += 1
+                if size < leaf:
+                    for w, m in link.items():
+                        row[w] += m * step
+                        cover[w] += 1
+                    inside[u] = True
+                    pos[u] = depth
+                    path[depth] = u
+                    nexts[depth] = nxt
+                    ids[size] = cid
+                    bounds[size] = boundary
+                    depth = size
+                elif leaf:
+                    # the top-size children in walk order, counted in place
+                    counts = leaves.setdefault(cid, {})
+                    for w in offered[nxt:]:
+                        streamed += 1
+                        if streamed > room:
+                            self.streamed = streamed
+                            self.charge(0, top)
+                        code = row[w] + link.get(w, 0) * step
+                        count = counts.get(code)
+                        if count is None:
+                            counts[code] = 1
+                            first.append((cid, code))
+                            pairs = [(pos[x], m) for x, m in neighbors[w].items() if inside[x]]
+                            if w in link:
+                                pairs.append((depth, link[w]))
+                            self.streamed = streamed
+                            self._settle(cid, code, self.loops[w], g.degree(w), pairs)
+                            room = _room(self.budget, self.shape_terms)
+                        else:
+                            counts[code] = count + 1
+                    del offered[cut[depth]:]
+                key = (id_shape[cid], boundary)
+                tally[key] = tally.get(key, 0) + 1
+                # the next set: the next child of the deepest prefix (depth is
+                # the path's length) that has one, popping exhausted prefixes
+                while depth:
+                    nxt = nexts[depth - 1]
+                    if nxt < len(offered):
+                        u = offered[nxt]
+                        nxt = nexts[depth - 1] = nxt + 1
+                        break
+                    depth -= 1
+                    v = path[depth]
+                    step = place[depth]
                     for w, m in neighbors[v].items():
                         row[w] -= m * step
                         cover[w] -= 1
                     inside[v] = False
-                del offered[cut[depth]:]
-            pid = ids[depth]
-            code = kind[u] + row[u]
-            link = neighbors[u]
-            cid = intern.get((pid, code))
-            if cid is None or id_shape[cid] is None:
-                pairs = [(pos[w], m) for w, m in link.items() if inside[w]]
-                self.streamed = streamed
-                cid = self._settle(pid, code, self.loops[u], g.degree(u), pairs)
-                room = _room(self.budget, self.shape_terms)
-            # u leaves the boundary and its uncovered outside neighbors join;
-            # those above the root are its fresh offers
-            boundary = bounds[depth] - 1 if depth else 0
-            step = place[depth]
-            if size < leaf:
-                cut[depth] = len(offered)
-                for w, m in link.items():
-                    if not cover[w]:
-                        if w > root:
-                            slot[w] = len(offered)
-                            offered.append(w)
-                        if not inside[w]:
-                            boundary += 1
-                    row[w] += m * step
-                    cover[w] += 1
-                inside[u] = True
-                pos[u] = depth
-                path.append(u)
-                ids[size] = cid
-                bounds[size] = boundary
-            elif leaf:
-                fresh = []
-                for w in link:
-                    if not cover[w]:
-                        if w > root:
-                            fresh.append(w)
-                        if not inside[w]:
-                            boundary += 1
-                # the top-size children in stream order, counted in place
-                counts = leaves.get(cid)
-                if counts is None:
-                    counts = leaves[cid] = {}
-                for w in offered[slot[u] + 1:] + fresh:
-                    streamed += 1
-                    if streamed > room:
-                        self.streamed = streamed
-                        self.charge(0, top)
-                    code = kind[w] + row[w] + link.get(w, 0) * step
-                    count = counts.get(code)
-                    if count is None:
-                        counts[code] = 1
-                        first.append((cid, code))
-                        pairs = [(pos[x], m) for x, m in neighbors[w].items() if inside[x]]
-                        if w in link:
-                            pairs.append((depth, link[w]))
-                        self.streamed = streamed
-                        self._settle(cid, code, self.loops[w], g.degree(w), pairs)
-                        room = _room(self.budget, self.shape_terms)
-                    else:
-                        counts[code] = count + 1
-            key = (id_shape[cid], boundary)
-            tally[key] = tally.get(key, 0) + 1
+                    del offered[cut[depth]:]
+                else:
+                    break
         self.streamed = streamed
-        # no streamed set, being smaller, shares a top-size shape's key
+        # no walked set, being smaller, shares a top-size shape's key
         for pid, code in first:
             key = (id_shape[intern[pid, code]], 0)
             tally[key] = tally.get(key, 0) + leaves[pid][code]
@@ -654,11 +654,11 @@ class _ClusterEngine:
     def _whole_graph(self, order: int) -> list[complex]:
         """Series log through ``order`` of a connected graph taken as one cluster.
 
-        The growth order is the stream's first set of size n, which follows
-        its n - 1 prefixes: the graph in breadth-first order from vertex 0.
-        Each set of that path is charged 1, and its layout, all of whose
-        edges are internal, is resolved by :meth:`_shape` without ids for
-        the prefixes.
+        The growth order is the first set of size n that
+        :func:`connected_subsets` yields, after its n - 1 prefixes: the graph
+        in breadth-first order from vertex 0.  Each set of that path is
+        charged 1, and its layout, all of whose edges are internal, is
+        resolved by :meth:`_shape` without ids for the prefixes.
         """
         g = self.g
         room = _room(self.budget, self.shape_terms)
@@ -775,7 +775,7 @@ def cluster_log_derivatives(g: Multigraph, h: EdgeColoringModel, order: int,
     the local work of the cluster engine: one series log per shape of
     connected set of at most ``order`` vertices, of the polynomial from one
     blend run of the shape's piece (:class:`_EdgeOracle`).  Entry 0 is
-    |E| ln k.  Each streamed set charges 1 and each new shape
+    |E| ln k.  Each connected set charges 1 and each new shape
     k^|internal edges|, the colorings its blend run sums over.  Raises
     ArithmeticError at the first derivative past the float range.
     """

@@ -153,18 +153,18 @@ def connected_subsets(g: Multigraph, max_size: int):
     a tuple of size s > 1 is the last tuple of size s - 1 yielded before it
     plus one vertex, and a consumer can keep per-depth state for prefixes.
     The first group, from ``(0,)`` up to the first tuple that does not start
-    at 0, is exactly the connected sets that contain vertex 0; the cluster
-    engine stops there on a vertex-transitive graph.
+    at 0, is exactly the connected sets that contain vertex 0.
 
     The children of a set S of size s - 1 are S plus each vertex of its
     frontier, in order: the vertices offered on the search path after S's
     last vertex u, then u's fresh neighbors (above the root, not offered
-    before).  The cluster engine relies on this frontier order: it streams
-    the sets below its top size and counts each top-size set itself, as S
-    plus each vertex offered after u, then u's fresh offers.  Most sets have
-    the full size, and the full-size children of a set of size
-    ``max_size - 1`` come from one tight loop: a full set is never
-    extended, so it needs no frame and offers nothing to ``seen``.
+    before).  The cluster engine runs this same walk over its own arrays
+    (:meth:`holant.approx._ClusterEngine.log_coefficients`); this generator
+    is its reference, and gives the growth path of a graph that the engine
+    takes as one cluster.  Most sets have the full size, and the full-size
+    children of a set of size ``max_size - 1`` come from one tight loop: a
+    full set is never extended, so it needs no frame and offers nothing to
+    ``seen``.
     """
     if max_size < 1:
         return

@@ -23,7 +23,7 @@ from holant import (BudgetExceededError, EdgeColoringModel, GraphFamilySpec, Mul
 import holant.approx as approx_module
 from holant.approx import _boundary_sign, _normalized_log, log_magnitude_lower_bound
 from holant.exptype import _exp_shape
-from holant.graphs import connected_subsets
+from holant.graphs import component_count, connected_subsets
 from holant.models import compositions
 
 TRIANGLE = Multigraph(3, ((0, 1), (1, 2), (0, 2)))
@@ -350,50 +350,109 @@ def test_cluster_streams_only_root_sets_on_transitive_graphs():
 
 
 def test_cluster_counts_top_size_sets_without_streaming_them(monkeypatch):
-    # the engine streams the sets below the top size order + reach and
-    # counts each top-size set from its prefix's offers; at order 1 with
-    # reach 0 it streams the single vertices like the sets of any order
-    calls = []
-    real = approx_module.connected_subsets
+    # the engine walks the sets below the top size order + reach itself and
+    # counts each top-size set from its prefix's offers, never reading the
+    # reference enumerator; at order 1 with reach 0 it walks the single
+    # vertices like the sets of any order
+    def no_stream(g, max_size):
+        raise AssertionError("the cluster engine read connected_subsets")
 
-    def recording(g, max_size):
-        sizes = []
-        calls.append((max_size, sizes))
-        for members in real(g, max_size):
-            sizes.append(len(members))
-            yield members
-
-    monkeypatch.setattr(approx_module, "connected_subsets", recording)
+    monkeypatch.setattr(approx_module, "connected_subsets", no_stream)
     torus = generate(GraphFamilySpec("torus", 4, size2=4))
     h = perturbed_ones(2, 0.02, seed=1, max_degree=4)
     for g in (torus, edge_list_copy(torus)):
         for order in range(1, 6):
-            calls.clear()
             engine = approx_module._ClusterEngine(g, approx_module._EdgeOracle(h), 0, 1e8)
             got = engine.log_coefficients(order)
             if order == 1:
-                assert [size for size, _ in calls] == [1]
-                assert set(calls[0][1]) == {1}
                 assert engine.streamed == (1 if g.vertex_transitive else g.n)
             else:
-                assert [size for size, _ in calls] == [order - 1]
-                assert max(calls[0][1]) == order - 1
-                sets = [c for c in real(g, order) if c[0] == 0 or not g.vertex_transitive]
+                sets = [c for c in connected_subsets(g, order)
+                        if c[0] == 0 or not g.vertex_transitive]
                 assert engine.streamed == len(sets)
             full = approx_module._ClusterEngine(edge_list_copy(torus),
                                                 approx_module._EdgeOracle(h), 0, 1e8)
             want = full.log_coefficients(order)
             assert all(abs(a - b) <= 1e-12 * max(map(abs, want)) for a, b in zip(got, want))
-    # with reach 1 the stream stops one size below order + 1 as well
-    calls.clear()
+    # with reach 1 the walk counts the sets of size order + 1 the same way
+    streamed = []
+    real = approx_module._ClusterEngine.log_coefficients
+
+    def record(self, order):
+        out = real(self, order)
+        streamed.append(self.streamed)
+        return out
+
+    monkeypatch.setattr(approx_module._ClusterEngine, "log_coefficients", record)
     cert = eval_exp_type(torus, tutte_spec(1.0, root_radius=10.0), 60.0, eps=1e-4)
     assert cert.order + 1 < torus.n
-    assert [size for size, _ in calls] == [cert.order] and max(calls[0][1]) == cert.order
+    assert streamed == [sum(1 for c in connected_subsets(torus, cert.order + 1) if c[0] == 0)]
     # and order 1 on a small graph against the global expansion
     g = Multigraph(3, ((0, 1), (1, 1), (1, 2), (1, 2)))
     h = perturbed_ones(3, 0.3, seed=4, max_degree=g.max_degree())
     want = reference_log_derivatives(g, h, 1)
     assert cmath.isclose(cluster_log_derivatives(g, h, 1)[1], want[1], rel_tol=1e-12)
+
+
+def walk_graphs():
+    """Random multigraphs with loops, parallel edges, isolated vertices and
+    second components, then generated transitive graphs (rooted walks)."""
+    rng = random.Random(3030)
+    graphs = []
+    for i in range(30):
+        g = oracles.random_multigraph(rng, max_n=6, max_m=8)
+        if i % 3 == 1:
+            g = oracles.disjoint_union(g, Multigraph(1, ()))
+        elif i % 3 == 2:
+            g = oracles.disjoint_union(g, oracles.random_multigraph(rng, max_n=3, max_m=3))
+        graphs.append(g)
+    return graphs + [generate(GraphFamilySpec("cycle", 9)),
+                     generate(GraphFamilySpec("torus", 3, size2=3))]
+
+
+def test_cluster_walks_exactly_the_reference_sets():
+    # the engine's own walk meets the sets that connected_subsets yields, in
+    # number (the sets at vertex 0 on a generated graph; the n sets of the
+    # growth path of a connected graph of at most the top size), and gives
+    # the reference coefficients; the budget it spends is exact
+    def walk(g, oracle, reach, order):
+        engine = approx_module._ClusterEngine(g, oracle, reach, math.inf)
+        got = engine.log_coefficients(order)
+        top = order + reach
+        if g.n <= top and component_count(g.n, g.edges) == 1:
+            assert engine.streamed == g.n
+        else:
+            assert engine.streamed == sum(1 for c in connected_subsets(g, top)
+                                          if c[0] == 0 or not g.vertex_transitive)
+        spent = engine.streamed + engine.shape_terms
+        budgeted = approx_module._ClusterEngine(g, oracle, reach, spent)
+        assert budgeted.log_coefficients(order) == got
+        with pytest.raises(BudgetExceededError, match=f"^{spent} connected-set"):
+            approx_module._ClusterEngine(g, oracle, reach, spent - 1).log_coefficients(order)
+        return got
+
+    spec = tutte_spec(1.0)
+    for trial, g in enumerate(walk_graphs()):
+        # a generated graph against its edge-list copy, which walks every set
+        base = edge_list_copy(g) if g.vertex_transitive else g
+        for k in (2, 3):
+            h = perturbed_ones(k, 0.1, seed=trial, max_degree=max(1, g.max_degree()))
+            if g.vertex_transitive:
+                copy = approx_module._ClusterEngine(base, approx_module._EdgeOracle(h), 0, math.inf)
+                want = [c * math.factorial(j) for j, c in enumerate(copy.log_coefficients(6))]
+            else:
+                want = reference_log_derivatives(g, h, 6)
+            for order in range(1, 7):
+                got = walk(g, approx_module._EdgeOracle(h), 0, order)
+                for j in range(1, order + 1):
+                    assert cmath.isclose(got[j] * math.factorial(j), want[j],
+                                         rel_tol=1e-10, abs_tol=1e-12), (g, k, order, j)
+        qhat = chi_k_coefficients(base, spec)[::-1]
+        for order in range(1, 7):
+            got = walk(g, partial(_exp_shape, spec), 1, order)
+            want = _normalized_log(qhat, order)
+            assert all(cmath.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9)
+                       for a, b in zip(got, want)), (g, order)
 
 
 def test_cluster_set_count_refusals_name_the_set_size():
