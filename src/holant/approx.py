@@ -374,79 +374,13 @@ class _ClusterEngine:
         canonical = self._canonical(layout)
         sid = self._shape_of.get(canonical)
         if sid is None:
-            # the oracle resolves smaller shapes first, so append after it
+            # the oracle charges first, so a refusal there counts only the
+            # shapes computed before it
             poly = self.oracle(self, layout)
             sid = self._shape_of[canonical] = len(self.shapes)
             self.shapes.append((len(layout[0]), poly))
         self._id_shape[cid] = sid
         return sid
-
-    def subsets(self, layout):
-        """Yield (mask, comp, poly) for the nonempty masks of a new shape.
-
-        Only the exponential-type oracle reads these polynomials; the edge
-        oracle gets every sub-mask from one blend run.  Masks are over the
-        layout's positions, in increasing order.  ``comp`` is the component
-        of the mask's lowest position, grown from that of the mask minus its
-        highest position v; ``poly`` is the local polynomial of a proper
-        connected mask, None for a disconnected mask and for the whole set.
-        A connected mask's vertex order is the order of the mask minus its
-        highest position that leaves it connected, then that position, so
-        its id is folded from the smaller mask's id through the intern
-        table.  A prefix of the layout keeps its own order, and with it its
-        id.
-        """
-        labels, edges = layout
-        size = len(labels)
-        adj = [0] * size
-        links = [[] for _ in range(size)]
-        degree = [leaving + 2 * loops for leaving, loops in labels]
-        for i, j, m in edges:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-            links[i].append((j, m))
-            links[j].append((i, m))
-            degree[i] += m
-            degree[j] += m
-        kind = [self._kind[loops, degree[i]] for i, (_, loops) in enumerate(labels)]
-        place, id_shape, shapes = self._place, self._id_shape, self.shapes
-        full = (1 << size) - 1
-        comp_of = [0] * (full + 1)
-        # per connected proper mask: its layout id and its vertex order
-        fold_id = [0] * full
-        fold_seq = [()] * full
-        for mask in range(1, full + 1):
-            v = mask.bit_length() - 1
-            rest = mask ^ 1 << v
-            comp = comp_of[rest]
-            if not rest or adj[v] & comp and comp == rest:
-                comp = mask
-            elif adj[v] & comp:
-                # v joins the lowest component to others of the rest
-                comp |= 1 << v
-                frontier = 1 << v
-                while frontier:
-                    i = (frontier & -frontier).bit_length() - 1
-                    frontier &= frontier - 1
-                    grown = adj[i] & mask & ~comp
-                    comp |= grown
-                    frontier |= grown
-            comp_of[mask] = comp
-            if comp != mask or mask == full:
-                yield mask, comp, None
-                continue
-            while comp_of[rest] != rest:
-                # the next lower position of the mask
-                v = (mask & (1 << v) - 1).bit_length() - 1
-                rest = mask ^ 1 << v
-            seq = fold_seq[rest]
-            pairs = [(seq.index(w), m) for w, m in links[v] if rest >> w & 1]
-            code = kind[v]
-            for p, m in pairs:
-                code += m * place[p]
-            cid = fold_id[mask] = self._settle(fold_id[rest], code, labels[v][1], degree[v], pairs)
-            fold_seq[mask] = seq + (v,)
-            yield mask, comp, shapes[id_shape[cid]][1]
 
     # -- one series log per shape --
 

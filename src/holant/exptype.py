@@ -8,10 +8,10 @@ Z(G)(q, v) arises from the connected-spanning-subgraph weight; v = -1 is
 the chromatic polynomial.  For evaluation points beyond the root radius,
 the reversed polynomial is log-expanded at the origin exactly like the
 edge-model blend, yielding certified multiplicative results.  Its
-coefficients come from the 3^n partition recursion when the whole graph
-fits in one cluster, and otherwise from the connected-set engine that the
-edge models use (:class:`holant.approx._ClusterEngine`), which computes
-one local reversed polynomial per labelled shape of connected set.
+coefficients come from the 3^n partition recursion: of the whole graph
+when it fits in one cluster, and otherwise of each labelled shape of
+connected set that the edge models' engine walks
+(:class:`holant.approx._ClusterEngine`).
 
 The recursion weighs each block by chi of its induced subgraph.  When chi
 vanishes on two isolated vertices, as the random-cluster weight does, only
@@ -23,8 +23,8 @@ may carry that table (``chi_table``, as tutte and chromatic do): the
 recursion then reads each block's chi from one sieve of the whole graph
 and charges 2 * 3^|V|, the sieve and itself.  A spec with chi alone is
 called once per distinct block graph, and the recursion charges 3^|V|,
-which does not count those calls.  The cluster engine charges 3^b against
-the caller's budget before any shape of b vertices is weighed.
+which does not count those calls.  The cluster engine charges the same
+against the caller's budget before each shape's recursion.
 """
 
 from __future__ import annotations
@@ -64,14 +64,14 @@ class ExpTypeSpec:
     vertices must vanish on all of them.
 
     chi must be a function of the vertex count and the edge multiset, not
-    of the order of the edges: :func:`chi_k_coefficients` calls it once per
-    distinct block graph and the cluster path once per shape, and every
-    block or set with that graph or shape shares the value.
+    of the order of the edges: :func:`chi_k_coefficients`, which also
+    weighs each shape of the cluster path, calls it once per distinct block
+    graph in a call, and every block with that graph shares the value.
 
     ``chi_table``, when given, maps a graph g to the list of chi of the
     subgraph that each vertex bitmask of g induces, indexed by the mask;
     :func:`chi_k_coefficients` then reads every block from that one list
-    and never calls chi.  The cluster path still calls chi.
+    and never calls chi.
     """
 
     chi: Callable[[Multigraph], complex]
@@ -165,10 +165,9 @@ def tutte_spec(v: complex, root_radius: float | None = None,
     """Random-cluster family member at a finite edge weight ``v``.
 
     Its chi and its ``chi_table`` sieve under no budget of their own; the
-    caller charges them.  The cluster engine charges 3^|C| against the
-    caller's budget before it weighs a shape C, and
-    :func:`chi_k_coefficients` charges 2 * 3^|V| before it sieves the
-    whole graph once for the table.
+    caller charges them: :func:`chi_k_coefficients` charges 2 * 3^|V|
+    before it sieves a graph once for the table, and the cluster engine
+    charges 2 * 3^|C| before it so weighs a shape C.
     """
     v = complex(v)
     if not cmath.isfinite(v):
@@ -244,6 +243,15 @@ def _block_graphs(g: Multigraph) -> Callable[[int], tuple]:
     return key
 
 
+def _coefficient_terms(spec: ExpTypeSpec, n: int) -> int:
+    """Terms :func:`chi_k_coefficients` charges on n vertices.
+
+    2 * 3^n with a ``chi_table``, its sieve and the recursion; 3^n with
+    chi alone, which does not count the chi calls.
+    """
+    return 3 ** n if spec.chi_table is None else 2 * 3 ** n
+
+
 def chi_k_coefficients(g: Multigraph, spec: ExpTypeSpec,
                        budget: float | None = None) -> list[complex]:
     """[chi_1, ..., chi_n]: partition sums with exactly k induced blocks.
@@ -266,8 +274,10 @@ def chi_k_coefficients(g: Multigraph, spec: ExpTypeSpec,
     n = g.n
     if n == 0:
         return []
+    _charge(_coefficient_terms(spec, n), budget,
+            f"3^{n} anchored blocks" if spec.chi_table is None
+            else f"2*3^{n} sieve terms and anchored blocks")
     if spec.chi_table is None:
-        _charge(3 ** n, budget, f"3^{n} anchored blocks")
         block_graph = _block_graphs(g)
         # blocks whose graphs are equal share one chi call
         chi_of_graph: dict[tuple, complex] = {}
@@ -279,7 +289,6 @@ def chi_k_coefficients(g: Multigraph, spec: ExpTypeSpec,
                 w = chi_of_graph[key] = complex(spec.chi(Multigraph._trusted(*key)))
             return w
     else:
-        _charge(2 * 3 ** n, budget, f"2*3^{n} sieve terms and anchored blocks")
         chi_of_block = spec.chi_table(g).__getitem__
     prune = spec.vanishes_disconnected
     # neighbour bitmask of each vertex bit; a loop's own bit is never
@@ -363,46 +372,22 @@ def qhat_derivative(g: Multigraph, spec: ExpTypeSpec, m: int,
 # certified evaluation outside the root disk
 
 
-def _poly_mul(a, b) -> list[complex]:
-    out = [0j] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 def _exp_shape(spec: ExpTypeSpec, engine, layout) -> list[complex]:
     """Cluster-engine oracle of an exponential-type polynomial.
 
     A shape's polynomial is qhat(C), the reversed polynomial of the
-    multigraph on C: the sum over connected blocks B holding position 0 of
-    chi(B) t^(|B|-1) qhat(C minus B), where qhat factors over the components
-    of C minus B.  Its top coefficient is chi(C), from the block B = C
-    alone.  The qhat of each proper block comes from the engine's shapes,
-    and chi(B) is its top coefficient, so chi runs once per shape, on the
-    shape itself.  Only masks without position 0 get a qhat: the sum reads
-    it at C minus B, and their products at such masks.  Charges 3^|C| first.
+    multigraph on C, position i as vertex i; its top coefficient is chi(C).
+    It is :func:`chi_k_coefficients` of that multigraph, reversed, and the
+    engine is charged first what that call would charge
+    (:func:`_coefficient_terms`).
     """
     labels, edges = layout
     size = len(labels)
-    engine.charge(3 ** size, size)
-    # position i as vertex i: the loops by position, then the other edges
+    # the loops by position, then the other edges, as (min, max) pairs
     pairs = [(i, i) for i, (_, loops) in enumerate(labels) for _ in range(loops)]
     pairs += [(i, j) for i, j, m in edges for _ in range(m)]
-    chi = complex(spec.chi(Multigraph._trusted(size, tuple(pairs))))
-    full = (1 << size) - 1
-    qhat = [[1.0 + 0j]] + [None] * full
-    poly = [0j] * size
-    anchored = []
-    for mask, comp, local in engine.subsets(layout):
-        if not mask & 1:
-            qhat[mask] = local if comp == mask else _poly_mul(qhat[comp], qhat[mask ^ comp])
-        elif comp == mask:
-            anchored.append((mask, chi if local is None else local[-1]))
-    for mask, chi_b in anchored:
-        for i, a in enumerate(qhat[full ^ mask], mask.bit_count() - 1):
-            poly[i] += chi_b * a
-    return poly
+    engine.charge(_coefficient_terms(spec, size), size)
+    return chi_k_coefficients(Multigraph._trusted(size, tuple(pairs)), spec, math.inf)[::-1]
 
 
 def eval_exp_type(g: Multigraph, spec: ExpTypeSpec, x: complex, eps: float,

@@ -10,9 +10,10 @@ import holant.approx as approx
 import holant.exptype as exptype
 import oracles
 from holant import (BudgetExceededError, ExpTypeSpec, GraphFamilySpec, Multigraph,
-                    OutsideRegionError, chi_tutte, chi_k_coefficients, chromatic_spec, connected_subsets,
-                    estimate_root_radius, eval_exp_type, exp_type_poly, generate,
-                    induced_subgraph, poly_roots, qhat_derivative, tutte_direct, tutte_spec)
+                    OutsideRegionError, chi_tutte, chi_k_coefficients, chromatic_spec,
+                    component_count, connected_subsets, estimate_root_radius, eval_exp_type,
+                    exp_type_poly, generate, induced_subgraph, poly_roots, qhat_derivative,
+                    tutte_direct, tutte_spec)
 from holant.exptype import random_cluster_profile, tutte_from_profile
 
 K1 = Multigraph(1, ())
@@ -412,14 +413,9 @@ def test_cluster_engine_matches_coefficient_dp():
     assert checked > 1500
 
 
-def test_eval_exp_type_computes_chi_once_per_shape(monkeypatch):
+def test_eval_exp_type_reads_one_chi_table_per_shape(monkeypatch):
+    # each shape's polynomial is one chi_k_coefficients call on the shape
     g = generate(GraphFamilySpec("regular", 10, degree=3, seed=4))
-    calls = []
-    counted = ExpTypeSpec(lambda h: calls.append(h) or chi_tutte(h, 1.0), "counted",
-                          root_radius=10.0)
-    # construction probes K_1 and two isolated vertices
-    assert calls == [Multigraph(1, ()), Multigraph(2, ())]
-    calls.clear()
     engines = []
     real_init = approx._ClusterEngine.__init__
 
@@ -428,11 +424,40 @@ def test_eval_exp_type_computes_chi_once_per_shape(monkeypatch):
         real_init(self, *args)
 
     monkeypatch.setattr(approx._ClusterEngine, "__init__", record)
+    calls, tables = [], []
+    counted = ExpTypeSpec(lambda h: calls.append(h) or chi_tutte(h, 1.0), "counted",
+                          root_radius=10.0,
+                          chi_table=lambda h: tables.append(h) or exptype._chi_tutte_sieve(h, 1.0))
+    # construction probes K_1 and two isolated vertices
+    assert calls == [Multigraph(1, ()), Multigraph(2, ())]
+    calls.clear()
     cert = eval_exp_type(g, counted, 60.0, eps=1e-3)
     assert cert.order + 1 < g.n and len(engines) == 1
-    # then one call per shape, and no second probe
-    sets = list(connected_subsets(g, cert.order + 1))
-    assert len(calls) == len(engines[0].shapes) < len(sets)
+    # with a table: one table per shape, and chi is never called again
+    sets = sum(1 for _ in connected_subsets(g, cert.order + 1))
+    assert len(tables) == len(engines[0].shapes) < sets
+    assert calls == []
+
+    # with chi alone: within one shape's call, chi runs only on connected
+    # graphs, each once
+    alone = ExpTypeSpec(lambda h: calls.append(h) or chi_tutte(h, 1.0), "alone",
+                        root_radius=10.0)
+    per_shape = []
+    real_chi_k = exptype.chi_k_coefficients
+
+    def split(*args):
+        calls.clear()
+        out = real_chi_k(*args)
+        per_shape.append([(h.n, tuple(sorted(h.edges))) for h in calls])
+        return out
+
+    monkeypatch.setattr(exptype, "chi_k_coefficients", split)
+    same = eval_exp_type(g, alone, 60.0, eps=1e-3)
+    assert len(per_shape) == len(engines[1].shapes) == len(engines[0].shapes)
+    for graphs in per_shape:
+        assert len(set(graphs)) == len(graphs)
+        assert all(component_count(n, edges) == 1 for n, edges in graphs)
+    assert cmath.isclose(same.log_value, cert.log_value, rel_tol=1e-12)
 
 
 def test_eval_exp_type_rooted_on_generated_torus(monkeypatch):
@@ -535,6 +560,41 @@ def test_eval_exp_type_mode_names_the_path_that_ran():
     assert cert.mode == "exp-coefficients"
     expected = exp_type_poly(TRIANGLE, const)(60.0)
     assert abs(cmath.log(cert.value / expected)) <= cert.error_bound + 1e-12
+
+
+def test_exp_cluster_charges_each_shape_as_chi_k_coefficients_does():
+    # cycle:12 at order 5 walks the 21 sets at vertex 0 and weighs one path
+    # shape of each size 1..6 by one chi_k_coefficients call: 2 * 3^|C| with
+    # a chi table, 3^|C| with chi alone
+    g = generate(GraphFamilySpec("cycle", 12))
+    table = tutte_spec(1.0, root_radius=10.0)
+    alone = ExpTypeSpec(lambda h: chi_tutte(h, 1.0), "alone", root_radius=10.0)
+    for spec, total in ((table, 2205), (alone, 1113)):
+        assert total == 21 + sum(exptype._coefficient_terms(spec, s) for s in range(1, 7))
+        cert = eval_exp_type(g, spec, 40.0, eps=1e-3, budget=total)
+        assert (cert.mode, cert.order) == ("exp-cluster", 5)
+        with pytest.raises(BudgetExceededError,
+                           match=f"^{total} connected-set expansion terms \\(21 sets streamed, 6 "
+                                 f"shapes computed, stopped at a set of size 6\\) exceed the "
+                                 f"budget of {total - 1} terms$"):
+            eval_exp_type(g, spec, 40.0, eps=1e-3, budget=total - 1)
+
+
+@pytest.mark.parametrize("n", [20, 30, 40])
+def test_exp_cluster_matches_the_cycle_closed_form_past_16_vertices(n):
+    # Z(C_n)(x, v) = (x + v)^n + (x - 1) v^n, beyond the 17 vertices at which
+    # the whole-graph coefficients stop under the default budget; the
+    # generated cycle walks the sets at vertex 0, its edge-list copy all sets
+    base = generate(GraphFamilySpec("cycle", n))
+    for v in (1.0, -1.0, -0.5, 0.3 + 0.4j):
+        closed = np.poly1d([1.0, v]) ** n + np.poly1d([1.0, -1.0]) * v ** n
+        radius = 1.5 * max(abs(r) for r in np.roots(closed.coeffs))
+        x = 10 * radius
+        want = (x + v) ** n + (x - 1) * v ** n
+        for g in (base, Multigraph(n, base.edges)):
+            cert = eval_exp_type(g, tutte_spec(v, root_radius=radius), x, eps=1e-7)
+            assert cert.mode == "exp-cluster" and cert.order <= 7
+            assert abs(cmath.log(cert.value / want)) <= cert.error_bound + 1e-12, (n, v, g)
 
 
 def test_eval_exp_type_region_and_radius_errors():
